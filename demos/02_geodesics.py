@@ -17,6 +17,7 @@ from graphspace import (
     geodesic,
     graph_distance,
     letter_like,
+    objective_value,
     pad_pair,
     trial_rng,
 )
@@ -42,7 +43,9 @@ def main():
     print("\n== Interpolation without registration, for contrast ==")
     a_pad, b_pad = pad_pair(a, b, "two_way")
     identity = np.arange(a_pad.n)
-    raw = build_match_result(a_pad, b_pad, identity, 0.0, None,
+    raw = build_match_result(a_pad, b_pad, identity, 0.0,
+                             objective_value(a_pad.adjacency, b_pad.adjacency,
+                                             None, 0.0, identity),
                              SolverTrace(solver="identity", iterations=0))
     for t in (0.0, 0.5, 1.0):
         print(f"  t={t:4.2f}  {edge_list(geodesic(raw, t))}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -40,10 +40,14 @@ def _selection_cost(c: np.ndarray, perm: np.ndarray) -> float:
     return math.fsum(c[np.arange(len(perm)), perm].tolist())
 
 
-def _lap_raw(c: np.ndarray) -> np.ndarray:
-    """Minimum-cost assignment as a row->column index vector (scipy JV)."""
-    _, cols = linear_sum_assignment(c)
-    return cols
+def _lap_raw(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum-cost assignment as ``(rows, cols)`` index vectors (scipy JV).
+
+    Every row or every column of a rectangular ``c`` is assigned, whichever
+    side is smaller; ``rows`` is sorted, so for square ``c`` it is
+    ``arange(n)`` and ``cols`` is the row->column permutation.
+    """
+    return linear_sum_assignment(c)
 
 
 def _duals(c: np.ndarray, perm: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
@@ -138,7 +142,7 @@ def solve_lap(cost, sense: str = "min", lexicographic: bool = True) -> Assignmen
         return AssignmentResult(Permutation(np.arange(0)), 0.0)
 
     work = -c if sense == "max" else c
-    perm = _lap_raw(work)
+    _, perm = _lap_raw(work)
     best_total = _selection_cost(work, perm)
 
     if lexicographic and n > 1:
@@ -214,7 +218,7 @@ def brute_force_match(g1: Graph, g2: Graph, lam: float = 0.0):
     (ties arise with discrete attributes; detected by exact float equality
     of the enumerated scores, truncated to the first 10000).
     """
-    from .matching import MatchResult, SolverTrace, build_match_result
+    from .matching import SolverTrace, build_match_result
 
     if g1.n != g2.n:
         raise ValueError(f"brute_force_match requires equal sizes, got {g1.n} vs {g2.n}")
@@ -254,15 +258,7 @@ def brute_force_match(g1: Graph, g2: Graph, lam: float = 0.0):
 
     trace = SolverTrace(solver="brute", iterations=0, objectives=(), step_sizes=(),
                         converged=True)
-    result = build_match_result(g1, g2, best_perm, lam, d, trace)
-    return MatchResult(
-        p=result.p,
-        g1_registered=result.g1_registered,
-        g2_padded=result.g2_padded,
-        objective=result.objective,
-        d_g=result.d_g,
-        solver_trace=trace,
-        lam=lam,
-        co_optimal=tuple(Permutation(t) for t in ties),
-        n_co_optimal=n_ties,
-    )
+    obj = objective_value(g1.adjacency, g2.adjacency, d, lam, best_perm)
+    result = build_match_result(g1, g2, best_perm, lam, obj, trace)
+    return replace(result, co_optimal=tuple(Permutation(t) for t in ties),
+                   n_co_optimal=n_ties)

@@ -104,6 +104,25 @@ class Graph:
         object.__setattr__(self, "node_attrs", attrs)
         object.__setattr__(self, "null_mask", mask)
 
+    @classmethod
+    def _trusted(cls, adjacency: np.ndarray, node_attrs: np.ndarray | None,
+                 directed: bool, null_mask: np.ndarray) -> "Graph":
+        """Wrap fresh arrays derived from valid graphs without re-validating.
+
+        Internal to ``permute`` and ``pad_to_size``, whose outputs satisfy
+        every invariant ``__post_init__`` checks by construction; the
+        arrays are frozen here and must not be shared with the caller.
+        """
+        g = object.__new__(cls)
+        for arr in (adjacency, node_attrs, null_mask):
+            if arr is not None:
+                arr.setflags(write=False)
+        object.__setattr__(g, "adjacency", adjacency)
+        object.__setattr__(g, "node_attrs", node_attrs)
+        object.__setattr__(g, "directed", directed)
+        object.__setattr__(g, "null_mask", null_mask)
+        return g
+
     @property
     def n(self) -> int:
         return self.adjacency.shape[0]
@@ -205,7 +224,7 @@ def permute(g: Graph, p) -> Graph:
         attrs[idx] = g.node_attrs
     mask = np.zeros(g.n, dtype=bool)
     mask[idx] = g.null_mask
-    return Graph(adj, node_attrs=attrs, directed=g.directed, null_mask=mask)
+    return Graph._trusted(adj, attrs, g.directed, mask)
 
 
 def pad_to_size(g: Graph, m: int) -> Graph:
@@ -222,7 +241,7 @@ def pad_to_size(g: Graph, m: int) -> Graph:
         attrs[: g.n] = g.node_attrs
     mask = np.ones(m, dtype=bool)
     mask[: g.n] = g.null_mask
-    return Graph(adj, node_attrs=attrs, directed=g.directed, null_mask=mask)
+    return Graph._trusted(adj, attrs, g.directed, mask)
 
 
 def pad_pair(g1: Graph, g2: Graph, mode: str = "two_way", size: int | None = None):

@@ -17,6 +17,13 @@ Tr(P D), whose linearization at a permutation agrees with J up to an
 additive constant (the node term enters the relaxed objective with weight
 lambda rather than J's effective lambda/2; the reported objective is
 always J itself, recomputed exactly from the final permutation).
+
+Null rows and columns of a padded pair are zero and cost nothing, so f,
+its gradient and the line search depend only on the n2 x n1 block X of P
+that maps real nodes to real slots.  Frank-Wolfe therefore runs on the
+unpadded graphs: each vertex step is a rectangular assignment (a partial
+one under two-way padding, where a real node may park on a null slot at
+zero cost), and padding only shapes the returned permutation.
 """
 
 from __future__ import annotations
@@ -129,16 +136,16 @@ class MatchResult:
 
 
 def build_match_result(g1_padded: Graph, g2_padded: Graph, perm: np.ndarray,
-                       lam: float, d: np.ndarray | None,
+                       lam: float, objective: float,
                        trace: SolverTrace) -> MatchResult:
-    perm = np.asarray(perm, dtype=int)
-    obj = objective_value(g1_padded.adjacency, g2_padded.adjacency, d, lam, perm)
+    """Assemble a result; ``objective`` must be the exact J of ``perm``."""
+    p = Permutation(perm)
     return MatchResult(
-        p=Permutation(perm),
-        g1_registered=permute(g1_padded, perm),
+        p=p,
+        g1_registered=permute(g1_padded, p),
         g2_padded=g2_padded,
-        objective=obj,
-        d_g=math.sqrt(obj),
+        objective=objective,
+        d_g=math.sqrt(objective),
         solver_trace=trace,
         lam=lam,
     )
@@ -241,7 +248,7 @@ def match_umeyama(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Match
     score = np.abs(u1[:, ::-1]) @ np.abs(u2[:, ::-1]).T
     if d is not None:
         score = score - cfg.lam * d
-    perm = _lap_raw(-score)
+    _, perm = _lap_raw(-score)
 
     spectral_obj = objective_value(g1p.adjacency, g2p.adjacency, d, cfg.lam, perm)
     refine_objs = ()
@@ -249,6 +256,7 @@ def match_umeyama(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Match
         perm, refine_objs = greedy_two_exchange(
             g1p.adjacency, g2p.adjacency, d, cfg.lam, perm
         )
+    obj = refine_objs[-1] if refine_objs else spectral_obj
     trace = SolverTrace(
         solver="umeyama",
         iterations=0,
@@ -256,13 +264,74 @@ def match_umeyama(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Match
         converged=True,
         refinement_objectives=refine_objs,
     )
-    return build_match_result(g1p, g2p, perm, cfg.lam, d, trace)
+    return build_match_result(g1p, g2p, perm, cfg.lam, obj, trace)
+
+
+def _vertex(c: np.ndarray, partial: bool):
+    """Minimum-cost node->slot pairs ``(rows, cols)`` for the cost ``c``.
+
+    ``partial`` lets nodes stay unmatched at zero cost: solving on min(c, 0)
+    and dropping the pairs whose cost is not negative attains the optimum
+    of the zero-padded square assignment.  Otherwise every node of the
+    smaller side is matched.
+    """
+    if not partial:
+        return _lap_raw(c)
+    rows, cols = _lap_raw(np.minimum(c, 0.0))
+    keep = c[rows, cols] < 0.0
+    return rows[keep], cols[keep]
+
+
+def _null_average(x: np.ndarray, size: int) -> np.ndarray:
+    """Real block of the padded iterate averaged over null relabelings.
+
+    Relabeling null nodes or null slots leaves J unchanged.  After
+    averaging, a real slot's unused mass s_i spreads evenly over the
+    ``size - n1`` null nodes and a real node's unused mass r_j over the
+    ``size - n2`` null slots, so an assignment's score is a constant plus
+    the sum of the returned weights over its real-to-real pairs.
+    """
+    n2, n1 = x.shape
+    w = x
+    if size > n2:
+        w = w - (1.0 - x.sum(axis=0)) / (size - n2)
+    if size > n1:
+        s = 1.0 - x.sum(axis=1)
+        w = w - s[:, None] / (size - n1)
+        if size > n2:
+            w = w + ((size - n1) - s.sum()) / ((size - n1) * (size - n2))
+    return w
+
+
+def _lift(rows: np.ndarray, cols: np.ndarray, n1: int, n2: int, size: int) -> np.ndarray:
+    """Padded permutation from real node->slot pairs.
+
+    Unmatched real nodes go to the first null slots; null nodes then fill
+    the remaining slots in increasing order.
+    """
+    perm = np.full(size, -1)
+    perm[rows] = cols
+    taken = np.zeros(size, dtype=bool)
+    taken[cols] = True
+    parked = np.flatnonzero(perm[:n1] < 0)
+    perm[parked] = np.arange(n2, n2 + len(parked))
+    taken[n2:n2 + len(parked)] = True
+    perm[n1:] = np.flatnonzero(~taken)
+    return perm
 
 
 def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
-                 lam: float, p0: np.ndarray, max_iter: int, tol: float):
-    """Frank-Wolfe over the doubly stochastic polytope with exact line search."""
-    n = a1.shape[0]
+                 lam: float, p0: np.ndarray, max_iter: int, tol: float,
+                 size: int):
+    """Frank-Wolfe over the doubly stochastic polytope with exact line search.
+
+    Runs on the real block of a pair padded to ``size`` nodes: ``a1`` and
+    ``a2`` are the unpadded adjacencies, ``d`` the n1 x n2 node cost and
+    ``p0`` the n2 x n1 real block of the padded start.  Returns the padded
+    permutation with the relaxed objectives, step sizes and convergence.
+    """
+    n1, n2 = a1.shape[0], a2.shape[0]
+    partial = size >= n1 + n2
     d_t = d.T if (d is not None and lam != 0.0) else None
 
     def node_term(m):
@@ -278,10 +347,10 @@ def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
         grad = -m_p - (a2.T @ p @ a1)
         if d_t is not None:
             grad = grad + lam * d_t
-        # vertex minimizing <grad, Q> over permutation matrices Q[q_i, i] = 1
-        q_idx = _lap_raw(grad.T)
-        q = np.zeros((n, n))
-        q[q_idx, np.arange(n)] = 1.0
+        # vertex minimizing <grad, Q> over (partial) permutation matrices
+        rows, cols = _vertex(grad.T, partial)
+        q = np.zeros((n2, n1))
+        q[cols, rows] = 1.0
         r = q - p
         m_r = a2 @ r @ a1.T
         a_coef = -float((m_r * r).sum())
@@ -305,8 +374,8 @@ def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
             break
         f = f_new
     # project the doubly stochastic iterate back to a permutation
-    perm = _lap_raw(-p.T)
-    return perm, tuple(objectives), tuple(steps), converged
+    rows, cols = _vertex(-_null_average(p, size).T, partial)
+    return _lift(rows, cols, n1, n2, size), tuple(objectives), tuple(steps), converged
 
 
 def _faq_inits(cfg: MatchConfig, n: int):
@@ -336,7 +405,10 @@ def match_faq(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResu
     steps toward the best vertex with the closed-form quadratic line
     search, and stops when the relative objective change drops below
     ``cfg.tol`` (or after ``cfg.max_iter`` steps, flagged in the trace).
-    The final iterate is projected back to a permutation; restarts and
+    The descent works on the real n2 x n1 block of the padded doubly
+    stochastic matrix, with the unpadded adjacencies, so its cost scales
+    with n1 and n2 rather than the padded size.  The final iterate is
+    projected back to a permutation of the padded pair; restarts and
     optional two-exchange refinement keep the best exact objective.
     Handles directed graphs.
     """
@@ -344,11 +416,14 @@ def match_faq(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResu
     g1p, g2p = _pad_for(cfg, g1, g2)
     d = _node_cost(cfg, g1p, g2p)
     a1, a2 = g1p.adjacency, g2p.adjacency
+    n1, n2 = g1.n, g2.n
+    d_real = None if d is None else d[:n1, :n2]
 
     best = None
     for ridx, p0 in enumerate(_faq_inits(cfg, g1p.n)):
         perm, objs, steps, converged = _faq_descent(
-            a1, a2, d, cfg.lam, p0, cfg.max_iter, cfg.tol
+            g1.adjacency, g2.adjacency, d_real, cfg.lam, p0[:n2, :n1],
+            cfg.max_iter, cfg.tol, g1p.n
         )
         refine_objs = ()
         if cfg.refinement:
@@ -365,7 +440,7 @@ def match_faq(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResu
                 refinement_objectives=refine_objs,
             )
             best = (obj, perm, trace)
-    return build_match_result(g1p, g2p, best[1], cfg.lam, d, best[2])
+    return build_match_result(g1p, g2p, best[1], cfg.lam, best[0], best[2])
 
 
 def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResult:

@@ -5,12 +5,15 @@ Every tolerance is pinned here; nothing is deferred to later calibration.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import graphspace
 from conftest import perturbed_corpus, random_nonnegative_graph, random_symmetric_graph
 from graphspace import (
     Graph,
@@ -295,9 +298,15 @@ def test_c09_classifier_sanity():
 
 
 def _run_cli(args, cwd):
+    # The child runs in ``cwd``, so a relative PYTHONPATH would not resolve
+    # there; put the directory holding the imported package first.
+    package_root = str(Path(graphspace.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (package_root, env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "graphspace.cli", *args],
-        capture_output=True, cwd=cwd,
+        capture_output=True, cwd=cwd, env=env,
     )
     assert proc.returncode == 0, proc.stderr.decode()
     return proc.stdout

@@ -52,6 +52,15 @@ class TestConstruction:
         with pytest.raises(ValueError):
             g.adjacency[0, 1] = 1.0
 
+    def test_derived_graphs_are_read_only_and_valid(self):
+        g = Graph([[0.0, 2.0], [2.0, 0.0]], node_attrs=[[1.0], [3.0]])
+        for h in (permute(g, [1, 0]), pad_to_size(g, 4)):
+            for arr in (h.adjacency, h.node_attrs, h.null_mask):
+                assert not arr.flags.writeable
+            # permute and pad_to_size skip validation; the checks must still pass
+            Graph(h.adjacency, node_attrs=h.node_attrs, directed=h.directed,
+                  null_mask=h.null_mask)
+
 
 class TestPermutation:
     def test_rejects_non_bijection(self):

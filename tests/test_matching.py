@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_directed_graph, random_symmetric_graph
 from graphspace import (
@@ -15,6 +17,8 @@ from graphspace import (
     pad_pair,
     permute,
 )
+from graphspace.assignment import _lap_raw
+from graphspace.matching import _lift, _null_average, _vertex
 
 
 class TestMatchConfig:
@@ -186,6 +190,104 @@ class TestFaq:
                 )
         assert abs(naive - res.objective) <= 1e-9 * (1.0 + abs(res.objective))
         assert sorted(res.p.perm.tolist()) == list(range(n))
+
+
+def _attributed_graph(rng, n):
+    w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.4), 1)
+    return Graph(w + w.T, node_attrs=rng.normal(size=(n, 2)))
+
+
+@st.composite
+def _cost_blocks(draw):
+    n1 = draw(st.integers(1, 6))
+    n2 = draw(st.integers(1, 6))
+    entries = draw(st.lists(st.floats(-10.0, 10.0), min_size=n1 * n2,
+                            max_size=n1 * n2))
+    return np.array(entries).reshape(n1, n2)
+
+
+@st.composite
+def _partial_matchings(draw):
+    n1 = draw(st.integers(0, 6))
+    n2 = draw(st.integers(0, 6))
+    k = draw(st.integers(0, min(n1, n2)))
+    rows = draw(st.permutations(range(n1)))[:k]
+    cols = draw(st.permutations(range(n2)))[:k]
+    return np.array(rows, dtype=int), np.array(cols, dtype=int), n1, n2
+
+
+class TestRealBlock:
+    """Frank-Wolfe on the real n2 x n1 block against the padded problem."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cost_blocks(), st.booleans())
+    def test_vertex_matches_padded_lap(self, c, two_way):
+        # two-way padding (n1 + n2 slots) allows a partial assignment,
+        # one-way padding (max(n1, n2) slots) forces a complete one
+        n1, n2 = c.shape
+        m = n1 + n2 if two_way else max(n1, n2)
+        padded = np.zeros((m, m))
+        padded[:n1, :n2] = c
+        rows, cols = _lap_raw(padded)
+        vr, vc = _vertex(c, partial=two_way)
+        assert len(set(vr.tolist())) == len(vr) and len(set(vc.tolist())) == len(vc)
+        if two_way:
+            assert np.all(c[vr, vc] < 0.0)
+        else:
+            assert len(vr) == min(n1, n2)
+        assert math.isclose(c[vr, vc].sum(), padded[rows, cols].sum(),
+                            rel_tol=1e-12, abs_tol=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_partial_matchings())
+    def test_lift_is_bijection_parking_unmatched_on_null_slots(self, case):
+        rows, cols, n1, n2 = case
+        perm = _lift(rows, cols, n1, n2, n1 + n2)
+        assert sorted(perm.tolist()) == list(range(n1 + n2))
+        assert np.array_equal(perm[rows], cols)
+        unmatched = np.setdiff1d(np.arange(n1), rows)
+        assert np.all(perm[unmatched] >= n2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 5), st.integers(0, 5), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    def test_null_average_scores_every_permutation(self, n1, n2, two_way, seed):
+        # <P_avg, Q> = const + sum of the weights over Q's real-to-real pairs,
+        # where P_avg is a doubly stochastic P averaged over null relabelings
+        rng = np.random.default_rng(seed)
+        m = n1 + n2 if two_way else max(n1, n2)
+        p = np.zeros((m, m))
+        for w in rng.dirichlet(np.ones(3)):
+            p[rng.permutation(m), np.arange(m)] += w
+        avg = p.copy()
+        avg[:n2, n1:] = p[:n2, n1:].mean(axis=1, keepdims=True) if m > n1 else 0.0
+        avg[n2:, :n1] = p[n2:, :n1].mean(axis=0, keepdims=True) if m > n2 else 0.0
+        avg[n2:, n1:] = p[n2:, n1:].mean() if m > n1 and m > n2 else 0.0
+        weights = _null_average(p[:n2, :n1], m)
+        offsets = []
+        for _ in range(5):
+            q = rng.permutation(m)
+            real = np.flatnonzero((np.arange(m) < n1) & (q < n2))
+            offsets.append(avg[q, np.arange(m)].sum() - weights[q[real], real].sum())
+        assert np.allclose(offsets, offsets[0], atol=1e-9)
+
+    @pytest.mark.parametrize("lam, pinned_hits", [(0.5, 41), (2.0, 58)])
+    def test_attributed_two_way_oracle_gap(self, lam, pinned_hits):
+        # 60 attributed pairs of 2-5 nodes per side (at most 8 padded), scored
+        # against the brute-force optimum of the same two-way padded pair.
+        # The pinned hit counts are those of the padded Frank-Wolfe solver.
+        rng = np.random.default_rng(7)
+        hits = 0
+        for _ in range(60):
+            n1 = int(rng.integers(2, 6))
+            n2 = int(rng.integers(2, 9 - n1))
+            g1, g2 = _attributed_graph(rng, n1), _attributed_graph(rng, n2)
+            res = graph_distance(g1, g2, MatchConfig(lam=lam))
+            oracle = graph_distance(g1, g2, MatchConfig(lam=lam, solver="brute"))
+            gap = res.objective - oracle.objective
+            assert gap >= -1e-9
+            hits += gap <= 1e-9 * (1.0 + oracle.objective)
+        assert hits >= pinned_hits
 
 
 class TestGraphDistance:
