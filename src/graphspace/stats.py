@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, Permutation, pad_to_size, permute
+from .graphs import Graph, Permutation, pad_to_size
 from .matching import MatchConfig, graph_distance
 
 __all__ = [
@@ -100,7 +100,11 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
     mu = padded[template_idx]
     inner_cfg = replace(cfg, padding="none")
 
+    # perms[i] registers padded[i] as registered[i], whose edge energy
+    # against the current mu is energies[i]; the identity starts them.
     perms = [np.arange(m) for _ in padded]
+    registered = list(padded)
+    energies = [_edge_energy(g.adjacency, mu.adjacency) for g in padded]
     trace: list[float] = []
     converged = False
     for _ in range(max_outer):
@@ -109,13 +113,10 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
         # edge discrepancy (monotonicity guard for heuristic solvers).
         for i, g in enumerate(padded):
             result = graph_distance(g, mu, inner_cfg)
-            new_perm = result.p.perm
-            old_e = _edge_energy(permute(g, perms[i]).adjacency, mu.adjacency)
             new_e = _edge_energy(result.g1_registered.adjacency, mu.adjacency)
-            if new_e < old_e:
-                perms[i] = new_perm
-
-        registered = [permute(g, p) for g, p in zip(padded, perms)]
+            if new_e < energies[i]:
+                perms[i] = result.p.perm
+                registered[i] = result.g1_registered
 
         # Averaging step: arithmetic mean of adjacencies minimizes the sum
         # of squared discrepancies; attributes averaged over real matches.
@@ -138,9 +139,8 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
         adj[:, mask] = 0.0
         mu = Graph(adj, node_attrs=attrs, directed=directed, null_mask=mask)
 
-        energy = math.fsum(
-            _edge_energy(r.adjacency, mu.adjacency) for r in registered
-        )
+        energies = [_edge_energy(r.adjacency, mu.adjacency) for r in registered]
+        energy = math.fsum(energies)
         trace.append(energy)
         if len(trace) >= 2 and trace[-2] - trace[-1] <= tol * max(1.0, trace[-2]):
             converged = True
@@ -149,10 +149,8 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
             converged = True
             break
 
-    registered = [permute(g, p) for g, p in zip(padded, perms)]
     regs = tuple(
-        Registration(Permutation(p), r, _edge_energy(r.adjacency, mu.adjacency))
-        for p, r in zip(perms, registered)
+        Registration(Permutation(p), r, e) for p, r, e in zip(perms, registered, energies)
     )
     return GraphMean(mu=mu, registrations=regs, energy_trace=tuple(trace),
                      converged=converged)

@@ -3,16 +3,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_symmetric_graph
 from graphspace import (
     Graph,
     brute_force_match,
+    node_distance_matrix,
     objective_value,
     pad_pair,
     permute,
     solve_lap,
 )
+from graphspace.assignment import _TIE_REPORT_LIMIT, _chunk_scores
 
 
 def enumerate_lap(cost, sense="min"):
@@ -25,6 +29,52 @@ def enumerate_lap(cost, sense="min"):
         if best is None or better(total, best):
             best, best_perm = total, p
     return best_perm, best
+
+
+def exhaustive_match(g1, g2, lam):
+    """Score every permutation in lexicographic order (the scan the oracle
+    must agree with): (best perm, objective, n_co_optimal, co_optimal)."""
+    n = g1.n
+    d = node_distance_matrix(g1, g2, extended=True) if lam != 0.0 else None
+    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
+    scores = _chunk_scores(g1.adjacency, g2.adjacency, d, lam, perms)
+    idx = np.flatnonzero(scores == scores.min())
+    best = perms[idx[0]]
+    obj = objective_value(g1.adjacency, g2.adjacency, d, lam, best)
+    return best.tolist(), obj, len(idx), perms[idx[:_TIE_REPORT_LIMIT]].tolist()
+
+
+# Few distinct values make ties common; floats exercise rounding.
+_WEIGHTS = st.one_of(st.sampled_from([0.0, 0.0, 1.0, -1.0, 2.5, -0.75]),
+                     st.floats(-3.0, 3.0, allow_nan=False, allow_subnormal=False))
+
+
+@st.composite
+def _oracle_pairs(draw):
+    """(g1, g2, lam) of at most 7 nodes: directed or not, negative weights,
+    attributes when lam > 0, or a two_way-padded pair with null nodes."""
+    directed = draw(st.booleans())
+    lam = draw(st.sampled_from([0.0, 0.0, 0.5, 2.0]))
+
+    def graph(n):
+        a = np.array(draw(st.lists(_WEIGHTS, min_size=n * n, max_size=n * n))).reshape(n, n)
+        if not directed:
+            a = np.triu(a, k=1)
+            a = a + a.T
+        np.fill_diagonal(a, 0.0)
+        attrs = None
+        if lam:
+            attrs = np.array(draw(st.lists(st.sampled_from([0.0, 1.0, -2.0, 0.5]),
+                                           min_size=n, max_size=n))).reshape(n, 1)
+        return Graph(a, node_attrs=attrs, directed=directed)
+
+    if draw(st.booleans()):
+        n1 = draw(st.integers(1, 4))
+        n2 = draw(st.integers(1, 7 - n1))
+        g1, g2 = pad_pair(graph(n1), graph(n2), "two_way")
+        return g1, g2, lam
+    n = draw(st.integers(0, 7))
+    return graph(n), graph(n), lam
 
 
 class TestSolveLap:
@@ -196,6 +246,36 @@ class TestBruteForceMatch:
     def test_unequal_sizes_rejected(self):
         with pytest.raises(ValueError, match="equal sizes"):
             brute_force_match(Graph(np.zeros((2, 2))), Graph(np.zeros((3, 3))))
+
+    def test_empty_and_single_node(self):
+        for n, perm in ((0, []), (1, [0])):
+            g = Graph(np.zeros((n, n)))
+            res = brute_force_match(g, g)
+            assert res.p.perm.tolist() == perm
+            assert res.objective == 0.0
+            assert res.n_co_optimal == 1
+            assert [t.perm.tolist() for t in res.co_optimal] == [perm]
+
+    def test_no_pruning_reports_lexicographic_truncation(self):
+        # every permutation ties, so nothing can be pruned
+        g = Graph(np.zeros((8, 8)))
+        res = brute_force_match(g, g)
+        assert res.objective == 0.0
+        assert res.n_co_optimal == 40320
+        first = list(itertools.islice(itertools.permutations(range(8)), _TIE_REPORT_LIMIT))
+        assert [tuple(t.perm.tolist()) for t in res.co_optimal] == first
+        assert res.p.perm.tolist() == list(range(8))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_oracle_pairs())
+    def test_equals_exhaustive_scan(self, pair):
+        g1, g2, lam = pair
+        res = brute_force_match(g1, g2, lam=lam)
+        perm, obj, n_ties, ties = exhaustive_match(g1, g2, lam)
+        assert res.p.perm.tolist() == perm
+        assert res.objective == obj
+        assert res.n_co_optimal == n_ties
+        assert [t.perm.tolist() for t in res.co_optimal] == ties
 
     def test_padded_pair_tie_includes_null_swaps(self):
         rng = np.random.default_rng(8)
