@@ -310,8 +310,7 @@ def brute_force_match(g1: Graph, g2: Graph, lam: float = 0.0):
     a1, a2 = g1.adjacency, g2.adjacency
     ub = math.inf
     if n >= 2:
-        seed, _ = greedy_two_exchange(a1, a2, d, lam, np.arange(n))
-        ub = objective_value(a1, a2, d, lam, seed)
+        _, _, ub = greedy_two_exchange(a1, a2, d, lam, np.arange(n))
 
     best_score = math.inf
     best_perm = None
@@ -335,5 +334,5 @@ def brute_force_match(g1: Graph, g2: Graph, lam: float = 0.0):
                         converged=True)
     obj = objective_value(a1, a2, d, lam, best_perm)
     result = build_match_result(g1, g2, best_perm, lam, obj, trace)
-    return replace(result, co_optimal=tuple(Permutation(t) for t in ties),
+    return replace(result, co_optimal=tuple(Permutation._trusted(t) for t in ties),
                    n_co_optimal=n_ties)

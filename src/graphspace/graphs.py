@@ -109,9 +109,11 @@ class Graph:
                  directed: bool, null_mask: np.ndarray) -> "Graph":
         """Wrap fresh arrays derived from valid graphs without re-validating.
 
-        Internal to ``permute`` and ``pad_to_size``, whose outputs satisfy
-        every invariant ``__post_init__`` checks by construction; the
-        arrays are frozen here and must not be shared with the caller.
+        Internal to ``permute``, ``pad_to_size``, the template built in each
+        step of ``stats.karcher_mean`` and the interior points of
+        ``matching.geodesic``, whose outputs satisfy every invariant
+        ``__post_init__`` checks by construction; the arrays are frozen here
+        and must not be shared with the caller.
         """
         g = object.__new__(cls)
         for arr in (adjacency, node_attrs, null_mask):
@@ -165,6 +167,19 @@ class Permutation:
             raise ValueError("permutation vector must be a bijection of 0..n-1")
         p.setflags(write=False)
         object.__setattr__(self, "perm", p)
+
+    @classmethod
+    def _trusted(cls, perm: np.ndarray) -> "Permutation":
+        """Wrap a fresh integer bijection without re-validating it.
+
+        Internal to ``assignment.brute_force_match``, whose co-optimal
+        permutations it enumerated itself; the array is frozen here and
+        must not be shared with the caller.
+        """
+        p = object.__new__(cls)
+        perm.setflags(write=False)
+        object.__setattr__(p, "perm", perm)
+        return p
 
     @property
     def n(self) -> int:

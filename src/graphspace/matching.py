@@ -202,7 +202,9 @@ def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     Each sweep scans all pairs with an O(n) incremental delta (evaluated
     for all pairs at once through matrix products); the accepted swap is
     re-verified against the exactly recomputed objective, which guarantees
-    termination under floating point.
+    termination under floating point.  Returns ``(perm, objectives, obj)``:
+    the final permutation, the exact objective after each applied swap,
+    and the exact objective of ``perm``.
     """
     perm = np.array(perm, dtype=int)
     obj = objective_value(a1, a2, d, lam, perm)
@@ -220,7 +222,7 @@ def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
             break
         perm, obj = cand, cand_obj
         objectives.append(obj)
-    return perm, tuple(objectives)
+    return perm, tuple(objectives), obj
 
 
 def match_umeyama(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResult:
@@ -250,13 +252,12 @@ def match_umeyama(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Match
         score = score - cfg.lam * d
     _, perm = _lap_raw(-score)
 
-    spectral_obj = objective_value(g1p.adjacency, g2p.adjacency, d, cfg.lam, perm)
+    spectral_obj = obj = objective_value(g1p.adjacency, g2p.adjacency, d, cfg.lam, perm)
     refine_objs = ()
     if cfg.refinement:
-        perm, refine_objs = greedy_two_exchange(
+        perm, refine_objs, obj = greedy_two_exchange(
             g1p.adjacency, g2p.adjacency, d, cfg.lam, perm
         )
-    obj = refine_objs[-1] if refine_objs else spectral_obj
     trace = SolverTrace(
         solver="umeyama",
         iterations=0,
@@ -427,8 +428,9 @@ def match_faq(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResu
         )
         refine_objs = ()
         if cfg.refinement:
-            perm, refine_objs = greedy_two_exchange(a1, a2, d, cfg.lam, perm)
-        obj = objective_value(a1, a2, d, cfg.lam, perm)
+            perm, refine_objs, obj = greedy_two_exchange(a1, a2, d, cfg.lam, perm)
+        else:
+            obj = objective_value(a1, a2, d, cfg.lam, perm)
         if best is None or obj < best[0]:
             trace = SolverTrace(
                 solver="faq",
@@ -487,4 +489,7 @@ def geodesic(m: MatchResult, t: float) -> Graph:
         a[ga.null_mask] = b[ga.null_mask]
         b[gb.null_mask] = a[gb.null_mask]
         attrs = (1.0 - t) * a + t * b
-    return Graph(adj, node_attrs=attrs, directed=ga.directed, null_mask=mask)
+    # Fresh arrays, valid by construction: convex combinations of exactly
+    # symmetric matrices stay exactly symmetric, and both endpoints are zero
+    # on the diagonal and on nodes null on both sides.
+    return Graph._trusted(adj, attrs, ga.directed, mask)

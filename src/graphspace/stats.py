@@ -74,9 +74,15 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
     The template starts as the largest input graph; all graphs are one-way
     padded to its size and registered against it with the configured
     solver (``cfg.padding`` is ignored here, registration is always at the
-    template size).  Node attributes, when every input carries them, are
-    averaged per slot over the samples whose registered node is real; a
-    slot matched only by null nodes stays null.
+    template size).  ``cfg.faq_init`` governs the first outer pass only:
+    later ``faq`` passes start Frank-Wolfe from each sample's current
+    registration (the ``identity`` start on the registered graph) and
+    compose the permutations; restarts still run in every pass, and the
+    keep rule holds whatever the start.  ``umeyama`` and ``brute``
+    register the padded input afresh in every pass.  Node attributes,
+    when every input carries them, are averaged per slot over the samples
+    whose registered node is real; a slot matched only by null nodes stays
+    null.
     """
     graphs = list(graphs)
     if not graphs:
@@ -105,24 +111,32 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
     perms = [np.arange(m) for _ in padded]
     registered = list(padded)
     energies = [_edge_energy(g.adjacency, mu.adjacency) for g in padded]
+    warm_cfg = replace(inner_cfg, faq_init="identity")
     trace: list[float] = []
     converged = False
-    for _ in range(max_outer):
+    for outer in range(max_outer):
         # Register every sample to the current template, keeping the old
         # permutation whenever the new one does not strictly improve the
         # edge discrepancy (monotonicity guard for heuristic solvers).
+        # A warm start registers registered[i] = permute(padded[i], perms[i]),
+        # so its permutation composes with perms[i] to act on padded[i].
+        warm = outer > 0 and cfg.solver == "faq"
         for i, g in enumerate(padded):
-            result = graph_distance(g, mu, inner_cfg)
+            if warm:
+                result = graph_distance(registered[i], mu, warm_cfg)
+                new_perm = result.p.perm[perms[i]]
+            else:
+                result = graph_distance(g, mu, inner_cfg)
+                new_perm = result.p.perm
             new_e = _edge_energy(result.g1_registered.adjacency, mu.adjacency)
             if new_e < energies[i]:
-                perms[i] = result.p.perm
+                perms[i] = new_perm
                 registered[i] = result.g1_registered
 
         # Averaging step: arithmetic mean of adjacencies minimizes the sum
         # of squared discrepancies; attributes averaged over real matches.
         adj = np.mean([r.adjacency for r in registered], axis=0)
         attrs = None
-        mask = np.zeros(m, dtype=bool)
         if with_attrs:
             counts = np.sum([~r.null_mask for r in registered], axis=0)
             total = np.sum(
@@ -134,10 +148,12 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
             np.divide(total, counts[:, None], out=attrs, where=counts[:, None] > 0)
         else:
             mask = np.all([r.null_mask for r in registered], axis=0)
-        adj = adj.copy()
         adj[mask, :] = 0.0
         adj[:, mask] = 0.0
-        mu = Graph(adj, node_attrs=attrs, directed=directed, null_mask=mask)
+        # Fresh arrays, valid by construction: elementwise means of exactly
+        # symmetric matrices are exactly symmetric, and the diagonal, null
+        # rows and null attributes are zero.
+        mu = Graph._trusted(adj, attrs, directed, mask)
 
         energies = [_edge_energy(r.adjacency, mu.adjacency) for r in registered]
         energy = math.fsum(energies)

@@ -264,6 +264,8 @@ class TestBruteForceMatch:
         assert res.n_co_optimal == 40320
         first = list(itertools.islice(itertools.permutations(range(8)), _TIE_REPORT_LIMIT))
         assert [tuple(t.perm.tolist()) for t in res.co_optimal] == first
+        # trusted like public permutations: frozen int vectors
+        assert all(not t.perm.flags.writeable and t.perm.dtype == int for t in res.co_optimal)
         assert res.p.perm.tolist() == list(range(8))
 
     @settings(max_examples=150, deadline=None)

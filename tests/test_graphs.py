@@ -6,9 +6,13 @@ import pytest
 from conftest import random_nonnegative_graph, random_symmetric_graph
 from graphspace import (
     Graph,
+    MatchConfig,
     Permutation,
     ambient_distance,
     from_laplacian,
+    geodesic,
+    graph_distance,
+    karcher_mean,
     node_distance_matrix,
     pad_pair,
     pad_to_size,
@@ -54,10 +58,20 @@ class TestConstruction:
 
     def test_derived_graphs_are_read_only_and_valid(self):
         g = Graph([[0.0, 2.0], [2.0, 0.0]], node_attrs=[[1.0], [3.0]])
-        for h in (permute(g, [1, 0]), pad_to_size(g, 4)):
+        tri = Graph([[0.0, 0.3, 0.7], [0.3, 0.0, 0.1], [0.7, 0.1, 0.0]],
+                    node_attrs=[[0.5], [2.0], [-1.0]])
+        cfg = MatchConfig(lam=0.5)
+        match = graph_distance(g, tri, cfg)
+        derived = [permute(g, [1, 0]), pad_to_size(g, 4)]
+        # the Karcher template, with a slot that only null nodes fill
+        mu = karcher_mean([pad_to_size(g, 3), pad_to_size(permute(g, [1, 0]), 3)], cfg).mu
+        assert mu.null_mask.tolist() == [False, False, True]
+        derived.append(mu)
+        derived += [geodesic(match, t) for t in (0.25, 0.5)]
+        for h in derived:
             for arr in (h.adjacency, h.node_attrs, h.null_mask):
                 assert not arr.flags.writeable
-            # permute and pad_to_size skip validation; the checks must still pass
+            # these skip validation; the public checks must still pass
             Graph(h.adjacency, node_attrs=h.node_attrs, directed=h.directed,
                   null_mask=h.null_mask)
 

@@ -1,6 +1,11 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import graphspace.stats as stats_module
 from conftest import perturbed_corpus, random_symmetric_graph
 from graphspace import (
     Graph,
@@ -10,6 +15,7 @@ from graphspace import (
     graph_pca,
     karcher_mean,
     letter_like,
+    pad_to_size,
     permute,
     reconstruct,
     sample_graphs,
@@ -92,6 +98,82 @@ class TestKarcherMean:
         g2 = Graph(np.zeros((2, 2)), directed=True)
         with pytest.raises(ValueError, match="mix"):
             karcher_mean([g1, g2])
+
+
+def _sparse_graph(n, rng, directed, with_attrs):
+    """Random graph with about half its edges, uniform weights, 2-d attributes."""
+    w = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+    np.fill_diagonal(w, 0.0)
+    if not directed:
+        w = np.triu(w, k=1)
+        w = w + w.T
+    attrs = rng.normal(size=(n, 2)) if with_attrs else None
+    return Graph(w, node_attrs=attrs, directed=directed)
+
+
+class TestKarcherWarmStart:
+    """Later ``faq`` passes start from each sample's current registration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(2, 5),
+        smallest=st.integers(2, 6),
+        spread=st.integers(0, 3),
+        directed=st.booleans(),
+        lam=st.sampled_from([0.0, 0.5, 2.0]),
+        refinement=st.booleans(),
+        restarts=st.integers(0, 2),
+    )
+    def test_registrations_compose_to_the_input(self, seed, count, smallest, spread,
+                                                directed, lam, refinement, restarts):
+        rng = np.random.default_rng(seed)
+        corpus = [
+            _sparse_graph(int(rng.integers(smallest, smallest + spread + 1)), rng,
+                          directed, lam > 0)
+            for _ in range(count)
+        ]
+        cfg = MatchConfig(lam=lam, refinement=refinement, restarts=restarts, seed=seed)
+        gm = karcher_mean(corpus, cfg)
+        m = gm.mu.n
+        for g, reg in zip(corpus, gm.registrations):
+            expect = permute(pad_to_size(g, m), reg.permutation)
+            assert expect.adjacency.tobytes() == reg.graph.adjacency.tobytes()
+            assert expect.null_mask.tobytes() == reg.graph.null_mask.tobytes()
+            if lam > 0:
+                assert expect.node_attrs.tobytes() == reg.graph.node_attrs.tobytes()
+            diff = reg.graph.adjacency - gm.mu.adjacency
+            assert reg.edge_energy == math.fsum((diff * diff).ravel().tolist())
+        avg = np.mean([r.graph.adjacency for r in gm.registrations], axis=0)
+        assert np.array_equal(gm.mu.adjacency, avg)
+        tr = gm.energy_trace
+        assert all(b <= a + 1e-9 * (1.0 + a) for a, b in zip(tr, tr[1:]))
+
+    @pytest.mark.parametrize("solver", ["faq", "umeyama"])
+    def test_which_graph_each_pass_registers(self, monkeypatch, solver):
+        calls = []
+        real = stats_module.graph_distance
+
+        def spy(g1, g2, cfg):
+            calls.append((g1, cfg))
+            return real(g1, g2, cfg)
+
+        monkeypatch.setattr(stats_module, "graph_distance", spy)
+        rng = np.random.default_rng(5)
+        corpus = perturbed_corpus(random_symmetric_graph(7, rng), 6, rng, scale=0.5)
+        gm = karcher_mean(corpus, MatchConfig(solver=solver, refinement=True))
+        k = len(corpus)
+        assert len(calls) == k * len(gm.energy_trace) > k
+        for j, (g1, cfg) in enumerate(calls):
+            if j < k or solver == "umeyama":
+                # equal sizes: the padded input is the input graph itself
+                assert g1 is corpus[j % k]
+                assert cfg.faq_init == "barycenter"
+            else:
+                assert cfg.faq_init == "identity"
+        if solver == "faq":
+            # some later pass starts from an adopted, non-identity alignment
+            assert any(g1 is not corpus[j % k] for j, (g1, _) in enumerate(calls))
 
 
 class TestGraphPca:
