@@ -175,7 +175,9 @@ def objective_value(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     order (symmetric in the two graphs for the optimal permutation).
     """
     diff = a1 - a2[np.ix_(perm, perm)]
-    total = math.fsum((diff * diff).ravel().tolist())
+    # Zero differences add nothing to fsum's correctly rounded exact sum.
+    diff = diff[diff != 0.0]
+    total = math.fsum((diff * diff).tolist())
     if lam != 0.0 and d is not None:
         total += lam * math.fsum(d[np.arange(len(perm)), perm].tolist())
     return total
@@ -310,7 +312,9 @@ def brute_force_match(g1: Graph, g2: Graph, lam: float = 0.0):
     a1, a2 = g1.adjacency, g2.adjacency
     ub = math.inf
     if n >= 2:
-        _, _, ub = greedy_two_exchange(a1, a2, d, lam, np.arange(n))
+        start = np.arange(n)
+        _, _, ub = greedy_two_exchange(a1, a2, d, lam, start,
+                                       objective_value(a1, a2, d, lam, start))
 
     best_score = math.inf
     best_perm = None

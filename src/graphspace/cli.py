@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
+import functools
 import sys
 from pathlib import Path
 
 from .documents import (
     ValidationError,
+    _dumps,
+    _read_json,
     load_graph,
     pca_model_document,
     pca_model_from_document,
@@ -78,7 +80,7 @@ def _cfg(args) -> MatchConfig:
 
 
 def _emit(doc: dict, out: str | None = None) -> None:
-    text = json.dumps(doc, indent=2) + "\n"
+    text = _dumps(doc)
     sys.stdout.write(text)
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -162,8 +164,7 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    doc = json.loads(Path(args.model).read_text(encoding="utf-8"))
-    pca = pca_model_from_document(doc)
+    pca = pca_model_from_document(_read_json(args.model))
     if pca.n_components == 0 or float(pca.singular_values.max(initial=0.0)) == 0.0:
         raise ValidationError("model has no variance to sample from")
     k = args.components or components_for_variance(pca, 0.8)
@@ -371,12 +372,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing does not mutate the parser (no
+    # ``append`` actions, no mutable defaults), so commands can share it.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

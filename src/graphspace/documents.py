@@ -7,11 +7,21 @@ must be 0..n-1 in ascending order, undirected documents list each edge
 once with i < j, weights are finite and nonzero, and duplicate edges are
 rejected.  The writer is canonical (sorted edges, fixed key order, indent
 2), so save-then-load-then-save reproduces files byte for byte.
+
+Every document, and every JSON output of the CLI, is written by
+``_dumps``, whose bytes are exactly those of ``json.dumps(obj, indent=2)``
+but which writes whole lists of numbers and of number records at once
+instead of value by value.  The reader runs every schema check per node
+and per edge, in document order, so the first violation is the one
+reported; it formats an error message only when a check fails.
 """
 
 from __future__ import annotations
 
 import json
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -37,29 +47,53 @@ class ValidationError(ValueError):
 _DOC_KEYS = {"directed", "nodes", "edges"}
 _NODE_KEYS = {"id", "attr", "null"}
 _EDGE_KEYS = {"i", "j", "w"}
+# Exact types: bool, numpy scalars and other subclasses take the general paths.
+_FLOAT = {float}
+_NUMBER = {int, float}
+_DICT = {dict}
 
 
 def _fail(msg: str):
     raise ValidationError(msg)
 
 
-def _check_number(x, what: str) -> float:
+def _check_number(x, what: str, *args) -> float:
+    """``x`` as a finite float; failures name ``what.format(*args)``, which
+    is formatted only then."""
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        _fail(f"{what}: expected a number, got {type(x).__name__}")
-    x = float(x)
-    if not np.isfinite(x):
-        _fail(f"{what}: value must be finite, got {x}")
+        _fail(f"{what.format(*args)}: expected a number, got {type(x).__name__}")
+    try:
+        x = float(x)
+    except OverflowError:
+        _fail(f"{what.format(*args)}: value is too large for a float")
+    if not math.isfinite(x):
+        _fail(f"{what.format(*args)}: value must be finite, got {x}")
     return x
+
+
+def _check_numbers(values: list, what: str, *args) -> list:
+    """``values`` as finite floats; the first failing entry names ``what``."""
+    if _FLOAT.issuperset(map(type, values)) and all(map(math.isfinite, values)):
+        return values
+    return [_check_number(v, what, *args) for v in values]
+
+
+def _check_edge_ids(pos: int, i, j, n: int) -> None:
+    for name, v in (("i", i), ("j", j)):
+        if isinstance(v, bool) or not isinstance(v, int):
+            _fail(f"edge at position {pos}: '{name}' must be an integer")
+        if not 0 <= v < n:
+            _fail(f"edge at position {pos}: node id {v} out of range 0..{n - 1}")
 
 
 def document_to_graph(doc) -> Graph:
     """Validate a parsed JSON document and build the Graph it describes."""
     if not isinstance(doc, dict):
         _fail(f"document must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - _DOC_KEYS
+    unknown = doc.keys() - _DOC_KEYS
     if unknown:
         _fail(f"unknown document keys: {sorted(unknown)}")
-    missing = _DOC_KEYS - set(doc)
+    missing = _DOC_KEYS - doc.keys()
     if missing:
         _fail(f"missing document keys: {sorted(missing)}")
     directed = doc["directed"]
@@ -72,11 +106,11 @@ def document_to_graph(doc) -> Graph:
     n = len(nodes)
     attr_dim = None
     attrs = []
-    null_mask = np.zeros(n, dtype=bool)
+    nulls = set()
     for pos, node in enumerate(nodes):
         if not isinstance(node, dict):
             _fail(f"node at position {pos}: expected an object")
-        unknown = set(node) - _NODE_KEYS
+        unknown = node.keys() - _NODE_KEYS
         if unknown:
             _fail(f"node at position {pos}: unknown keys {sorted(unknown)}")
         if node.get("id") != pos:
@@ -95,44 +129,50 @@ def document_to_graph(doc) -> Graph:
             vec = node["attr"]
             if len(vec) != attr_dim:
                 _fail(f"node {pos}: attr must have {attr_dim} entries, got {len(vec)}")
-            attrs.append([_check_number(v, f"node {pos} attr") for v in vec])
+            attrs.append(_check_numbers(vec, "node {} attr", pos))
         if "null" in node:
             if node["null"] is not True:
                 _fail(f"node {pos}: 'null' may only be true (omit otherwise)")
-            null_mask[pos] = True
+            nulls.add(pos)
             if has_attr and any(v != 0.0 for v in attrs[-1]):
                 _fail(f"node {pos}: null nodes must have zero attributes")
 
     edges = doc["edges"]
     if not isinstance(edges, list):
         _fail("'edges' must be a list")
-    adjacency = np.zeros((n, n))
+    rows, cols, weights = [], [], []
+    isfinite = math.isfinite
     seen = set()
     for pos, edge in enumerate(edges):
-        if not isinstance(edge, dict) or set(edge) != _EDGE_KEYS:
+        if not isinstance(edge, dict) or edge.keys() != _EDGE_KEYS:
             _fail(f"edge at position {pos}: expected keys {sorted(_EDGE_KEYS)}")
-        i, j = edge["i"], edge["j"]
-        for name, v in (("i", i), ("j", j)):
-            if isinstance(v, bool) or not isinstance(v, int):
-                _fail(f"edge at position {pos}: '{name}' must be an integer")
-            if not 0 <= v < n:
-                _fail(f"edge at position {pos}: node id {v} out of range 0..{n - 1}")
+        i, j, w = edge["i"], edge["j"], edge["w"]
+        if type(i) is not int or type(j) is not int or not (0 <= i < n and 0 <= j < n):
+            _check_edge_ids(pos, i, j, n)
         if i == j:
             _fail(f"edge at position {pos}: self-loop at node {i}")
         if not directed and i > j:
             _fail(f"edge at position {pos}: undirected edges must have i < j, got ({i}, {j})")
-        if (i, j) in seen:
+        key = i * n + j
+        if key in seen:
             _fail(f"edge at position {pos}: duplicate edge ({i}, {j})")
-        seen.add((i, j))
-        w = _check_number(edge["w"], f"edge ({i}, {j}) weight")
+        seen.add(key)
+        if type(w) is not float or not isfinite(w):
+            w = _check_number(w, "edge ({}, {}) weight", i, j)
         if w == 0.0:
             _fail(f"edge at position {pos}: zero-weight edge ({i}, {j}); omit it instead")
-        if null_mask[i] or null_mask[j]:
+        if nulls and (i in nulls or j in nulls):
             _fail(f"edge at position {pos}: edge ({i}, {j}) touches a null node")
-        adjacency[i, j] = w
-        if not directed:
-            adjacency[j, i] = w
+        rows.append(i)
+        cols.append(j)
+        weights.append(w)
 
+    adjacency = np.zeros((n, n))
+    adjacency[rows, cols] = weights
+    if not directed:
+        adjacency[cols, rows] = weights
+    null_mask = np.zeros(n, dtype=bool)
+    null_mask[list(nulls)] = True
     node_attrs = np.array(attrs) if attr_dim else None
     try:
         return Graph(adjacency, node_attrs=node_attrs, directed=directed,
@@ -143,12 +183,14 @@ def document_to_graph(doc) -> Graph:
 
 def graph_to_document(g: Graph) -> dict:
     """Canonical document for a graph (sorted edges, fixed key order)."""
+    attrs = None if g.node_attrs is None else g.node_attrs.tolist()
+    nulls = set(np.flatnonzero(g.null_mask).tolist())
     nodes = []
     for i in range(g.n):
         node: dict = {"id": i}
-        if g.node_attrs is not None:
-            node["attr"] = [float(v) for v in g.node_attrs[i]]
-        if bool(g.null_mask[i]):
+        if attrs is not None:
+            node["attr"] = attrs[i]
+        if i in nulls:
             node["null"] = True
         nodes.append(node)
     if g.directed:
@@ -156,26 +198,121 @@ def graph_to_document(g: Graph) -> dict:
     else:
         rows, cols = np.nonzero(np.triu(g.adjacency, k=1))
     edges = [
-        {"i": int(i), "j": int(j), "w": float(g.adjacency[i, j])}
-        for i, j in zip(rows, cols)
+        {"i": i, "j": j, "w": w}
+        for i, j, w in zip(rows.tolist(), cols.tolist(), g.adjacency[rows, cols].tolist())
     ]
     return {"directed": bool(g.directed), "nodes": nodes, "edges": edges}
 
 
+def _dumps(obj) -> str:
+    """``json.dumps(obj, indent=2) + "\\n"``, for the documents' value types.
+
+    The one writer of every document and CLI output.  ``json.dumps`` turns
+    off its C encoder whenever ``indent`` is set; this one joins whole lists
+    at a time instead: lists of finite numbers through ``repr``, and lists
+    of same-keyed dicts of finite numbers (edges, plain nodes) through one
+    ``%`` template per list.  Everything else takes the general path,
+    which follows ``json.dumps`` value by value (dict keys must be strings).
+    """
+    return _encode(obj, "\n") + "\n"
+
+
+def _encode(obj, pad: str) -> str:
+    """``obj`` as ``json.dumps(indent=2)`` writes it where the enclosing
+    line starts with ``pad`` (a newline and the current indent)."""
+    if isinstance(obj, str):
+        return _quote(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    inner = pad + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        sep = "," + inner
+        if type(obj[0]) is dict:
+            body = _record_list(obj, inner)
+        else:
+            reprs = _finite_reprs(obj)
+            body = None if reprs is None else sep.join(reprs)
+        if body is None:
+            body = sep.join([_encode(v, inner) for v in obj])
+        return "[" + inner + body + pad + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _encode(v, inner) for k, v in obj.items()]
+        ) + pad + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _finite_reprs(values) -> list | None:
+    """``repr`` of each value if all are exact ints or finite floats, else None."""
+    if not _NUMBER.issuperset(map(type, values)):
+        return None
+    reprs = list(map(repr, values))
+    # Of the reprs of exact ints and floats, only "inf" and "nan" contain an n.
+    return None if "n" in "".join(reprs) else reprs
+
+
+def _record_list(items, pad: str) -> str | None:
+    """Body of a list of dicts that share their keys (in order) and hold
+    only ints and finite floats, each dict starting a line with ``pad``;
+    None for any other list."""
+    if not _DICT.issuperset(map(type, items)):
+        return None
+    key_orders = set(map(tuple, items))
+    if len(key_orders) != 1:
+        return None
+    (keys,) = key_orders
+    reprs = _finite_reprs(list(chain.from_iterable(map(dict.values, items))))
+    if not keys or reprs is None:
+        return None
+    inner = pad + "  "
+    record = "{" + inner + ("," + inner).join(
+        [_quote(k).replace("%", "%%") + ": %s" for k in keys]
+    ) + pad + "}"
+    return ("," + pad).join([record] * len(items)) % tuple(reprs)
+
+
 def dumps_graph(g: Graph) -> str:
-    return json.dumps(graph_to_document(g), indent=2) + "\n"
+    return _dumps(graph_to_document(g))
 
 
 def save_graph(g: Graph, path) -> None:
     Path(path).write_text(dumps_graph(g), encoding="utf-8")
 
 
-def load_graph(path) -> Graph:
+def _read_json(path):
+    """Parse the JSON file at ``path``; malformed or too deeply nested JSON
+    raises ValidationError naming the file."""
     path = Path(path)
+    text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValidationError(f"{path}: JSON nested too deeply") from exc
+
+
+def load_graph(path) -> Graph:
+    path = Path(path)
+    doc = _read_json(path)
     try:
         return document_to_graph(doc)
     except ValidationError as exc:
@@ -193,13 +330,20 @@ def pca_model_document(model) -> dict:
         "attr_dim": model.attr_dim,
         "nonnegative": model.nonnegative,
         "mean_graph": graph_to_document(model.mean.mu),
-        "center": [float(v) for v in model.center],
-        "basis": [[float(v) for v in row] for row in model.basis],
-        "singular_values": [float(v) for v in model.singular_values],
-        "component_variances": [float(v) for v in model.component_variances],
-        "explained_variance_ratio": [float(v) for v in model.explained_variance_ratio],
-        "scores": [[float(v) for v in row] for row in model.scores],
+        "center": model.center.tolist(),
+        "basis": model.basis.tolist(),
+        "singular_values": model.singular_values.tolist(),
+        "component_variances": model.component_variances.tolist(),
+        "explained_variance_ratio": model.explained_variance_ratio.tolist(),
+        "scores": model.scores.tolist(),
     }
+
+
+def _float_array(doc: dict, key: str) -> np.ndarray:
+    try:
+        return np.array(doc[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"PCA model '{key}' must hold numbers ({exc})") from exc
 
 
 def pca_model_from_document(doc):
@@ -216,29 +360,34 @@ def pca_model_from_document(doc):
     missing = required - set(doc)
     if missing:
         _fail(f"PCA model is missing keys: {sorted(missing)}")
+    for key in ("size", "attr_dim"):
+        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
+            _fail(f"PCA model '{key}' must be an integer, got {type(doc[key]).__name__}")
     mu = document_to_graph(doc["mean_graph"])
-    size = int(doc["size"])
+    size = doc["size"]
     if mu.n != size:
         _fail(f"mean graph has {mu.n} nodes but model declares size {size}")
     directed = bool(doc["directed"])
     include_nodes = bool(doc["include_nodes"])
-    attr_dim = int(doc["attr_dim"])
+    attr_dim = doc["attr_dim"]
     n_edges = size * (size - 1) // (1 if directed else 2)
     dim = n_edges + (size * attr_dim if include_nodes else 0)
 
-    basis = np.array(doc["basis"], dtype=float)
+    basis = _float_array(doc, "basis")
     if basis.ndim == 1:
         basis = basis.reshape(0, dim)
-    scores = np.array(doc["scores"], dtype=float)
+    scores = _float_array(doc, "scores")
     if scores.ndim == 1:
         scores = scores.reshape(len(doc["scores"]), 0)
-    center = np.array(doc["center"], dtype=float)
-    svals = np.array(doc["singular_values"], dtype=float)
+    center = _float_array(doc, "center")
+    svals = _float_array(doc, "singular_values")
+    if svals.ndim != 1:
+        _fail("singular_values must be a list of numbers")
     if basis.shape != (len(svals), dim):
         _fail(f"basis shape {basis.shape} does not match {len(svals)} x {dim}")
     if center.shape != (dim,):
         _fail(f"center length {center.shape} does not match dimension {dim}")
-    if scores.shape[1] != len(svals):
+    if scores.ndim != 2 or scores.shape[1] != len(svals):
         _fail("scores must have one column per component")
 
     mean = GraphMean(mu=mu, registrations=(), energy_trace=(), converged=True)
@@ -246,11 +395,11 @@ def pca_model_from_document(doc):
         mean=mean,
         basis=basis,
         singular_values=svals,
-        component_variances=np.array(doc["component_variances"], dtype=float),
-        explained_variance_ratio=np.array(doc["explained_variance_ratio"], dtype=float),
+        component_variances=_float_array(doc, "component_variances"),
+        explained_variance_ratio=_float_array(doc, "explained_variance_ratio"),
         scores=scores,
         center=center,
-        lam=float(doc["lambda"]),
+        lam=_check_number(doc["lambda"], "PCA model 'lambda'"),
         include_nodes=include_nodes,
         directed=directed,
         size=size,

@@ -196,18 +196,19 @@ def _swap_deltas(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
 
 
 def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
-                        lam: float, perm: np.ndarray):
+                        lam: float, perm: np.ndarray, obj: float):
     """Apply the single best improving node swap until none improves.
 
-    Each sweep scans all pairs with an O(n) incremental delta (evaluated
-    for all pairs at once through matrix products); the accepted swap is
-    re-verified against the exactly recomputed objective, which guarantees
-    termination under floating point.  Returns ``(perm, objectives, obj)``:
-    the final permutation, the exact objective after each applied swap,
-    and the exact objective of ``perm``.
+    ``obj`` is the exact objective of the starting ``perm``, which every
+    caller has already computed.  Each sweep scans all pairs with an O(n)
+    incremental delta (evaluated for all pairs at once through matrix
+    products); the accepted swap is re-verified against the exactly
+    recomputed objective, which guarantees termination under floating
+    point.  Returns ``(perm, objectives, obj)``: the final permutation, the
+    exact objective after each applied swap, and the exact objective of
+    ``perm``.
     """
     perm = np.array(perm, dtype=int)
-    obj = objective_value(a1, a2, d, lam, perm)
     objectives = []
     while True:
         deltas = _swap_deltas(a1, a2, d, lam, perm)
@@ -256,7 +257,7 @@ def match_umeyama(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Match
     refine_objs = ()
     if cfg.refinement:
         perm, refine_objs, obj = greedy_two_exchange(
-            g1p.adjacency, g2p.adjacency, d, cfg.lam, perm
+            g1p.adjacency, g2p.adjacency, d, cfg.lam, perm, spectral_obj
         )
     trace = SolverTrace(
         solver="umeyama",
@@ -426,11 +427,10 @@ def match_faq(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResu
             g1.adjacency, g2.adjacency, d_real, cfg.lam, p0[:n2, :n1],
             cfg.max_iter, cfg.tol, g1p.n
         )
+        obj = objective_value(a1, a2, d, cfg.lam, perm)
         refine_objs = ()
         if cfg.refinement:
-            perm, refine_objs, obj = greedy_two_exchange(a1, a2, d, cfg.lam, perm)
-        else:
-            obj = objective_value(a1, a2, d, cfg.lam, perm)
+            perm, refine_objs, obj = greedy_two_exchange(a1, a2, d, cfg.lam, perm, obj)
         if best is None or obj < best[0]:
             trace = SolverTrace(
                 solver="faq",

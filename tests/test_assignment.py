@@ -180,6 +180,19 @@ class TestObjectiveValue:
             got = objective_value(a1, a2, d, lam, p)
             assert abs(got - naive) <= 1e-9 * (1.0 + abs(naive))
 
+    @settings(max_examples=150, deadline=None)
+    @given(_oracle_pairs(), st.randoms(use_true_random=False))
+    def test_equals_full_matrix_fsum(self, pair, rnd):
+        # zero differences are skipped; the correctly rounded sum must not move
+        g1, g2, lam = pair
+        perm = np.array(rnd.sample(range(g1.n), g1.n), dtype=int)
+        d = node_distance_matrix(g1, g2, extended=True) if lam else None
+        diff = g1.adjacency - g2.adjacency[np.ix_(perm, perm)]
+        expected = math.fsum((diff * diff).ravel().tolist())
+        if lam:
+            expected += lam * math.fsum(d[np.arange(g1.n), perm].tolist())
+        assert objective_value(g1.adjacency, g2.adjacency, d, lam, perm) == expected
+
 
 class TestBruteForceMatch:
     def test_self_match_identity(self):

@@ -176,6 +176,68 @@ class TestExitCodes:
         assert rc == 2
 
 
+    def _assert_exit_2(self, argv, capsys, needle):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: ") and needle in err
+        assert "Traceback" not in err
+
+    def test_weight_too_large_for_float_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "big.json"
+        bad.write_text('{"directed": false, "nodes": [{"id": 0}, {"id": 1}], '
+                       '"edges": [{"i": 0, "j": 1, "w": 1' + "0" * 400 + '}]}')
+        self._assert_exit_2(["match", str(bad), str(bad)], capsys, "too large")
+
+    def test_deeply_nested_graph_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000 + "]" * 100_000)
+        self._assert_exit_2(["dist", str(bad), str(bad)], capsys, "nested too deeply")
+
+    def test_deeply_nested_model_is_2(self, tmp_path, capsys):
+        bad = tmp_path / "deep.json"
+        bad.write_text('{"size": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        self._assert_exit_2(["sample", "--model", str(bad), "--count", "1",
+                             "--out-dir", str(tmp_path / "s")], capsys, "nested too deeply")
+
+    def test_model_size_null_is_2(self, corpus_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["pca", *graphs_in(corpus_dir), "--out", str(model)]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["size"] = None
+        model.write_text(json.dumps(doc))
+        self._assert_exit_2(["sample", "--model", str(model), "--count", "1",
+                             "--out-dir", str(tmp_path / "s")], capsys, "'size'")
+
+
+class TestOneProcess:
+    def test_commands_share_one_parser(self, tmp_path, capsys):
+        # The parser is built once per process; defaults must not leak from
+        # one command's arguments into the next.
+        assert main(["generate", "--family", "binomial", "--count", "1", "--sizes", "3", "3",
+                     "--seed", "1", "--out-dir", str(tmp_path / "a")]) == 0
+        assert main(["generate", "--family", "binomial", "--count", "1",
+                     "--seed", "1", "--out-dir", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        assert load_graph(tmp_path / "a" / "graph_000.json").n == 3
+        assert 5 <= load_graph(tmp_path / "b" / "graph_000.json").n <= 10
+
+        save_graph(Graph([[0.0, 1.0], [1.0, 0.0]]), tmp_path / "x.json")
+        save_graph(Graph([[0.0, 3.0], [3.0, 0.0]]), tmp_path / "y.json")
+        x, y = str(tmp_path / "x.json"), str(tmp_path / "y.json")
+        assert main(["match", x, y, "--solver", "brute", "--padding", "none"]) == 0
+        first = json.loads(capsys.readouterr().out)
+        assert main(["dist", x, y]) == 0
+        second = json.loads(capsys.readouterr().out)
+        assert main(["match", x, y]) == 0
+        third = json.loads(capsys.readouterr().out)
+        assert (first["solver"], first["padded_size"]) == ("brute", 2)
+        assert second == {"d_g": 2.8284271247461903, "objective": 8.0,
+                          "direction": second["direction"], "converged": True}
+        assert (third["solver"], third["padded_size"]) == ("faq", 4)
+
+
 class TestGoldenOutput:
     def test_match_output_frozen(self, tmp_path, capsys):
         # fixed handwritten inputs: the full stdout is pinned byte for byte

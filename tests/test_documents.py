@@ -1,7 +1,10 @@
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_nonnegative_graph, random_symmetric_graph
 from graphspace import (
@@ -11,13 +14,16 @@ from graphspace import (
     document_to_graph,
     dumps_graph,
     graph_pca,
+    graph_to_document,
     load_graph,
     node_distance_matrix,
     pca_model_document,
     pca_model_from_document,
     reconstruct,
     save_graph,
+    truncate_components,
 )
+from graphspace.documents import _dumps
 from conftest import perturbed_corpus
 
 MINIMAL = {
@@ -180,6 +186,23 @@ class TestPcaModelDocument:
         with pytest.raises(ValidationError, match="missing keys"):
             pca_model_from_document({"size": 3})
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("size", None, "'size' must be an integer"),
+        ("attr_dim", 1.0, "'attr_dim' must be an integer"),
+        ("lambda", None, "'lambda': expected a number"),
+        ("lambda", 10**400, "too large for a float"),
+        ("basis", [[{}]], "'basis' must hold numbers"),
+        ("scores", "x", "'scores' must hold numbers"),
+        ("singular_values", [[1.0]], "singular_values must be a list"),
+    ])
+    def test_malformed_fields_rejected(self, key, value, message):
+        rng = np.random.default_rng(5)
+        corpus = perturbed_corpus(random_symmetric_graph(3, rng), 3, rng)
+        doc = pca_model_document(graph_pca(corpus))
+        doc[key] = value
+        with pytest.raises(ValidationError, match=message):
+            pca_model_from_document(doc)
+
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(3)
         corpus = perturbed_corpus(random_symmetric_graph(4, rng), 3, rng)
@@ -187,3 +210,173 @@ class TestPcaModelDocument:
         doc["basis"] = [row[:-1] for row in doc["basis"]]
         with pytest.raises(ValidationError, match="basis shape"):
             pca_model_from_document(doc)
+
+
+_EXTREMES = st.sampled_from([1e-300, -1e-300, 1e300, -1e300, -0.0, 0.0, 5e-324, 0.1, -2.5])
+_FINITE = st.one_of(_EXTREMES, st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _graphs(draw):
+    """Directed or undirected graphs of 1-6 nodes with extreme and negative
+    weights, optional attributes, null nodes, and possibly no edges."""
+    n = draw(st.integers(1, 6))
+    directed = draw(st.booleans())
+    a = np.array(draw(st.lists(_FINITE, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        a[:] = 0.0
+    if not directed:
+        a = np.triu(a, k=1)
+        a = a + a.T
+    np.fill_diagonal(a, 0.0)
+    null = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    a[null, :] = 0.0
+    a[:, null] = 0.0
+    attrs = None
+    dim = draw(st.integers(0, 2))
+    if dim:
+        attrs = np.array(draw(st.lists(_FINITE, min_size=n * dim, max_size=n * dim)))
+        attrs = attrs.reshape(n, dim)
+        attrs[null] = 0.0
+    return Graph(a, node_attrs=attrs, directed=directed, null_mask=null)
+
+
+def _oracle(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+_TEXT = st.text(st.characters(), max_size=8)
+_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats())
+_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), _FLOATS, _TEXT,
+                     st.floats().map(np.float64))
+# Same-keyed records of numbers (keys with "%" too), with the occasional
+# bool, NaN, string or nested value that must leave the template path, and
+# records whose keys differ in set or order.
+_KEYS = st.one_of(st.sampled_from(["i", "j", "w", "%s", "a%%b", "\u00e9\n"]), _TEXT)
+_RECORDS = st.one_of(
+    st.lists(_KEYS, min_size=1, max_size=3, unique=True).flatmap(
+        lambda keys: st.lists(st.fixed_dictionaries(
+            {k: st.one_of(st.integers(), _FINITE, _SCALARS) for k in keys}), max_size=4)),
+    st.lists(st.dictionaries(st.sampled_from("ijw"), st.integers(0, 3), min_size=1),
+             min_size=2, max_size=4),
+)
+_JSON = st.recursive(
+    st.one_of(_SCALARS, _RECORDS, st.lists(_FINITE, max_size=4),
+              st.lists(st.one_of(st.integers(), _FLOATS), max_size=4)),
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.lists(inner, max_size=3).map(tuple),
+                            st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+class TestCanonicalWriter:
+    """The writer must produce exactly ``json.dumps(doc, indent=2)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_graphs())
+    def test_graph_documents(self, g):
+        text = dumps_graph(g)
+        assert text == _oracle(graph_to_document(g))
+        back = document_to_graph(json.loads(text))
+        assert dumps_graph(back) == text
+
+    @settings(max_examples=300, deadline=None)
+    @given(_JSON)
+    def test_json_values(self, value):
+        assert _dumps(value) == _oracle(value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 50), st.lists(_FINITE, max_size=6), st.booleans(),
+        st.lists(_TEXT, max_size=4),
+        st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=4),
+        st.lists(st.one_of(_FINITE, st.floats()), max_size=4),
+    )
+    def test_mean_manifest(self, size, trace, converged, inputs, regs, energies):
+        manifest = {
+            "template_size": size,
+            "energy_trace": trace,
+            "converged": converged,
+            "inputs": inputs,
+            "registrations": regs,
+            "edge_energies": energies,
+        }
+        assert _dumps(manifest) == _oracle(manifest)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 20), st.integers(0, 5), _FINITE, st.integers(),
+           st.lists(_TEXT, max_size=4))
+    def test_sample_manifest(self, count, components, threshold, seed, files):
+        manifest = {"count": count, "components": components, "threshold": threshold,
+                    "seed": seed, "files": files}
+        assert _dumps(manifest) == _oracle(manifest)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.integers(0, 6))
+    def test_pca_model_documents(self, seed, include_nodes, k):
+        rng = np.random.default_rng(seed)
+        base = random_symmetric_graph(4, rng)
+        attrs = rng.normal(size=(4, 1)) if include_nodes else None
+        corpus = [Graph(g.adjacency, node_attrs=attrs)
+                  for g in perturbed_corpus(base, 4, rng)]
+        model = graph_pca(corpus, MatchConfig(lam=0.5 if include_nodes else 0.0),
+                          include_nodes=include_nodes)
+        model = truncate_components(model, min(k, model.n_components))
+        doc = pca_model_document(model)
+        assert _dumps(doc) == _oracle(doc)
+        assert _dumps(pca_model_document(pca_model_from_document(doc))) == _dumps(doc)
+
+    def test_zero_components(self):
+        rng = np.random.default_rng(4)
+        corpus = perturbed_corpus(random_symmetric_graph(3, rng), 3, rng)
+        doc = pca_model_document(truncate_components(graph_pca(corpus), 0))
+        assert doc["basis"] == [] and doc["scores"] == [[], [], []]
+        assert _dumps(doc) == _oracle(doc)
+
+
+class TestFirstFailingEdge:
+    """With several invalid edges, the first one in document order is reported."""
+
+    BAD = {
+        "keys": ({"i": 0, "j": 1}, "edge at position {}: expected keys ['i', 'j', 'w']"),
+        "type": ({"i": 0, "j": True, "w": 1.0}, "edge at position {}: 'j' must be an integer"),
+        "range": ({"i": 3, "j": 0, "w": 1.0},
+                  "edge at position {}: node id 3 out of range 0..2"),
+        "loop": ({"i": 1, "j": 1, "w": 1.0}, "edge at position {}: self-loop at node 1"),
+        "order": ({"i": 2, "j": 1, "w": 1.0},
+                  "edge at position {}: undirected edges must have i < j, got (2, 1)"),
+        "duplicate": ({"i": 0, "j": 1, "w": 3.0},
+                      "edge at position {}: duplicate edge (0, 1)"),
+        "weight": ({"i": 1, "j": 2, "w": "1"}, "edge (1, 2) weight: expected a number, got str"),
+        "finite": ({"i": 1, "j": 2, "w": float("inf")},
+                   "edge (1, 2) weight: value must be finite, got inf"),
+        "overflow": ({"i": 1, "j": 2, "w": 10**400},
+                     "edge (1, 2) weight: value is too large for a float"),
+        "zero": ({"i": 1, "j": 2, "w": 0.0},
+                 "edge at position {}: zero-weight edge (1, 2); omit it instead"),
+    }
+
+    @pytest.mark.parametrize("first", sorted(BAD))
+    def test_first_failure_wins(self, first):
+        edge, message = self.BAD[first]
+        later = [e for kind, (e, _) in sorted(self.BAD.items()) if kind != first]
+        doc = {
+            "directed": False,
+            "nodes": [{"id": 0}, {"id": 1}, {"id": 2}],
+            "edges": [{"i": 0, "j": 1, "w": 1.0}, edge, *later, {"i": 0, "j": 2, "w": 2.0}],
+        }
+        with pytest.raises(ValidationError) as exc:
+            document_to_graph(doc)
+        assert str(exc.value) == message.format(1)
+
+    def test_null_node_edge_reported_in_order(self):
+        doc = {
+            "directed": True,
+            "nodes": [{"id": 0}, {"id": 1, "null": True}, {"id": 2}],
+            "edges": [{"i": 0, "j": 2, "w": 1.0}, {"i": 2, "j": 1, "w": 1.0},
+                      {"i": 0, "j": 0, "w": 1.0}],
+        }
+        with pytest.raises(ValidationError) as exc:
+            document_to_graph(doc)
+        assert str(exc.value) == "edge at position 1: edge (2, 1) touches a null node"

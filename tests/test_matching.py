@@ -17,7 +17,8 @@ from graphspace import (
     pad_pair,
     permute,
 )
-from graphspace.assignment import _lap_raw
+import graphspace.matching as matching
+from graphspace.assignment import _lap_raw, objective_value
 from graphspace.matching import _lift, _null_average, _vertex
 
 
@@ -77,6 +78,26 @@ class TestUmeyama:
             res = match_umeyama(g1, g2, cfg)
             oracle = brute_force_match(g1, g2)
             assert res.objective >= oracle.objective - 1e-9
+
+    @pytest.mark.parametrize("lam", [0.0, 0.8])
+    def test_refinement_scores_each_permutation_once(self, monkeypatch, lam):
+        calls = []
+
+        def spy(a1, a2, d, lam_, perm):
+            calls.append(tuple(np.asarray(perm).tolist()))
+            return objective_value(a1, a2, d, lam_, perm)
+
+        monkeypatch.setattr(matching, "objective_value", spy)
+        rng = np.random.default_rng(5)
+        cfg = MatchConfig(solver="umeyama", lam=lam, refinement=True)
+        for _ in range(10):
+            attrs = rng.normal(size=(6, 2)) if lam else None
+            g1 = Graph(random_symmetric_graph(6, rng).adjacency, node_attrs=attrs)
+            g2 = Graph(random_symmetric_graph(5, rng).adjacency,
+                       node_attrs=attrs[:5] if lam else None)
+            calls.clear()
+            match_umeyama(g1, g2, cfg)
+            assert calls and len(calls) == len(set(calls))
 
 
 class TestFaq:
