@@ -8,7 +8,7 @@ registered residuals, and a Gaussian generative model that samples back to
 graph space.
 """
 
-from .assignment import AssignmentResult, brute_force_match, objective_value, solve_lap
+from .assignment import brute_force_match, objective_value
 from .documents import (
     ValidationError,
     document_to_graph,
@@ -75,7 +75,6 @@ from .stats import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssignmentResult",
     "GaussianGraphModel",
     "Graph",
     "GraphMean",
@@ -123,7 +122,6 @@ __all__ = [
     "sample_graphs",
     "sample_scores",
     "save_graph",
-    "solve_lap",
     "symmetric_distance",
     "symmetric_match",
     "to_laplacian",

@@ -1,13 +1,13 @@
-"""Linear assignment and exhaustive matching oracles.
+"""Linear assignment, the exact matching objective and the exhaustive oracle.
 
-``solve_lap`` wraps scipy's O(n^3) shortest-augmenting-path solver and adds
-deterministic tie-breaking: among all optimal assignments it returns the
-lexicographically smallest one, found by restricting to the tight-edge
-subgraph of an optimal dual solution and verified against the optimal value
-with exact (fsum) summation.  ``brute_force_match`` is the ground-truth
-oracle for the approximate matchers: an exact branch and bound over the
-permutations of a padded graph pair.  Every term of the objective is
-nonnegative, so the cost of a partial assignment bounds all of its
+``_lap_raw`` is the one linear assignment solver every matcher calls (the
+Frank-Wolfe vertex steps, the final projection and Umeyama): scipy's O(n^3)
+shortest-augmenting-path solver on a square or rectangular cost matrix.
+``objective_value`` evaluates the matching objective exactly (fsum), so it
+does not depend on summation order.  ``brute_force_match`` is the
+ground-truth oracle for the approximate matchers: an exact branch and bound
+over the permutations of a padded graph pair.  Every term of the objective
+is nonnegative, so the cost of a partial assignment bounds all of its
 completions from below, and a prefix that already costs more than a known
 permutation is pruned; all n! permutations are scored only in the worst
 case, when nothing can be pruned.  It refuses instances above 10 nodes.
@@ -16,33 +16,20 @@ case, when nothing can be pruned.  It refuses instances above 10 nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graphs import Graph, Permutation
+from .graphs import Graph, Permutation, node_distance_matrix
 
-__all__ = ["AssignmentResult", "solve_lap", "brute_force_match", "objective_value"]
+__all__ = ["brute_force_match", "objective_value"]
 
 BRUTE_FORCE_MAX_NODES = 10
 _TIE_REPORT_LIMIT = 10_000
 _CHUNK = 100_000
 _BLOCK = 4096
 _SLACK = 1e-9
-
-
-@dataclass(frozen=True, eq=False)
-class AssignmentResult:
-    """An assignment ``row i -> column assignment[i]`` and its total cost."""
-
-    assignment: Permutation
-    cost: float
-
-
-def _selection_cost(c: np.ndarray, perm: np.ndarray) -> float:
-    # fsum: exact real sum, so equal-cost assignments compare equal in floats
-    return math.fsum(c[np.arange(len(perm)), perm].tolist())
 
 
 def _lap_raw(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -53,116 +40,6 @@ def _lap_raw(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``arange(n)`` and ``cols`` is the row->column permutation.
     """
     return linear_sum_assignment(c)
-
-
-def _duals(c: np.ndarray, perm: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
-    # Feasible duals for the optimal matching, from the difference
-    # constraints v_j - v_{perm_i} <= c_ij - c_{i,perm_i} (Bellman-Ford).
-    n = c.shape[0]
-    w = c - c[np.arange(n), perm][:, None]
-    v = np.zeros(n)
-    for _ in range(rounds):
-        cand = (v[perm][:, None] + w).min(axis=0)
-        v_new = np.minimum(v, cand)
-        if np.array_equal(v_new, v):
-            break
-        v = v_new
-    u = c[np.arange(n), perm] - v[perm]
-    return u, v
-
-
-def _lex_smallest_matching(tight: np.ndarray, perm0: np.ndarray) -> np.ndarray | None:
-    """Lexicographically smallest perfect matching inside a tight-edge graph.
-
-    Starts from the known perfect matching ``perm0`` and, row by row, swaps
-    in the smallest admissible column, repairing the remainder with an
-    augmenting-path search.  Returns None if the bookkeeping ever fails
-    (cannot happen for a consistent tight graph; guarded anyway).
-    """
-    n = len(perm0)
-    col_of = perm0.copy()
-    row_of = np.full(n, -1, dtype=int)
-    row_of[perm0] = np.arange(n)
-    fixed = np.zeros(n, dtype=bool)
-
-    def augment(row: int, visited: np.ndarray) -> bool:
-        for j in np.flatnonzero(tight[row] & ~fixed & ~visited):
-            visited[j] = True
-            r = row_of[j]
-            if r == -1 or augment(r, visited):
-                row_of[j] = row
-                col_of[row] = j
-                return True
-        return False
-
-    for i in range(n):
-        chosen = -1
-        for j in np.flatnonzero(tight[i] & ~fixed):
-            if j >= col_of[i]:
-                chosen = col_of[i]
-                break
-            # Tentatively claim j for row i and re-route the row that held it.
-            r = row_of[j]
-            old = col_of[i]
-            col_of[i] = j
-            row_of[j] = i
-            row_of[old] = -1
-            visited = fixed.copy()
-            visited[j] = True
-            if r == -1 or augment(r, visited):
-                chosen = j
-                break
-            # Revert.
-            col_of[i] = old
-            row_of[old] = i
-            row_of[j] = r
-        if chosen == -1:
-            return None
-        fixed[chosen] = True
-    return col_of
-
-
-def solve_lap(cost, sense: str = "min", lexicographic: bool = True) -> AssignmentResult:
-    """Globally optimal linear assignment for a square cost matrix.
-
-    With ``lexicographic=True`` (the default) ties are broken toward the
-    lexicographically smallest optimal assignment vector; candidates are
-    accepted only if their exact total equals the optimal value, so the
-    refinement can never degrade the solution.
-
-    Optimality is that of floating-point assignment arithmetic: totals
-    that differ by less than about one ulp may be interchanged.  For
-    exactly representable costs (integers, 0/1 weights) and for generic
-    continuous costs the returned total is the exact optimum.
-    """
-    c = np.array(cost, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"cost matrix must be square, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("cost matrix contains non-finite entries")
-    if sense not in ("min", "max"):
-        raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
-    n = c.shape[0]
-    if n == 0:
-        return AssignmentResult(Permutation(np.arange(0)), 0.0)
-
-    work = -c if sense == "max" else c
-    _, perm = _lap_raw(work)
-    best_total = _selection_cost(work, perm)
-
-    if lexicographic and n > 1:
-        u, v = _duals(work, perm, rounds=n)
-        reduced = work - u[:, None] - v[None, :]
-        scale = 1.0 + float(np.abs(work).max())
-        for eps in (1e-9 * scale, 0.0):
-            tight = reduced <= eps
-            tight[np.arange(n), perm] = True
-            cand = _lex_smallest_matching(tight, perm)
-            if cand is not None and _selection_cost(work, cand) == best_total:
-                perm = cand
-                break
-
-    return AssignmentResult(Permutation(perm), _selection_cost(c, perm))
 
 
 def objective_value(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
@@ -303,11 +180,7 @@ def brute_force_match(g1: Graph, g2: Graph, lam: float = 0.0):
             f"brute force refuses n={n} > {BRUTE_FORCE_MAX_NODES} (factorial blow-up)"
         )
 
-    d = None
-    if lam != 0.0:
-        from .graphs import node_distance_matrix
-
-        d = node_distance_matrix(g1, g2, extended=True)
+    d = node_distance_matrix(g1, g2, extended=True) if lam != 0.0 else None
 
     a1, a2 = g1.adjacency, g2.adjacency
     ub = math.inf

@@ -253,6 +253,8 @@ def _cmd_bench_recovery(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 0:
+        raise ValidationError("--count must be nonnegative")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     files = []

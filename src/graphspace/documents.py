@@ -341,9 +341,13 @@ def pca_model_document(model) -> dict:
 
 def _float_array(doc: dict, key: str) -> np.ndarray:
     try:
-        return np.array(doc[key], dtype=float)
+        arr = np.array(doc[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"PCA model '{key}' must hold numbers ({exc})") from exc
+    # a JSON null converts to NaN, and NaN/Infinity literals parse as floats
+    if not np.isfinite(arr).all():
+        _fail(f"PCA model '{key}' must hold finite numbers")
+    return arr
 
 
 def pca_model_from_document(doc):

@@ -77,8 +77,8 @@ class MatchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
         if self.padding not in _PADDINGS:
             raise ValueError(f"padding must be one of {_PADDINGS}, got {self.padding!r}")
         if self.solver not in _SOLVERS:
@@ -87,8 +87,8 @@ class MatchConfig:
             raise ValueError(f"faq_init must be one of {_FAQ_INITS}, got {self.faq_init!r}")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
 

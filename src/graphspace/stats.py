@@ -87,6 +87,8 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
     graphs = list(graphs)
     if not graphs:
         raise ValueError("karcher_mean requires at least one graph")
+    if max_outer < 1:
+        raise ValueError("max_outer must be at least 1")
     cfg = cfg or MatchConfig()
     directed = graphs[0].directed
     if any(g.directed != directed for g in graphs):
@@ -343,20 +345,13 @@ def truncate_components(model: GraphPcaModel, k: int) -> GraphPcaModel:
     """Keep the leading ``k`` principal components of a fitted model."""
     if not 0 <= k <= model.n_components:
         raise ValueError(f"k must lie in 0..{model.n_components}, got {k}")
-    return GraphPcaModel(
-        mean=model.mean,
+    return replace(
+        model,
         basis=model.basis[:k],
         singular_values=model.singular_values[:k],
         component_variances=model.component_variances[:k],
         explained_variance_ratio=model.explained_variance_ratio[:k],
         scores=model.scores[:, :k],
-        center=model.center,
-        lam=model.lam,
-        include_nodes=model.include_nodes,
-        directed=model.directed,
-        size=model.size,
-        attr_dim=model.attr_dim,
-        nonnegative=model.nonnegative,
     )
 
 

@@ -14,21 +14,8 @@ from graphspace import (
     objective_value,
     pad_pair,
     permute,
-    solve_lap,
 )
 from graphspace.assignment import _TIE_REPORT_LIMIT, _chunk_scores
-
-
-def enumerate_lap(cost, sense="min"):
-    """Exhaustive assignment oracle (fsum totals, lexicographic scan order)."""
-    n = len(cost)
-    best_perm, best = None, None
-    better = (lambda a, b: a < b) if sense == "min" else (lambda a, b: a > b)
-    for p in itertools.permutations(range(n)):
-        total = math.fsum(cost[i][p[i]] for i in range(n))
-        if best is None or better(total, best):
-            best, best_perm = total, p
-    return best_perm, best
 
 
 def exhaustive_match(g1, g2, lam):
@@ -75,91 +62,6 @@ def _oracle_pairs(draw):
         return g1, g2, lam
     n = draw(st.integers(0, 7))
     return graph(n), graph(n), lam
-
-
-class TestSolveLap:
-    def test_two_by_two_min(self):
-        res = solve_lap([[1.0, 2.0], [2.0, 1.0]])
-        assert res.assignment.perm.tolist() == [0, 1]
-        assert res.cost == 2.0
-
-    def test_identity_max(self):
-        res = solve_lap(np.eye(4), sense="max")
-        assert res.assignment.perm.tolist() == [0, 1, 2, 3]
-        assert res.cost == 4.0
-
-    def test_matches_enumeration_exactly(self):
-        rng = np.random.default_rng(0)
-        for _ in range(60):
-            n = int(rng.integers(1, 8))
-            c = rng.normal(size=(n, n))
-            res = solve_lap(c)
-            _, best = enumerate_lap(c)
-            assert res.cost == best
-
-    def test_max_matches_enumeration(self):
-        rng = np.random.default_rng(1)
-        for _ in range(30):
-            n = int(rng.integers(1, 7))
-            c = rng.normal(size=(n, n))
-            res = solve_lap(c, sense="max")
-            _, best = enumerate_lap(c, sense="max")
-            assert res.cost == best
-
-    def test_duality(self):
-        rng = np.random.default_rng(2)
-        for _ in range(20):
-            n = int(rng.integers(1, 8))
-            c = rng.normal(size=(n, n))
-            assert solve_lap(c, "min").cost == -solve_lap(-c, "max").cost
-
-    def test_lexicographic_on_full_tie(self):
-        res = solve_lap(np.ones((5, 5)))
-        assert res.assignment.perm.tolist() == [0, 1, 2, 3, 4]
-
-    def test_lexicographic_on_structured_tie(self):
-        # optimal zero-cost assignments avoid the (0,2)/(2,0) corners; the
-        # lexicographically smallest optimum is [1, 2, 0]
-        c = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        res = solve_lap(c)
-        assert res.cost == 0.0
-        assert res.assignment.perm.tolist() == [1, 2, 0]
-
-    def test_lexicographic_among_equal_rows(self):
-        c = np.array([[5.0, 5.0, 1.0], [2.0, 2.0, 9.0], [3.0, 3.0, 9.0]])
-        res = solve_lap(c)
-        perm, best = enumerate_lap(c)
-        assert res.cost == best
-        assert res.assignment.perm.tolist() == list(perm)
-
-    def test_lexicographic_stress_with_heavy_ties(self):
-        # small-integer and 0/1 matrices are exactly representable, so both
-        # the optimum and the lexicographic choice must match enumeration
-        rng = np.random.default_rng(9)
-        for trial in range(300):
-            n = int(rng.integers(1, 7))
-            top = 2 if trial % 2 else 3
-            c = rng.integers(0, top, size=(n, n)).astype(float)
-            sense = "min" if trial % 3 else "max"
-            res = solve_lap(c, sense)
-            perm, best = enumerate_lap(c, sense)
-            assert res.cost == best
-            assert res.assignment.perm.tolist() == list(perm)
-
-    def test_reported_cost_is_selected_sum(self):
-        rng = np.random.default_rng(3)
-        c = rng.normal(size=(6, 6))
-        res = solve_lap(c)
-        recomputed = math.fsum(c[i, j] for i, j in enumerate(res.assignment.perm))
-        assert res.cost == recomputed
-
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError, match="square"):
-            solve_lap(np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            solve_lap([[np.nan, 0.0], [0.0, 1.0]])
 
 
 class TestObjectiveValue:

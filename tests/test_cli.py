@@ -210,6 +210,20 @@ class TestExitCodes:
         self._assert_exit_2(["sample", "--model", str(model), "--count", "1",
                              "--out-dir", str(tmp_path / "s")], capsys, "'size'")
 
+    def test_infinite_lambda_is_2(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        save_graph(random_symmetric_graph(4, np.random.default_rng(2)), a)
+        self._assert_exit_2(["match", str(a), str(a), "--lambda", "inf"], capsys, "lambda")
+
+    def test_negative_generate_count_is_2(self, tmp_path, capsys):
+        self._assert_exit_2(["generate", "--family", "binomial", "--count", "-3",
+                             "--out-dir", str(tmp_path / "g")], capsys, "--count")
+        assert not (tmp_path / "g" / "manifest.json").exists()
+
+    def test_zero_max_outer_is_2(self, corpus_dir, tmp_path, capsys):
+        self._assert_exit_2(["mean", *graphs_in(corpus_dir), "--out", str(tmp_path / "m.json"),
+                             "--max-outer", "0"], capsys, "max_outer must be at least 1")
+
 
 class TestOneProcess:
     def test_commands_share_one_parser(self, tmp_path, capsys):

@@ -194,6 +194,8 @@ class TestPcaModelDocument:
         ("basis", [[{}]], "'basis' must hold numbers"),
         ("scores", "x", "'scores' must hold numbers"),
         ("singular_values", [[1.0]], "singular_values must be a list"),
+        ("basis", [[None]], "'basis' must hold finite numbers"),
+        ("center", [math.nan], "'center' must hold finite numbers"),
     ])
     def test_malformed_fields_rejected(self, key, value, message):
         rng = np.random.default_rng(5)

@@ -38,10 +38,14 @@ class TestMatchConfig:
             {"max_iter": 0},
             {"tol": 0.0},
             {"restarts": -1},
+            {"lam": math.inf},
+            {"lam": math.nan},
+            {"tol": math.nan},
         ],
     )
     def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
+        (field,) = kwargs
+        with pytest.raises(ValueError, match="lambda" if field == "lam" else field):
             MatchConfig(**kwargs)
 
 
