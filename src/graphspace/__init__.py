@@ -45,8 +45,6 @@ from .matching import (
     SolverTrace,
     geodesic,
     graph_distance,
-    match_faq,
-    match_umeyama,
 )
 from .pipelines import (
     RecoveryReport,
@@ -108,8 +106,6 @@ __all__ = [
     "knn_classify",
     "letter_like",
     "load_graph",
-    "match_faq",
-    "match_umeyama",
     "node_distance_matrix",
     "objective_value",
     "pad_pair",

@@ -25,7 +25,7 @@ from .documents import (
     save_graph,
 )
 from .generators import FAMILIES, generate, trial_rng
-from .matching import MatchConfig, geodesic, graph_distance
+from .matching import _PADDINGS, _SOLVERS, MatchConfig, geodesic, graph_distance
 from .pipelines import (
     bench_recovery,
     distance_csv,
@@ -52,9 +52,8 @@ def _common_options() -> argparse.ArgumentParser:
     g = p.add_argument_group("matching options")
     g.add_argument("--lambda", dest="lam", type=float, default=0.0,
                    help="node-attribute weight in the matching objective")
-    g.add_argument("--solver", choices=("faq", "umeyama", "brute"), default="faq")
-    g.add_argument("--padding", choices=("two_way", "one_way", "none"),
-                   default="two_way")
+    g.add_argument("--solver", choices=_SOLVERS, default="faq")
+    g.add_argument("--padding", choices=_PADDINGS, default="two_way")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--max-iter", type=int, default=100)
     g.add_argument("--tol", type=float, default=1e-8)

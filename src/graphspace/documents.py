@@ -174,11 +174,7 @@ def document_to_graph(doc) -> Graph:
     null_mask = np.zeros(n, dtype=bool)
     null_mask[list(nulls)] = True
     node_attrs = np.array(attrs) if attr_dim else None
-    try:
-        return Graph(adjacency, node_attrs=node_attrs, directed=directed,
-                     null_mask=null_mask)
-    except ValueError as exc:  # pragma: no cover - schema checks should catch first
-        raise ValidationError(str(exc)) from exc
+    return Graph._trusted(adjacency, node_attrs, directed, null_mask)
 
 
 def graph_to_document(g: Graph) -> dict:

@@ -110,10 +110,11 @@ class Graph:
         """Wrap fresh arrays derived from valid graphs without re-validating.
 
         Internal to ``permute``, ``pad_to_size``, the template built in each
-        step of ``stats.karcher_mean`` and the interior points of
-        ``matching.geodesic``, whose outputs satisfy every invariant
-        ``__post_init__`` checks by construction; the arrays are frozen here
-        and must not be shared with the caller.
+        step of ``stats.karcher_mean``, the interior points of
+        ``matching.geodesic`` and ``documents.document_to_graph``.  Their
+        outputs satisfy every invariant ``__post_init__`` checks by
+        construction (the document schema rejects each violation); the
+        arrays are frozen here and must not be shared with the caller.
         """
         g = object.__new__(cls)
         for arr in (adjacency, node_attrs, null_mask):
@@ -132,11 +133,6 @@ class Graph:
     @property
     def attr_dim(self) -> int:
         return 0 if self.node_attrs is None else self.node_attrs.shape[1]
-
-    @property
-    def n_real(self) -> int:
-        """Number of non-null nodes."""
-        return int(self.n - self.null_mask.sum())
 
     def __repr__(self):
         try:
@@ -172,9 +168,13 @@ class Permutation:
     def _trusted(cls, perm: np.ndarray) -> "Permutation":
         """Wrap a fresh integer bijection without re-validating it.
 
-        Internal to ``assignment.brute_force_match``, whose co-optimal
-        permutations it enumerated itself; the array is frozen here and
-        must not be shared with the caller.
+        Internal to ``matching.build_match_result``, whose input is a
+        solver's output and a bijection by construction (a square
+        assignment, a lifted partial one, a sequence of swaps or a
+        branch-and-bound leaf), to the co-optimal permutations of
+        ``assignment.brute_force_match`` and to the registrations of
+        ``stats.karcher_mean``, which compose such outputs; the array is
+        frozen here and must not be shared with the caller.
         """
         p = object.__new__(cls)
         perm.setflags(write=False)

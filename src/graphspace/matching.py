@@ -1,16 +1,20 @@
 """Approximate graph matching and the quotient metric.
 
-Two solvers minimize the registration objective
+``graph_distance`` is the one registration entry point.  It minimizes the
+objective
 
     J(P) = ||P A1 P^T - A2||^2 + lambda * Tr(P D)
 
-over permutations of a padded graph pair: a spectral method (absolute
-eigenvector similarity scored through a linear assignment) and a
-Frank-Wolfe descent over the doubly stochastic polytope projected back to
-a permutation.  Both can be followed by a greedy two-node-exchange local
-search.  The quotient distance between graphs is the square root of the
-minimized objective; with lambda = 0 it is exactly the ambient distance
-after optimal registration.
+over permutations of a padded graph pair with one of three solvers: an
+exact branch and bound (``brute``, in ``assignment``), a spectral method
+(``umeyama``: absolute eigenvector similarity scored through a linear
+assignment) and a Frank-Wolfe descent over the doubly stochastic polytope
+projected back to a permutation (``faq``).  The two heuristics only
+propose candidate permutations; ``graph_distance`` scores each one
+exactly, optionally improves it by a greedy two-node-exchange local
+search, keeps the best and assembles the result.  The quotient distance
+between graphs is the square root of the minimized objective; with
+lambda = 0 it is exactly the ambient distance after optimal registration.
 
 The Frank-Wolfe relaxation descends f(P) = -Tr(A2 P A1^T P^T) + lambda
 Tr(P D), whose linearization at a permutation agrees with J up to an
@@ -46,24 +50,23 @@ __all__ = [
     "MatchConfig",
     "MatchResult",
     "SolverTrace",
-    "match_umeyama",
-    "match_faq",
     "graph_distance",
     "geodesic",
 ]
 
 _PADDINGS = ("two_way", "one_way", "none")
 _SOLVERS = ("faq", "umeyama", "brute")
-_FAQ_INITS = ("barycenter", "identity", "random")
+_FAQ_INITS = ("barycenter", "identity")
 
 
 @dataclass(frozen=True)
 class MatchConfig:
     """Options shared by the matching solvers.
 
-    ``restarts`` adds that many extra Frank-Wolfe runs started from seeded
-    random permutation matrices on top of the configured base
-    initialization; the best objective wins.
+    ``faq_init`` picks the first Frank-Wolfe start: the barycenter (the
+    flat doubly stochastic matrix) or the identity.  ``restarts`` adds that
+    many extra Frank-Wolfe runs started from seeded random permutation
+    matrices; the best objective wins.
     """
 
     lam: float = 0.0
@@ -139,7 +142,7 @@ def build_match_result(g1_padded: Graph, g2_padded: Graph, perm: np.ndarray,
                        lam: float, objective: float,
                        trace: SolverTrace) -> MatchResult:
     """Assemble a result; ``objective`` must be the exact J of ``perm``."""
-    p = Permutation(perm)
+    p = Permutation._trusted(perm)
     return MatchResult(
         p=p,
         g1_registered=permute(g1_padded, p),
@@ -161,12 +164,6 @@ def _pad_for(cfg: MatchConfig, g1: Graph, g2: Graph):
             f"padding 'none' requires equal sizes, got {g1.n} vs {g2.n}"
         )
     return g1, g2
-
-
-def _node_cost(cfg: MatchConfig, g1p: Graph, g2p: Graph) -> np.ndarray | None:
-    if cfg.lam == 0.0:
-        return None
-    return node_distance_matrix(g1p, g2p, extended=True)
 
 
 def _swap_deltas(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
@@ -224,49 +221,6 @@ def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
         perm, obj = cand, cand_obj
         objectives.append(obj)
     return perm, tuple(objectives), obj
-
-
-def match_umeyama(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResult:
-    """Spectral matching: score nodes by absolute-eigenvector similarity.
-
-    Eigendecomposes both (padded) adjacency matrices with eigenvalues in
-    descending order, forms the similarity |U1| |U2|^T minus
-    ``lam``-weighted node distances, and solves one linear assignment.
-    Exact for isomorphic graphs; repeated eigenvalues (including the zero
-    block introduced by padding) make the absolute eigenvector basis
-    ambiguous, which the optional two-exchange refinement mitigates.
-    """
-    cfg = cfg or MatchConfig(solver="umeyama")
-    if g1.directed or g2.directed:
-        raise ValueError(
-            "spectral matching requires symmetric adjacency matrices; "
-            "use the 'faq' solver for directed graphs"
-        )
-    g1p, g2p = _pad_for(cfg, g1, g2)
-    d = _node_cost(cfg, g1p, g2p)
-
-    _, u1 = np.linalg.eigh(g1p.adjacency)
-    _, u2 = np.linalg.eigh(g2p.adjacency)
-    # eigh sorts ascending; reverse columns for descending eigenvalues
-    score = np.abs(u1[:, ::-1]) @ np.abs(u2[:, ::-1]).T
-    if d is not None:
-        score = score - cfg.lam * d
-    _, perm = _lap_raw(-score)
-
-    spectral_obj = obj = objective_value(g1p.adjacency, g2p.adjacency, d, cfg.lam, perm)
-    refine_objs = ()
-    if cfg.refinement:
-        perm, refine_objs, obj = greedy_two_exchange(
-            g1p.adjacency, g2p.adjacency, d, cfg.lam, perm, spectral_obj
-        )
-    trace = SolverTrace(
-        solver="umeyama",
-        iterations=0,
-        objectives=(spectral_obj,),
-        converged=True,
-        refinement_objectives=refine_objs,
-    )
-    return build_match_result(g1p, g2p, perm, cfg.lam, obj, trace)
 
 
 def _vertex(c: np.ndarray, partial: bool):
@@ -381,72 +335,58 @@ def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
 
 
 def _faq_inits(cfg: MatchConfig, n: int):
-    if cfg.faq_init == "barycenter":
-        base = np.full((n, n), 1.0 / n) if n else np.zeros((0, 0))
-    elif cfg.faq_init == "identity":
-        base = np.eye(n)
-    else:
-        base = _random_perm_matrix(cfg.seed, 0, n)
-    yield base
+    """The configured start, then ``cfg.restarts`` seeded random permutation matrices."""
+    yield np.eye(n) if cfg.faq_init == "identity" or not n else np.full((n, n), 1.0 / n)
     for r in range(1, cfg.restarts + 1):
-        yield _random_perm_matrix(cfg.seed, r, n)
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, r]))
+        m = np.zeros((n, n))
+        m[rng.permutation(n), np.arange(n)] = 1.0
+        yield m
 
 
-def _random_perm_matrix(seed: int, index: int, n: int) -> np.ndarray:
-    rng = np.random.default_rng(np.random.SeedSequence([seed, index]))
-    perm = rng.permutation(n)
-    m = np.zeros((n, n))
-    m[perm, np.arange(n)] = 1.0
-    return m
-
-
-def match_faq(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResult:
-    """Frank-Wolfe matching over doubly stochastic matrices.
-
-    Each run linearizes the relaxed objective at the current iterate,
-    steps toward the best vertex with the closed-form quadratic line
-    search, and stops when the relative objective change drops below
-    ``cfg.tol`` (or after ``cfg.max_iter`` steps, flagged in the trace).
-    The descent works on the real n2 x n1 block of the padded doubly
-    stochastic matrix, with the unpadded adjacencies, so its cost scales
-    with n1 and n2 rather than the padded size.  The final iterate is
-    projected back to a permutation of the padded pair; restarts and
-    optional two-exchange refinement keep the best exact objective.
-    Handles directed graphs.
-    """
-    cfg = cfg or MatchConfig()
-    g1p, g2p = _pad_for(cfg, g1, g2)
-    d = _node_cost(cfg, g1p, g2p)
-    a1, a2 = g1p.adjacency, g2p.adjacency
+def _faq_candidates(cfg: MatchConfig, g1: Graph, g2: Graph, d: np.ndarray | None,
+                    size: int):
+    """One Frank-Wolfe run per start, on the real block of the padded pair."""
     n1, n2 = g1.n, g2.n
     d_real = None if d is None else d[:n1, :n2]
+    for p0 in _faq_inits(cfg, size):
+        yield _faq_descent(g1.adjacency, g2.adjacency, d_real, cfg.lam, p0[:n2, :n1],
+                           cfg.max_iter, cfg.tol, size)
 
-    best = None
-    for ridx, p0 in enumerate(_faq_inits(cfg, g1p.n)):
-        perm, objs, steps, converged = _faq_descent(
-            g1.adjacency, g2.adjacency, d_real, cfg.lam, p0[:n2, :n1],
-            cfg.max_iter, cfg.tol, g1p.n
-        )
-        obj = objective_value(a1, a2, d, cfg.lam, perm)
-        refine_objs = ()
-        if cfg.refinement:
-            perm, refine_objs, obj = greedy_two_exchange(a1, a2, d, cfg.lam, perm, obj)
-        if best is None or obj < best[0]:
-            trace = SolverTrace(
-                solver="faq",
-                iterations=len(steps),
-                objectives=objs,
-                step_sizes=steps,
-                converged=converged,
-                restart_index=ridx,
-                refinement_objectives=refine_objs,
-            )
-            best = (obj, perm, trace)
-    return build_match_result(g1p, g2p, best[1], cfg.lam, best[0], best[2])
+
+def _umeyama_candidates(cfg: MatchConfig, g1p: Graph, g2p: Graph, d: np.ndarray | None):
+    """The one spectral assignment of a padded undirected pair.
+
+    Eigendecomposes both adjacency matrices with eigenvalues in descending
+    order, forms the similarity |U1| |U2|^T minus ``lam``-weighted node
+    distances, and solves one linear assignment.  Exact for isomorphic
+    graphs; repeated eigenvalues (including the zero block introduced by
+    padding) make the absolute eigenvector basis ambiguous, which the
+    optional two-exchange refinement mitigates.
+    """
+    _, u1 = np.linalg.eigh(g1p.adjacency)
+    _, u2 = np.linalg.eigh(g2p.adjacency)
+    # eigh sorts ascending; reverse columns for descending eigenvalues
+    score = np.abs(u1[:, ::-1]) @ np.abs(u2[:, ::-1]).T
+    if d is not None:
+        score = score - cfg.lam * d
+    _, perm = _lap_raw(-score)
+    return [(perm, None, (), True)]
 
 
 def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResult:
     """Register ``g1`` to ``g2`` with the configured solver.
+
+    Pads the pair as ``cfg.padding`` says.  ``brute`` returns the exact
+    branch-and-bound optimum.  The heuristics produce candidate
+    permutations: ``umeyama`` one spectral assignment, ``faq`` one
+    Frank-Wolfe run per start (the ``cfg.faq_init`` start, then
+    ``cfg.restarts`` random ones), each stopping when the relative change
+    of the relaxed objective drops below ``cfg.tol`` or after
+    ``cfg.max_iter`` steps (flagged in the trace).  Every candidate is
+    scored by its exact objective and, with ``cfg.refinement``, improved
+    by greedy two-exchange; the first candidate with the lowest objective
+    wins.
 
     The returned ``d_g`` is sqrt of the minimized objective; with
     ``lam=0`` this is the quotient metric (exactly, for the brute solver;
@@ -455,12 +395,44 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     when a symmetric value is required.
     """
     cfg = cfg or MatchConfig()
-    if cfg.solver == "faq":
-        return match_faq(g1, g2, cfg)
-    if cfg.solver == "umeyama":
-        return match_umeyama(g1, g2, cfg)
+    if g1.directed != g2.directed:
+        raise ValueError("cannot match a directed graph against an undirected one")
+    if cfg.solver == "umeyama" and g1.directed:
+        raise ValueError(
+            "spectral matching requires symmetric adjacency matrices; "
+            "use the 'faq' solver for directed graphs"
+        )
     g1p, g2p = _pad_for(cfg, g1, g2)
-    return brute_force_match(g1p, g2p, cfg.lam)
+    if cfg.solver == "brute":
+        return brute_force_match(g1p, g2p, cfg.lam)
+    d = None if cfg.lam == 0.0 else node_distance_matrix(g1p, g2p, extended=True)
+    a1, a2 = g1p.adjacency, g2p.adjacency
+    if cfg.solver == "umeyama":
+        candidates = _umeyama_candidates(cfg, g1p, g2p, d)
+    else:
+        candidates = _faq_candidates(cfg, g1, g2, d, g1p.n)
+
+    best = None
+    for index, (perm, objectives, steps, converged) in enumerate(candidates):
+        obj = objective_value(a1, a2, d, cfg.lam, perm)
+        if objectives is None:  # no relaxation: trace the exact objective
+            objectives = (obj,)
+        refined = ()
+        if cfg.refinement:
+            perm, refined, obj = greedy_two_exchange(a1, a2, d, cfg.lam, perm, obj)
+        if best is None or obj < best[0]:
+            best = (obj, perm, index, objectives, steps, converged, refined)
+    obj, perm, index, objectives, steps, converged, refined = best
+    trace = SolverTrace(
+        solver=cfg.solver,
+        iterations=len(steps),
+        objectives=objectives,
+        step_sizes=steps,
+        converged=converged,
+        restart_index=index,
+        refinement_objectives=refined,
+    )
+    return build_match_result(g1p, g2p, perm, cfg.lam, obj, trace)
 
 
 def geodesic(m: MatchResult, t: float) -> Graph:

@@ -33,7 +33,9 @@ __all__ = [
 
 def _run_indexed(tasks, workers: int):
     """Evaluate no-arg callables, preserving order; threads when workers > 1."""
-    if workers <= 1:
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if workers == 1:
         return [t() for t in tasks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(t) for t in tasks]

@@ -89,6 +89,8 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
         raise ValueError("karcher_mean requires at least one graph")
     if max_outer < 1:
         raise ValueError("max_outer must be at least 1")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     cfg = cfg or MatchConfig()
     directed = graphs[0].directed
     if any(g.directed != directed for g in graphs):
@@ -168,7 +170,8 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
             break
 
     regs = tuple(
-        Registration(Permutation(p), r, e) for p, r, e in zip(perms, registered, energies)
+        Registration(Permutation._trusted(p), r, e)
+        for p, r, e in zip(perms, registered, energies)
     )
     return GraphMean(mu=mu, registrations=regs, energy_trace=tuple(trace),
                      converged=converged)
@@ -389,11 +392,11 @@ def sample_scores(model: GaussianGraphModel, seed: int, count: int) -> np.ndarra
     return model.score_mean + z @ chol.T
 
 
-def sample_graphs(model: GaussianGraphModel, seed: int, count: int,
-                  threshold: float | None = None) -> list[Graph]:
-    """Sample graphs: draw score vectors and reconstruct each one."""
-    thr = model.threshold if threshold is None else threshold
-    return [reconstruct(model.pca, s, thr) for s in sample_scores(model, seed, count)]
+def sample_graphs(model: GaussianGraphModel, seed: int, count: int) -> list[Graph]:
+    """Sample graphs: draw score vectors and reconstruct each one at the
+    model's threshold."""
+    return [reconstruct(model.pca, s, model.threshold)
+            for s in sample_scores(model, seed, count)]
 
 
 def components_for_variance(pca: GraphPcaModel, target: float = 0.8) -> int:

@@ -34,7 +34,6 @@ from graphspace import (
     karcher_mean,
     knn_classify,
     letter_like,
-    match_faq,
     pad_pair,
     permute,
     reconstruct,
@@ -62,7 +61,7 @@ def test_c01_oracle_equivalence():
         g1 = random_symmetric_graph(n1, rng)
         g2 = random_symmetric_graph(n2, rng)
         p1, p2 = pad_pair(g1, g2, "two_way")
-        res = match_faq(p1, p2, cfg)
+        res = graph_distance(p1, p2, cfg)
         oracle = brute_force_match(p1, p2)
         gap = res.objective - oracle.objective
         min_gap = min(min_gap, gap)

@@ -224,6 +224,16 @@ class TestExitCodes:
         self._assert_exit_2(["mean", *graphs_in(corpus_dir), "--out", str(tmp_path / "m.json"),
                              "--max-outer", "0"], capsys, "max_outer must be at least 1")
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_bad_mean_tol_is_2(self, corpus_dir, tmp_path, capsys, tol):
+        self._assert_exit_2(["mean", *graphs_in(corpus_dir), "--out", str(tmp_path / "m.json"),
+                             "--mean-tol", tol], capsys, "tol must be finite and nonnegative")
+        assert not (tmp_path / "m.json").exists()
+
+    def test_negative_workers_is_2(self, corpus_dir, capsys):
+        self._assert_exit_2(["pairwise", *graphs_in(corpus_dir), "--workers", "-3"],
+                            capsys, "workers must be at least 1")
+
 
 class TestOneProcess:
     def test_commands_share_one_parser(self, tmp_path, capsys):

@@ -282,6 +282,12 @@ class TestCanonicalWriter:
         assert text == _oracle(graph_to_document(g))
         back = document_to_graph(json.loads(text))
         assert dumps_graph(back) == text
+        # the schema-checked arrays also pass the validating constructor
+        assert back.adjacency.dtype == float and back.null_mask.dtype == bool
+        assert back.node_attrs is None or back.node_attrs.dtype == float
+        checked = Graph(back.adjacency, node_attrs=back.node_attrs,
+                        directed=back.directed, null_mask=back.null_mask)
+        assert dumps_graph(checked) == text
 
     @settings(max_examples=300, deadline=None)
     @given(_JSON)

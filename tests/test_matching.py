@@ -12,8 +12,6 @@ from graphspace import (
     brute_force_match,
     geodesic,
     graph_distance,
-    match_faq,
-    match_umeyama,
     pad_pair,
     permute,
 )
@@ -56,7 +54,7 @@ class TestUmeyama:
             n = int(rng.integers(3, 10))
             g = random_symmetric_graph(n, rng)
             g2 = permute(g, rng.permutation(n))
-            res = match_umeyama(
+            res = graph_distance(
                 g, g2, MatchConfig(solver="umeyama", padding="none", refinement=True)
             )
             assert res.objective == 0.0 and res.d_g == 0.0
@@ -64,14 +62,14 @@ class TestUmeyama:
     def test_self_match(self):
         rng = np.random.default_rng(1)
         g = random_symmetric_graph(6, rng)
-        res = match_umeyama(g, g, MatchConfig(solver="umeyama", padding="none"))
+        res = graph_distance(g, g, MatchConfig(solver="umeyama", padding="none"))
         assert res.objective == 0.0
 
     def test_directed_rejected(self):
         rng = np.random.default_rng(2)
         g = random_directed_graph(4, rng)
         with pytest.raises(ValueError, match="faq"):
-            match_umeyama(g, g, MatchConfig(solver="umeyama"))
+            graph_distance(g, g, MatchConfig(solver="umeyama"))
 
     def test_never_beats_oracle(self):
         rng = np.random.default_rng(3)
@@ -79,12 +77,17 @@ class TestUmeyama:
             g1 = random_symmetric_graph(6, rng)
             g2 = random_symmetric_graph(6, rng)
             cfg = MatchConfig(solver="umeyama", padding="none", refinement=True)
-            res = match_umeyama(g1, g2, cfg)
+            res = graph_distance(g1, g2, cfg)
             oracle = brute_force_match(g1, g2)
             assert res.objective >= oracle.objective - 1e-9
 
-    @pytest.mark.parametrize("lam", [0.0, 0.8])
-    def test_refinement_scores_each_permutation_once(self, monkeypatch, lam):
+    @pytest.mark.parametrize("lam, solver", [
+        pytest.param(0.0, "umeyama", id="0.0"),
+        pytest.param(0.8, "umeyama", id="0.8"),
+        pytest.param(0.0, "faq", id="faq-0.0"),
+        pytest.param(0.8, "faq", id="faq-0.8"),
+    ])
+    def test_refinement_scores_each_permutation_once(self, monkeypatch, lam, solver):
         calls = []
 
         def spy(a1, a2, d, lam_, perm):
@@ -93,14 +96,14 @@ class TestUmeyama:
 
         monkeypatch.setattr(matching, "objective_value", spy)
         rng = np.random.default_rng(5)
-        cfg = MatchConfig(solver="umeyama", lam=lam, refinement=True)
+        cfg = MatchConfig(solver=solver, lam=lam, refinement=True)
         for _ in range(10):
             attrs = rng.normal(size=(6, 2)) if lam else None
             g1 = Graph(random_symmetric_graph(6, rng).adjacency, node_attrs=attrs)
             g2 = Graph(random_symmetric_graph(5, rng).adjacency,
                        node_attrs=attrs[:5] if lam else None)
             calls.clear()
-            match_umeyama(g1, g2, cfg)
+            graph_distance(g1, g2, cfg)
             assert calls and len(calls) == len(set(calls))
 
 
@@ -113,7 +116,7 @@ class TestFaq:
             w = np.triu(rng.standard_t(1, size=(n, n)), 1)
             g = Graph(w + w.T)
             p = rng.permutation(n)
-            res = match_faq(g, permute(g, p), MatchConfig())
+            res = graph_distance(g, permute(g, p), MatchConfig())
             if np.array_equal(res.p.perm[:n], p):
                 hits += 1
         assert hits >= 29
@@ -127,7 +130,7 @@ class TestFaq:
             g = Graph(upper + upper.T)
             g2 = permute(g, rng.permutation(n))
             g1p, g2p = pad_pair(g, g2, "two_way")
-            res = match_faq(g1p, g2p, cfg)
+            res = graph_distance(g1p, g2p, cfg)
             assert res.objective == 0.0
 
     def test_oracle_lower_bound_with_refinement(self):
@@ -139,7 +142,7 @@ class TestFaq:
             g2 = random_symmetric_graph(n2, rng)
             p1, p2 = pad_pair(g1, g2, "two_way")
             cfg = MatchConfig(padding="none", refinement=True, restarts=5)
-            res = match_faq(p1, p2, cfg)
+            res = graph_distance(p1, p2, cfg)
             oracle = brute_force_match(p1, p2)
             gap = res.objective - oracle.objective
             assert gap >= -1e-9
@@ -156,7 +159,7 @@ class TestFaq:
             g1 = Graph(w1 + w1.T, node_attrs=rng.normal(size=(n, 2)))
             g2 = Graph(w2 + w2.T, node_attrs=rng.normal(size=(n, 2)))
             cfg = MatchConfig(lam=0.5, refinement=True, restarts=3)
-            res = match_faq(g1, g2, cfg)
+            res = graph_distance(g1, g2, cfg)
             p1, p2 = pad_pair(g1, g2, "two_way")
             oracle = brute_force_match(p1, p2, lam=0.5)
             assert res.objective >= oracle.objective - 1e-9
@@ -167,7 +170,7 @@ class TestFaq:
             n = int(rng.integers(4, 9))
             g1 = random_symmetric_graph(n, rng)
             g2 = random_symmetric_graph(n, rng)
-            res = match_faq(g1, g2, MatchConfig())
+            res = graph_distance(g1, g2, MatchConfig())
             objs = res.solver_trace.objectives
             assert len(objs) == res.solver_trace.iterations + 1
             for a, b in zip(objs, objs[1:]):
@@ -179,7 +182,7 @@ class TestFaq:
         rng = np.random.default_rng(9)
         g1 = random_symmetric_graph(8, rng)
         g2 = random_symmetric_graph(8, rng)
-        res = match_faq(g1, g2, MatchConfig(max_iter=1, tol=1e-300))
+        res = graph_distance(g1, g2, MatchConfig(max_iter=1, tol=1e-300))
         assert not res.solver_trace.converged
 
     def test_directed_graphs_supported(self):
@@ -188,7 +191,7 @@ class TestFaq:
             n = int(rng.integers(4, 8))
             g = random_directed_graph(n, rng)
             p = rng.permutation(n)
-            res = match_faq(g, permute(g, p), MatchConfig(refinement=True, restarts=3))
+            res = graph_distance(g, permute(g, p), MatchConfig(refinement=True, restarts=3))
             assert res.objective <= 1e-18
 
     def test_objective_recompute_invariant(self):
@@ -197,7 +200,7 @@ class TestFaq:
         w2 = np.triu(rng.random((4, 4)), 1)
         g1 = Graph(w1 + w1.T, node_attrs=rng.normal(size=(5, 2)))
         g2 = Graph(w2 + w2.T, node_attrs=rng.normal(size=(4, 2)))
-        res = match_faq(g1, g2, MatchConfig(lam=0.7))
+        res = graph_distance(g1, g2, MatchConfig(lam=0.7))
         a1 = res.g1_registered
         a2 = res.g2_padded
         inv = res.p.inverse().perm
@@ -343,6 +346,17 @@ class TestGraphDistance:
                 Graph(np.zeros((3, 3))),
                 MatchConfig(padding="none"),
             )
+
+    @pytest.mark.parametrize("solver", ["faq", "umeyama", "brute"])
+    @pytest.mark.parametrize("padding", ["two_way", "one_way", "none"])
+    def test_directed_against_undirected_rejected(self, padding, solver):
+        rng = np.random.default_rng(18)
+        directed = random_directed_graph(3, rng)
+        undirected = random_symmetric_graph(3, rng)
+        cfg = MatchConfig(solver=solver, padding=padding)
+        for g1, g2 in ((directed, undirected), (undirected, directed)):
+            with pytest.raises(ValueError, match="directed graph against an undirected"):
+                graph_distance(g1, g2, cfg)
 
     def test_lambda_requires_attributes(self):
         g = Graph(np.zeros((2, 2)))
