@@ -8,7 +8,7 @@ registered residuals, and a Gaussian generative model that samples back to
 graph space.
 """
 
-from .assignment import brute_force_match, objective_value
+from .assignment import objective_value
 from .documents import (
     ValidationError,
     document_to_graph,
@@ -89,7 +89,6 @@ __all__ = [
     "ambient_distance",
     "bench_recovery",
     "binomial",
-    "brute_force_match",
     "components_for_variance",
     "distance_csv",
     "document_to_graph",

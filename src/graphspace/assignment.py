@@ -4,10 +4,11 @@
 Frank-Wolfe vertex steps, the final projection and Umeyama): scipy's O(n^3)
 shortest-augmenting-path solver on a square or rectangular cost matrix.
 ``objective_value`` evaluates the matching objective exactly (fsum), so it
-does not depend on summation order.  ``brute_force_match`` is the
-ground-truth oracle for the approximate matchers: an exact branch and bound
-over the permutations of a padded graph pair.  Every term of the objective
-is nonnegative, so the cost of a partial assignment bounds all of its
+does not depend on summation order.  The exhaustive oracle is the search
+of the ``brute`` solver in ``matching.graph_distance``, the ground truth
+for the approximate matchers: an exact branch and bound over the
+permutations of a padded graph pair.  Every term of the objective is
+nonnegative, so the cost of a partial assignment bounds all of its
 completions from below, and a prefix that already costs more than a known
 permutation is pruned; all n! permutations are scored only in the worst
 case, when nothing can be pruned.  It refuses instances above 10 nodes.
@@ -16,14 +17,13 @@ case, when nothing can be pruned.  It refuses instances above 10 nodes.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graphs import Graph, Permutation, node_distance_matrix
+from .graphs import Graph
 
-__all__ = ["brute_force_match", "objective_value"]
+__all__ = ["objective_value"]
 
 BRUTE_FORCE_MAX_NODES = 10
 _TIE_REPORT_LIMIT = 10_000
@@ -148,47 +148,27 @@ def _chunk_scores(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     return score
 
 
-def brute_force_match(g1: Graph, g2: Graph, lam: float = 0.0):
-    """Exact global minimizer of the matching objective, by branch and bound.
+def brute_force_match(g1: Graph, g2: Graph, d: np.ndarray | None, lam: float, ub: float):
+    """Exact global minimizers of the matching objective, by branch and bound.
 
-    Both graphs must already have equal (padded) size, at most
-    ``BRUTE_FORCE_MAX_NODES`` nodes.  The objective sums squared edge
-    differences and ``lam`` times squared attribute distances (zero on null
-    nodes), all nonnegative, so a prefix ``perm[:k]`` costs at least its
-    assigned pairs' terms whatever the completion.  Prefixes are pruned
-    against a two-exchange local optimum from the identity, improved by each
-    better leaf; the surviving permutations are scored in lexicographic
-    order, so the result is that of scanning all n! of them, which happens
-    only when nothing prunes (e.g. every permutation ties).
+    ``g1`` and ``g2`` are an equal-size (padded) pair of at most
+    ``BRUTE_FORCE_MAX_NODES`` nodes with node cost ``d``; prefixes are
+    pruned against ``ub``, the exact objective of a known permutation
+    (``inf`` if none), improved by each better leaf.  The survivors are
+    scored in lexicographic order, so the result is that of scanning all n!
+    permutations, which happens only when nothing prunes.
 
-    Returns a MatchResult whose ``co_optimal`` field lists every
-    permutation attaining the minimum (ties arise with discrete weights or
-    attributes; detected by exact float equality of the scores, the first
-    10000 in lexicographic order), counted in ``n_co_optimal``.
+    Returns ``(perm, co_optimal, n_co_optimal)``: the first minimizer, the
+    first 10000 permutation vectors attaining the minimum (ties arise with
+    discrete weights or attributes; detected by exact float equality of the
+    scores) and their count.
     """
-    from .matching import SolverTrace, build_match_result, greedy_two_exchange
-
-    if g1.n != g2.n:
-        raise ValueError(f"brute_force_match requires equal sizes, got {g1.n} vs {g2.n}")
-    if g1.directed != g2.directed:
-        raise ValueError("cannot match directed against undirected graphs")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
     n = g1.n
     if n > BRUTE_FORCE_MAX_NODES:
         raise ValueError(
             f"brute force refuses n={n} > {BRUTE_FORCE_MAX_NODES} (factorial blow-up)"
         )
-
-    d = node_distance_matrix(g1, g2, extended=True) if lam != 0.0 else None
-
     a1, a2 = g1.adjacency, g2.adjacency
-    ub = math.inf
-    if n >= 2:
-        start = np.arange(n)
-        _, _, ub = greedy_two_exchange(a1, a2, d, lam, start,
-                                       objective_value(a1, a2, d, lam, start))
-
     best_score = math.inf
     best_perm = None
     ties: list[np.ndarray] = []
@@ -206,10 +186,4 @@ def brute_force_match(g1: Graph, g2: Graph, lam: float = 0.0):
             idx = np.flatnonzero(scores == chunk_min)
             ties.extend(perms[k].copy() for k in idx[: max(0, _TIE_REPORT_LIMIT - len(ties))])
             n_ties += len(idx)
-
-    trace = SolverTrace(solver="brute", iterations=0, objectives=(), step_sizes=(),
-                        converged=True)
-    obj = objective_value(a1, a2, d, lam, best_perm)
-    result = build_match_result(g1, g2, best_perm, lam, obj, trace)
-    return replace(result, co_optimal=tuple(Permutation._trusted(t) for t in ties),
-                   n_co_optimal=n_ties)
+    return best_perm, ties, n_ties

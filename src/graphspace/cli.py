@@ -47,35 +47,35 @@ EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
 
 
-def _common_options() -> argparse.ArgumentParser:
+def _matching_options(padding: bool = True, workers: bool = True) -> argparse.ArgumentParser:
+    """The matching flags as a parent parser, with ``--padding`` and
+    ``--workers`` only for the commands that read them."""
     p = argparse.ArgumentParser(add_help=False)
     g = p.add_argument_group("matching options")
     g.add_argument("--lambda", dest="lam", type=float, default=0.0,
                    help="node-attribute weight in the matching objective")
     g.add_argument("--solver", choices=_SOLVERS, default="faq")
-    g.add_argument("--padding", choices=_PADDINGS, default="two_way")
+    if padding:
+        g.add_argument("--padding", choices=_PADDINGS, default="two_way")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--max-iter", type=int, default=100)
     g.add_argument("--tol", type=float, default=1e-8)
     g.add_argument("--restarts", type=int, default=0,
                    help="extra random-permutation starts for the faq solver")
-    g.add_argument("--refine", action="store_true",
+    g.add_argument("--refine", dest="refinement", action="store_true",
                    help="greedy two-exchange refinement after the solver")
-    g.add_argument("--workers", type=int, default=1)
+    if workers:
+        g.add_argument("--workers", type=int, default=1)
     return p
 
 
+_CFG_FIELDS = ("lam", "padding", "solver", "refinement", "restarts", "max_iter", "tol", "seed")
+
+
 def _cfg(args) -> MatchConfig:
-    return MatchConfig(
-        lam=args.lam,
-        padding=args.padding,
-        solver=args.solver,
-        refinement=args.refine,
-        restarts=args.restarts,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        seed=args.seed,
-    )
+    """The command's matching flags; MatchConfig's defaults fill the rest."""
+    given = vars(args)
+    return MatchConfig(**{f: given[f] for f in _CFG_FIELDS if f in given})
 
 
 def _emit(doc: dict, out: str | None = None) -> None:
@@ -271,7 +271,12 @@ def _cmd_generate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = _common_options()
+    # match, dist and geodesic register one pair and take no --workers;
+    # mean, pca and bench-recovery fix their own padding.  mean and pca
+    # accept --workers without using it.
+    pair = _matching_options(workers=False)
+    corpus = _matching_options(padding=False)
+    batch = _matching_options()
     parser = argparse.ArgumentParser(
         prog="graphspace",
         description="Quotient-space graph statistics: matching, distances, "
@@ -279,21 +284,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("match", parents=[common],
+    p = sub.add_parser("match", parents=[pair],
                        help="register one graph to another")
     p.add_argument("graph1")
     p.add_argument("graph2")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_match)
 
-    p = sub.add_parser("dist", parents=[common],
+    p = sub.add_parser("dist", parents=[pair],
                        help="symmetrized quotient distance between two graphs")
     p.add_argument("graph1")
     p.add_argument("graph2")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_dist)
 
-    p = sub.add_parser("geodesic", parents=[common],
+    p = sub.add_parser("geodesic", parents=[pair],
                        help="write the geodesic between two graphs as documents")
     p.add_argument("graph1")
     p.add_argument("graph2")
@@ -301,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("mean", parents=[common],
+    p = sub.add_parser("mean", parents=[corpus],
                        help="Karcher mean of a graph corpus")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out", required=True)
@@ -310,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_mean)
 
-    p = sub.add_parser("pca", parents=[common],
+    p = sub.add_parser("pca", parents=[corpus],
                        help="principal component analysis of a graph corpus")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--components", type=int, default=0,
@@ -321,9 +326,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mean-tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_pca)
 
-    p = sub.add_parser("sample", parents=[common],
+    p = sub.add_parser("sample",
                        help="sample graphs from a Gaussian fitted to a PCA model")
     p.add_argument("--model", required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--threshold", type=float, default=0.0)
     p.add_argument("--components", type=int, default=0,
@@ -331,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_sample)
 
-    p = sub.add_parser("knn", parents=[common],
+    p = sub.add_parser("knn", parents=[batch],
                        help="k-nearest-neighbour classification by quotient distance")
     p.add_argument("--train", required=True, help="CSV of path,label rows")
     p.add_argument("--test", required=True, help="CSV of path[,label] rows")
@@ -339,13 +345,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_knn)
 
-    p = sub.add_parser("pairwise", parents=[common],
+    p = sub.add_parser("pairwise", parents=[batch],
                        help="symmetric distance matrix over a corpus, as CSV")
     p.add_argument("inputs", nargs="+")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_pairwise)
 
-    p = sub.add_parser("bench-recovery", parents=[common],
+    p = sub.add_parser("bench-recovery", parents=[corpus],
                        help="planted-permutation recovery benchmark")
     p.add_argument("--family", choices=FAMILIES, required=True)
     p.add_argument("--sizes", type=int, nargs=2, required=True, metavar=("LO", "HI"))
@@ -358,9 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench_recovery)
 
-    p = sub.add_parser("generate", parents=[common],
-                       help="write synthetic graph documents")
+    p = sub.add_parser("generate", help="write synthetic graph documents")
     p.add_argument("--family", choices=FAMILIES, required=True)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--sizes", type=int, nargs=2, default=(5, 10), metavar=("LO", "HI"))
     p.add_argument("--p", type=float, default=0.5)

@@ -363,13 +363,26 @@ def pca_model_from_document(doc):
     for key in ("size", "attr_dim"):
         if isinstance(doc[key], bool) or not isinstance(doc[key], int):
             _fail(f"PCA model '{key}' must be an integer, got {type(doc[key]).__name__}")
+    for key in ("directed", "include_nodes", "nonnegative"):
+        if not isinstance(doc[key], bool):
+            _fail(f"PCA model '{key}' must be a boolean, got {type(doc[key]).__name__}")
     mu = document_to_graph(doc["mean_graph"])
     size = doc["size"]
     if mu.n != size:
         _fail(f"mean graph has {mu.n} nodes but model declares size {size}")
-    directed = bool(doc["directed"])
-    include_nodes = bool(doc["include_nodes"])
+    directed = doc["directed"]
+    if mu.directed != directed:
+        _fail(f"PCA model 'directed' is {directed} but the mean graph's is {mu.directed}")
+    include_nodes = doc["include_nodes"]
     attr_dim = doc["attr_dim"]
+    lam = _check_number(doc["lambda"], "PCA model 'lambda'")
+    # the attribute block is scaled by sqrt(lambda) and unscaled by its inverse
+    if lam < 0 or (include_nodes and lam == 0):
+        _fail(f"PCA model 'lambda' must be nonnegative, and positive with "
+              f"'include_nodes', got {lam}")
+    if include_nodes and (mu.attr_dim == 0 or mu.attr_dim != attr_dim):
+        _fail(f"PCA model 'mean_graph' must carry node attributes with 'attr_dim' = "
+              f"{attr_dim} columns when 'include_nodes' is set, got {mu.attr_dim}")
     n_edges = size * (size - 1) // (1 if directed else 2)
     dim = n_edges + (size * attr_dim if include_nodes else 0)
 
@@ -399,10 +412,10 @@ def pca_model_from_document(doc):
         explained_variance_ratio=_float_array(doc, "explained_variance_ratio"),
         scores=scores,
         center=center,
-        lam=_check_number(doc["lambda"], "PCA model 'lambda'"),
+        lam=lam,
         include_nodes=include_nodes,
         directed=directed,
         size=size,
         attr_dim=attr_dim,
-        nonnegative=bool(doc["nonnegative"]),
+        nonnegative=doc["nonnegative"],
     )

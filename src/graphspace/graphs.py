@@ -171,10 +171,11 @@ class Permutation:
         Internal to ``matching.build_match_result``, whose input is a
         solver's output and a bijection by construction (a square
         assignment, a lifted partial one, a sequence of swaps or a
-        branch-and-bound leaf), to the co-optimal permutations of
-        ``assignment.brute_force_match`` and to the registrations of
-        ``stats.karcher_mean``, which compose such outputs; the array is
-        frozen here and must not be shared with the caller.
+        branch-and-bound leaf), to the co-optimal leaves that
+        ``matching.graph_distance`` lists for the ``brute`` solver and to
+        the registrations of ``stats.karcher_mean``, which compose such
+        outputs; the array is frozen here and must not be shared with the
+        caller.
         """
         p = object.__new__(cls)
         perm.setflags(write=False)

@@ -9,10 +9,10 @@ over permutations of a padded graph pair with one of three solvers: an
 exact branch and bound (``brute``, in ``assignment``), a spectral method
 (``umeyama``: absolute eigenvector similarity scored through a linear
 assignment) and a Frank-Wolfe descent over the doubly stochastic polytope
-projected back to a permutation (``faq``).  The two heuristics only
-propose candidate permutations; ``graph_distance`` scores each one
-exactly, optionally improves it by a greedy two-node-exchange local
-search, keeps the best and assembles the result.  The quotient distance
+projected back to a permutation (``faq``).  The solvers only propose
+candidate permutations; ``graph_distance`` scores each one exactly,
+improves a heuristic one by greedy two-node exchanges if asked, keeps the
+best and assembles the result.  The quotient distance
 between graphs is the square root of the minimized objective; with
 lambda = 0 it is exactly the ambient distance after optimal registration.
 
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import _lap_raw, brute_force_match, objective_value
+from .assignment import BRUTE_FORCE_MAX_NODES, _lap_raw, brute_force_match, objective_value
 from .graphs import (
     Graph,
     Permutation,
@@ -139,8 +139,8 @@ class MatchResult:
 
 
 def build_match_result(g1_padded: Graph, g2_padded: Graph, perm: np.ndarray,
-                       lam: float, objective: float,
-                       trace: SolverTrace) -> MatchResult:
+                       lam: float, objective: float, trace: SolverTrace,
+                       co_optimal: tuple = (), n_co_optimal: int = 0) -> MatchResult:
     """Assemble a result; ``objective`` must be the exact J of ``perm``."""
     p = Permutation._trusted(perm)
     return MatchResult(
@@ -151,6 +151,8 @@ def build_match_result(g1_padded: Graph, g2_padded: Graph, perm: np.ndarray,
         d_g=math.sqrt(objective),
         solver_trace=trace,
         lam=lam,
+        co_optimal=co_optimal,
+        n_co_optimal=n_co_optimal,
     )
 
 
@@ -377,16 +379,16 @@ def _umeyama_candidates(cfg: MatchConfig, g1p: Graph, g2p: Graph, d: np.ndarray 
 def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResult:
     """Register ``g1`` to ``g2`` with the configured solver.
 
-    Pads the pair as ``cfg.padding`` says.  ``brute`` returns the exact
-    branch-and-bound optimum.  The heuristics produce candidate
-    permutations: ``umeyama`` one spectral assignment, ``faq`` one
-    Frank-Wolfe run per start (the ``cfg.faq_init`` start, then
-    ``cfg.restarts`` random ones), each stopping when the relative change
-    of the relaxed objective drops below ``cfg.tol`` or after
-    ``cfg.max_iter`` steps (flagged in the trace).  Every candidate is
-    scored by its exact objective and, with ``cfg.refinement``, improved
-    by greedy two-exchange; the first candidate with the lowest objective
-    wins.
+    Pads the pair as ``cfg.padding`` says.  ``brute`` proposes the
+    branch-and-bound optimum, searched against a two-exchange incumbent,
+    and lists every co-optimal permutation.  ``umeyama`` proposes one
+    spectral assignment, ``faq`` one Frank-Wolfe run per start (the
+    ``cfg.faq_init`` start, then ``cfg.restarts`` random ones), each
+    stopping when the relative change of the relaxed objective drops below
+    ``cfg.tol`` or after ``cfg.max_iter`` steps (flagged in the trace).
+    Each distinct candidate is scored by its exact objective and, with
+    ``cfg.refinement``, a heuristic one is improved by greedy two-exchange;
+    the first candidate with the lowest objective wins.
 
     The returned ``d_g`` is sqrt of the minimized objective; with
     ``lam=0`` this is the quotient metric (exactly, for the brute solver;
@@ -403,22 +405,34 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
             "use the 'faq' solver for directed graphs"
         )
     g1p, g2p = _pad_for(cfg, g1, g2)
-    if cfg.solver == "brute":
-        return brute_force_match(g1p, g2p, cfg.lam)
     d = None if cfg.lam == 0.0 else node_distance_matrix(g1p, g2p, extended=True)
     a1, a2 = g1p.adjacency, g2p.adjacency
-    if cfg.solver == "umeyama":
+    co_optimal, n_co_optimal = (), 0
+    if cfg.solver == "brute":
+        n, ub = g1p.n, math.inf
+        if 2 <= n <= BRUTE_FORCE_MAX_NODES:  # larger pairs are refused below
+            start = np.arange(n)
+            ub = greedy_two_exchange(a1, a2, d, cfg.lam, start,
+                                     objective_value(a1, a2, d, cfg.lam, start))[2]
+        perm, ties, n_co_optimal = brute_force_match(g1p, g2p, d, cfg.lam, ub)
+        co_optimal = tuple(Permutation._trusted(t) for t in ties)
+        candidates = [(perm, (), (), True)]
+    elif cfg.solver == "umeyama":
         candidates = _umeyama_candidates(cfg, g1p, g2p, d)
     else:
         candidates = _faq_candidates(cfg, g1, g2, d, g1p.n)
 
-    best = None
+    best, seen = None, set()
     for index, (perm, objectives, steps, converged) in enumerate(candidates):
+        key = perm.tobytes()
+        if key in seen:  # scores and refines as before, so it cannot win
+            continue
+        seen.add(key)
         obj = objective_value(a1, a2, d, cfg.lam, perm)
         if objectives is None:  # no relaxation: trace the exact objective
             objectives = (obj,)
         refined = ()
-        if cfg.refinement:
+        if cfg.refinement and cfg.solver != "brute":
             perm, refined, obj = greedy_two_exchange(a1, a2, d, cfg.lam, perm, obj)
         if best is None or obj < best[0]:
             best = (obj, perm, index, objectives, steps, converged, refined)
@@ -432,7 +446,7 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
         restart_index=index,
         refinement_objectives=refined,
     )
-    return build_match_result(g1p, g2p, perm, cfg.lam, obj, trace)
+    return build_match_result(g1p, g2p, perm, cfg.lam, obj, trace, co_optimal, n_co_optimal)
 
 
 def geodesic(m: MatchResult, t: float) -> Graph:

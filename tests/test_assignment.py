@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_symmetric_graph
+from conftest import oracle, random_symmetric_graph
 from graphspace import (
     Graph,
-    brute_force_match,
     node_distance_matrix,
     objective_value,
     pad_pair,
@@ -100,7 +99,7 @@ class TestBruteForceMatch:
     def test_self_match_identity(self):
         rng = np.random.default_rng(5)
         g = random_symmetric_graph(5, rng)
-        res = brute_force_match(g, g)
+        res = oracle(g, g)
         assert res.objective == 0.0
         assert res.p.perm.tolist() == [0, 1, 2, 3, 4]
         assert res.n_co_optimal == 1
@@ -111,14 +110,14 @@ class TestBruteForceMatch:
             n = int(rng.integers(3, 7))
             g = random_symmetric_graph(n, rng)
             p = rng.permutation(n)
-            res = brute_force_match(g, permute(g, p))
+            res = oracle(g, permute(g, p))
             assert res.objective == 0.0
             assert np.array_equal(res.p.perm, p)
 
     def test_two_node_tie_reported(self):
         g1 = Graph([[0.0, 1.0], [1.0, 0.0]])
         g2 = Graph([[0.0, 3.0], [3.0, 0.0]])
-        res = brute_force_match(g1, g2)
+        res = oracle(g1, g2)
         assert res.objective == 8.0
         assert res.n_co_optimal == 2
         assert sorted(t.perm.tolist() for t in res.co_optimal) == [[0, 1], [1, 0]]
@@ -129,7 +128,7 @@ class TestBruteForceMatch:
             n = int(rng.integers(2, 6))
             g1 = random_symmetric_graph(n, rng)
             g2 = random_symmetric_graph(n, rng)
-            assert brute_force_match(g1, g2).objective == brute_force_match(g2, g1).objective
+            assert oracle(g1, g2).objective == oracle(g2, g1).objective
 
     def test_with_node_attributes(self):
         # edge-free graphs: the optimum is the assignment oracle on attr costs
@@ -138,7 +137,7 @@ class TestBruteForceMatch:
         g1 = Graph(np.zeros((3, 3)), node_attrs=attrs1)
         g2 = Graph(np.zeros((3, 3)), node_attrs=attrs2)
         lam = 2.0
-        res = brute_force_match(g1, g2, lam=lam)
+        res = oracle(g1, g2, lam=lam)
         cost = np.array([[(a[0] - b[0]) ** 2 for b in attrs2] for a in attrs1])
         perm, best = None, None
         for p in itertools.permutations(range(3)):
@@ -150,22 +149,22 @@ class TestBruteForceMatch:
 
     def test_all_zero_graphs_tie_over_everything(self):
         g = Graph(np.zeros((3, 3)))
-        res = brute_force_match(g, g)
+        res = oracle(g, g)
         assert res.n_co_optimal == 6
 
     def test_size_guard(self):
         g = Graph(np.zeros((11, 11)))
         with pytest.raises(ValueError, match="refuses"):
-            brute_force_match(g, g)
+            oracle(g, g)
 
     def test_unequal_sizes_rejected(self):
         with pytest.raises(ValueError, match="equal sizes"):
-            brute_force_match(Graph(np.zeros((2, 2))), Graph(np.zeros((3, 3))))
+            oracle(Graph(np.zeros((2, 2))), Graph(np.zeros((3, 3))))
 
     def test_empty_and_single_node(self):
         for n, perm in ((0, []), (1, [0])):
             g = Graph(np.zeros((n, n)))
-            res = brute_force_match(g, g)
+            res = oracle(g, g)
             assert res.p.perm.tolist() == perm
             assert res.objective == 0.0
             assert res.n_co_optimal == 1
@@ -174,7 +173,7 @@ class TestBruteForceMatch:
     def test_no_pruning_reports_lexicographic_truncation(self):
         # every permutation ties, so nothing can be pruned
         g = Graph(np.zeros((8, 8)))
-        res = brute_force_match(g, g)
+        res = oracle(g, g)
         assert res.objective == 0.0
         assert res.n_co_optimal == 40320
         first = list(itertools.islice(itertools.permutations(range(8)), _TIE_REPORT_LIMIT))
@@ -187,7 +186,7 @@ class TestBruteForceMatch:
     @given(_oracle_pairs())
     def test_equals_exhaustive_scan(self, pair):
         g1, g2, lam = pair
-        res = brute_force_match(g1, g2, lam=lam)
+        res = oracle(g1, g2, lam=lam)
         perm, obj, n_ties, ties = exhaustive_match(g1, g2, lam)
         assert res.p.perm.tolist() == perm
         assert res.objective == obj
@@ -198,7 +197,7 @@ class TestBruteForceMatch:
         rng = np.random.default_rng(8)
         g = random_symmetric_graph(2, rng)
         p1, p2 = pad_pair(g, g, "two_way")
-        res = brute_force_match(p1, p2)
+        res = oracle(p1, p2)
         assert res.objective == 0.0
         # the two null nodes of each side permute freely: at least 2!*... ties
         assert res.n_co_optimal >= 2

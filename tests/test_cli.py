@@ -234,6 +234,33 @@ class TestExitCodes:
         self._assert_exit_2(["pairwise", *graphs_in(corpus_dir), "--workers", "-3"],
                             capsys, "workers must be at least 1")
 
+    def test_model_mean_without_attributes_is_2(self, tmp_path, capsys):
+        corpus, model = tmp_path / "corpus", tmp_path / "model.json"
+        assert main(["generate", "--family", "letter_like", "--count", "4", "--seed", "1",
+                     "--out-dir", str(corpus)]) == 0
+        assert main(["pca", *graphs_in(corpus), "--lambda", "0.5", "--include-nodes",
+                     "--out", str(model)]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        for node in doc["mean_graph"]["nodes"]:
+            node.pop("attr", None)
+        model.write_text(json.dumps(doc))
+        self._assert_exit_2(["sample", "--model", str(model), "--count", "1",
+                             "--out-dir", str(tmp_path / "s")], capsys, "'mean_graph'")
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["generate", "--family", "binomial", "--count", "1", "--solver", "brute"],
+                     id="generate-solver"),
+        pytest.param(["match", "a.json", "b.json", "--workers", "2"], id="match-workers"),
+    ])
+    def test_flag_the_command_does_not_read_is_2(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out-dir" if argv[0] == "generate" else "--out",
+                  str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestOneProcess:
     def test_commands_share_one_parser(self, tmp_path, capsys):

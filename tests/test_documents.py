@@ -196,11 +196,23 @@ class TestPcaModelDocument:
         ("singular_values", [[1.0]], "singular_values must be a list"),
         ("basis", [[None]], "'basis' must hold finite numbers"),
         ("center", [math.nan], "'center' must hold finite numbers"),
+        # fields that parse but that sampling cannot use
+        ("include_nodes", "false", "'include_nodes' must be a boolean"),
+        ("directed", "false", "'directed' must be a boolean"),
+        ("nonnegative", 1, "'nonnegative' must be a boolean"),
+        ("directed", True, "'directed' is True but the mean graph's is False"),
+        ("lambda", -1, "'lambda' must be nonnegative"),
+        ("lambda", 0, "positive with 'include_nodes'"),
+        ("mean_graph", {"directed": False, "nodes": [{"id": 0}, {"id": 1}, {"id": 2}],
+                        "edges": []}, "'mean_graph' must carry node attributes"),
+        ("attr_dim", 3, "'attr_dim' = 3 columns"),
     ])
     def test_malformed_fields_rejected(self, key, value, message):
         rng = np.random.default_rng(5)
         corpus = perturbed_corpus(random_symmetric_graph(3, rng), 3, rng)
-        doc = pca_model_document(graph_pca(corpus))
+        corpus = [Graph(g.adjacency, node_attrs=rng.normal(size=(3, 2))) for g in corpus]
+        doc = pca_model_document(graph_pca(corpus, MatchConfig(lam=0.5), include_nodes=True))
+        pca_model_from_document(doc)
         doc[key] = value
         with pytest.raises(ValidationError, match=message):
             pca_model_from_document(doc)

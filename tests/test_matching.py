@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_directed_graph, random_symmetric_graph
+from conftest import oracle, random_directed_graph, random_symmetric_graph
 from graphspace import (
     Graph,
     MatchConfig,
-    brute_force_match,
     geodesic,
     graph_distance,
     pad_pair,
@@ -78,33 +77,53 @@ class TestUmeyama:
             g2 = random_symmetric_graph(6, rng)
             cfg = MatchConfig(solver="umeyama", padding="none", refinement=True)
             res = graph_distance(g1, g2, cfg)
-            oracle = brute_force_match(g1, g2)
-            assert res.objective >= oracle.objective - 1e-9
+            assert res.objective >= oracle(g1, g2).objective - 1e-9
 
-    @pytest.mark.parametrize("lam, solver", [
-        pytest.param(0.0, "umeyama", id="0.0"),
-        pytest.param(0.8, "umeyama", id="0.8"),
-        pytest.param(0.0, "faq", id="faq-0.0"),
-        pytest.param(0.8, "faq", id="faq-0.8"),
+    @pytest.mark.parametrize("lam, solver, restarts", [
+        pytest.param(0.0, "umeyama", 0, id="0.0"),
+        pytest.param(0.8, "umeyama", 0, id="0.8"),
+        pytest.param(0.0, "faq", 0, id="faq-0.0"),
+        pytest.param(0.8, "faq", 0, id="faq-0.8"),
+        # restarts that land on an earlier start's permutation are not rescored
+        pytest.param(0.0, "faq", 5, id="faq-0.0-restarts"),
+        pytest.param(0.8, "faq", 5, id="faq-0.8-restarts"),
     ])
-    def test_refinement_scores_each_permutation_once(self, monkeypatch, lam, solver):
-        calls = []
+    def test_refinement_scores_each_permutation_once(self, monkeypatch, lam, solver,
+                                                     restarts):
+        # one run per scored candidate: its score, then its refinement's
+        # scores (two runs may still meet at the same local optimum)
+        runs, refining = [], []
+        refine = matching.greedy_two_exchange
 
         def spy(a1, a2, d, lam_, perm):
-            calls.append(tuple(np.asarray(perm).tolist()))
+            if not refining:
+                runs.append([])
+            runs[-1].append(tuple(np.asarray(perm).tolist()))
             return objective_value(a1, a2, d, lam_, perm)
 
+        def refine_spy(*args):
+            refining.append(True)
+            try:
+                return refine(*args)
+            finally:
+                refining.pop()
+
         monkeypatch.setattr(matching, "objective_value", spy)
+        monkeypatch.setattr(matching, "greedy_two_exchange", refine_spy)
         rng = np.random.default_rng(5)
-        cfg = MatchConfig(solver=solver, lam=lam, refinement=True)
+        cfg = MatchConfig(solver=solver, lam=lam, refinement=True, restarts=restarts)
         for _ in range(10):
             attrs = rng.normal(size=(6, 2)) if lam else None
             g1 = Graph(random_symmetric_graph(6, rng).adjacency, node_attrs=attrs)
             g2 = Graph(random_symmetric_graph(5, rng).adjacency,
                        node_attrs=attrs[:5] if lam else None)
-            calls.clear()
+            runs.clear()
             graph_distance(g1, g2, cfg)
-            assert calls and len(calls) == len(set(calls))
+            assert runs and all(len(run) == len(set(run)) for run in runs)
+            starts = [run[0] for run in runs]
+            assert len(starts) == len(set(starts))
+            if not restarts:
+                assert len(runs) == 1
 
 
 class TestFaq:
@@ -143,10 +162,10 @@ class TestFaq:
             p1, p2 = pad_pair(g1, g2, "two_way")
             cfg = MatchConfig(padding="none", refinement=True, restarts=5)
             res = graph_distance(p1, p2, cfg)
-            oracle = brute_force_match(p1, p2)
-            gap = res.objective - oracle.objective
+            best = oracle(p1, p2)
+            gap = res.objective - best.objective
             assert gap >= -1e-9
-            if gap <= 1e-9 * (1.0 + oracle.objective):
+            if gap <= 1e-9 * (1.0 + best.objective):
                 equal += 1
         assert equal >= 27
 
@@ -161,8 +180,7 @@ class TestFaq:
             cfg = MatchConfig(lam=0.5, refinement=True, restarts=3)
             res = graph_distance(g1, g2, cfg)
             p1, p2 = pad_pair(g1, g2, "two_way")
-            oracle = brute_force_match(p1, p2, lam=0.5)
-            assert res.objective >= oracle.objective - 1e-9
+            assert res.objective >= oracle(p1, p2, lam=0.5).objective - 1e-9
 
     def test_monotone_descent_trace(self):
         rng = np.random.default_rng(8)
@@ -377,6 +395,32 @@ class TestGraphDistance:
             dcb = graph_distance(c, b, cfg).d_g
             assert dab == dba
             assert dab <= dac + dcb + 1e-9
+
+    @pytest.mark.parametrize("padding", ["two_way", "one_way", "none"])
+    def test_brute_is_its_first_co_optimum_with_or_without_refinement(self, padding):
+        rng = np.random.default_rng(19)
+        for k in range(12):
+            n1 = int(rng.integers(1, 5))
+            n2 = n1 if padding == "none" else int(rng.integers(1, 5))
+            if k % 2:  # 0/1 weights and no attributes: many ties
+                w1, w2 = (np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+                          for n in (n1, n2))
+                g1, g2, lam = Graph(w1 + w1.T), Graph(w2 + w2.T), 0.0
+            else:
+                g1, g2, lam = _attributed_graph(rng, n1), _attributed_graph(rng, n2), 0.7
+            plain, refined = (
+                graph_distance(g1, g2, MatchConfig(lam=lam, solver="brute", padding=padding,
+                                                   refinement=refinement))
+                for refinement in (False, True))
+            for res in (plain, refined):
+                assert res.p.perm.tolist() == res.co_optimal[0].perm.tolist()
+                assert res.n_co_optimal >= len(res.co_optimal) >= 1
+            assert refined.p.perm.tolist() == plain.p.perm.tolist()
+            assert refined.objective == plain.objective
+            assert refined.solver_trace == plain.solver_trace
+            assert refined.n_co_optimal == plain.n_co_optimal
+            assert ([t.perm.tolist() for t in refined.co_optimal]
+                    == [t.perm.tolist() for t in plain.co_optimal])
 
 
 class TestGeodesic:

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_symmetric_graph
+from conftest import oracle, random_symmetric_graph
 from graphspace import (
     MatchConfig,
     bench_recovery,
     binomial,
-    brute_force_match,
     distance_csv,
     full_heavy_tailed,
     generate,
@@ -82,8 +81,8 @@ class TestDistances:
         m = pairwise_distances(corpus, cfg)
         for i in range(6):
             for j in range(i + 1, 6):
-                oracle = brute_force_match(corpus[i], corpus[j]).d_g
-                assert abs(m[i, j] - oracle) <= 1e-9 * (1.0 + oracle)
+                best = oracle(corpus[i], corpus[j]).d_g
+                assert abs(m[i, j] - best) <= 1e-9 * (1.0 + best)
 
     def test_workers_do_not_change_results(self):
         rng = np.random.default_rng(4)
