@@ -28,6 +28,14 @@ that maps real nodes to real slots.  Frank-Wolfe therefore runs on the
 unpadded graphs: each vertex step is a rectangular assignment (a partial
 one under two-way padding, where a real node may park on a null slot at
 zero cost), and padding only shapes the returned permutation.
+
+Each Frank-Wolfe iteration costs one dense product on an undirected pair
+and two on a directed one.  The loop keeps M = A2 X A1^T (and, directed,
+N = A2^T X A1) current along its steps instead of recomputing them, by two
+identities.  The gradient is -(M + N) plus the node term, and N = M when
+both adjacencies are symmetric.  The vertex Q pairs real nodes ``rows``
+with slots ``cols``, so A2^T Q A1 = A2[cols]^T A1[rows] is a single
+product, and the step to X + eta (Q - X) moves M by eta (A2 Q A1^T - M).
 """
 
 from __future__ import annotations
@@ -169,22 +177,27 @@ def _pad_for(cfg: MatchConfig, g1: Graph, g2: Graph):
 
 
 def _swap_deltas(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
-                 lam: float, perm: np.ndarray) -> np.ndarray:
-    """Objective change for every pairwise swap of ``perm``, via two matmuls.
+                 lam: float, perm: np.ndarray, directed: bool) -> np.ndarray:
+    """Objective change for every pairwise swap of ``perm``.
 
     With C[i, j] = a2[perm_i, perm_j] the edge objective is
     ||a1||^2 + ||a2||^2 - 2 T(perm), T = sum_ij a1_ij C_ij, and swapping
     slots a, b changes T by an expression in X = a1 C^T and Y = a1^T C plus
-    a 2x2-block correction (zero diagonals assumed).
+    a 2x2-block correction (zero diagonals assumed).  Undirected a1 and C
+    are exactly symmetric, so there Y = X and a sweep costs one product;
+    a directed pair costs two.
     """
     c = a2[np.ix_(perm, perm)]
     x = a1 @ c.T
-    y = a1.T @ c
     xd = np.diag(x)
-    yd = np.diag(y)
-    d_t = (x + x.T - xd[:, None] - xd[None, :]
-           + y + y.T - yd[:, None] - yd[None, :]
-           + (a1 + a1.T) * (c + c.T))
+    if directed:
+        y = a1.T @ c
+        yd = np.diag(y)
+        d_t = (x + x.T - xd[:, None] - xd[None, :]
+               + y + y.T - yd[:, None] - yd[None, :]
+               + (a1 + a1.T) * (c + c.T))
+    else:
+        d_t = 2.0 * (x + x.T - xd[:, None] - xd[None, :] + 2.0 * a1 * c)
     deltas = -2.0 * d_t
     if lam != 0.0 and d is not None:
         dp = d[:, perm]
@@ -195,11 +208,12 @@ def _swap_deltas(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
 
 
 def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
-                        lam: float, perm: np.ndarray, obj: float):
+                        lam: float, perm: np.ndarray, obj: float, directed: bool):
     """Apply the single best improving node swap until none improves.
 
     ``obj`` is the exact objective of the starting ``perm``, which every
-    caller has already computed.  Each sweep scans all pairs with an O(n)
+    caller has already computed, and ``directed`` says whether the
+    adjacencies may be asymmetric.  Each sweep scans all pairs with an O(n)
     incremental delta (evaluated for all pairs at once through matrix
     products); the accepted swap is re-verified against the exactly
     recomputed objective, which guarantees termination under floating
@@ -210,7 +224,7 @@ def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     perm = np.array(perm, dtype=int)
     objectives = []
     while True:
-        deltas = _swap_deltas(a1, a2, d, lam, perm)
+        deltas = _swap_deltas(a1, a2, d, lam, perm, directed)
         flat = int(np.argmin(deltas))
         a, b = divmod(flat, len(perm))
         if deltas[a, b] >= 0.0:
@@ -280,39 +294,48 @@ def _lift(rows: np.ndarray, cols: np.ndarray, n1: int, n2: int, size: int) -> np
 
 def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
                  lam: float, p0: np.ndarray, max_iter: int, tol: float,
-                 size: int):
+                 size: int, directed: bool):
     """Frank-Wolfe over the doubly stochastic polytope with exact line search.
 
     Runs on the real block of a pair padded to ``size`` nodes: ``a1`` and
     ``a2`` are the unpadded adjacencies, ``d`` the n1 x n2 node cost and
-    ``p0`` the n2 x n1 real block of the padded start.  Returns the padded
+    ``p0`` the n2 x n1 real block of the padded start; ``directed`` says
+    whether the adjacencies may be asymmetric.  Returns the padded
     permutation with the relaxed objectives, step sizes and convergence.
+
+    The loop keeps M = A2 P A1^T and N = A2^T P A1 current along its steps:
+    the gradient is -(M + N) + lam D^T and the line search's slope is
+    <grad, Q - P>.  The vertex Q pairs nodes ``rows`` with slots ``cols``,
+    so A2^T Q A1 = A2[cols]^T A1[rows] is one product, as is A2 Q A1^T.
+    Undirected adjacencies are exactly symmetric, so there N = M and an
+    iteration costs one dense product; a directed pair costs two.
     """
     n1, n2 = a1.shape[0], a2.shape[0]
     partial = size >= n1 + n2
-    d_t = d.T if (d is not None and lam != 0.0) else None
+    c_t = np.ascontiguousarray(lam * d.T) if (d is not None and lam != 0.0) else None
 
-    def node_term(m):
-        return lam * float((m * d_t).sum()) if d_t is not None else 0.0
+    def relaxed(m_p, p):
+        f = -float(np.vdot(m_p, p))
+        return f + float(np.vdot(c_t, p)) if c_t is not None else f
 
     p = p0.copy()
     m_p = a2 @ p @ a1.T
-    f = -float((m_p * p).sum()) + node_term(p)
+    n_p = a2.T @ p @ a1 if directed else m_p
+    f = relaxed(m_p, p)
     objectives = [f]
     steps = []
     converged = False
     for _ in range(max_iter):
-        grad = -m_p - (a2.T @ p @ a1)
-        if d_t is not None:
-            grad = grad + lam * d_t
+        grad = -(m_p + n_p)
+        if c_t is not None:
+            grad += c_t
         # vertex minimizing <grad, Q> over (partial) permutation matrices
         rows, cols = _vertex(grad.T, partial)
-        q = np.zeros((n2, n1))
-        q[cols, rows] = 1.0
-        r = q - p
-        m_r = a2 @ r @ a1.T
-        a_coef = -float((m_r * r).sum())
-        b_coef = -float((m_r * p).sum()) - float((m_p * r).sum()) + node_term(r)
+        n_q = a2[cols].T @ a1[rows]
+        m_r = (a2[:, cols] @ a1[:, rows].T if directed else n_q) - m_p
+        # f(P + eta R) = f + eta b + eta^2 a with R = Q - P
+        a_coef = float(np.vdot(m_r, p)) - float(m_r[cols, rows].sum())
+        b_coef = float(grad[cols, rows].sum()) - float(np.vdot(grad, p))
         if a_coef > 0.0:
             eta = min(1.0, max(0.0, -b_coef / (2.0 * a_coef)))
         else:
@@ -321,9 +344,11 @@ def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
         if eta == 0.0:
             converged = True
             break
-        p = p + eta * r
+        p *= 1.0 - eta
+        p[cols, rows] += eta
         m_p = m_p + eta * m_r
-        f_new = -float((m_p * p).sum()) + node_term(p)
+        n_p = n_p + eta * (n_q - n_p) if directed else m_p
+        f_new = relaxed(m_p, p)
         objectives.append(f_new)
         steps.append(eta)
         if abs(f_new - f) <= tol * max(1.0, abs(f)):
@@ -353,7 +378,7 @@ def _faq_candidates(cfg: MatchConfig, g1: Graph, g2: Graph, d: np.ndarray | None
     d_real = None if d is None else d[:n1, :n2]
     for p0 in _faq_inits(cfg, size):
         yield _faq_descent(g1.adjacency, g2.adjacency, d_real, cfg.lam, p0[:n2, :n1],
-                           cfg.max_iter, cfg.tol, size)
+                           cfg.max_iter, cfg.tol, size, g1.directed)
 
 
 def _umeyama_candidates(cfg: MatchConfig, g1p: Graph, g2p: Graph, d: np.ndarray | None):
@@ -413,7 +438,8 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
         if 2 <= n <= BRUTE_FORCE_MAX_NODES:  # larger pairs are refused below
             start = np.arange(n)
             ub = greedy_two_exchange(a1, a2, d, cfg.lam, start,
-                                     objective_value(a1, a2, d, cfg.lam, start))[2]
+                                     objective_value(a1, a2, d, cfg.lam, start),
+                                     g1.directed)[2]
         perm, ties, n_co_optimal = brute_force_match(g1p, g2p, d, cfg.lam, ub)
         co_optimal = tuple(Permutation._trusted(t) for t in ties)
         candidates = [(perm, (), (), True)]
@@ -433,7 +459,8 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
             objectives = (obj,)
         refined = ()
         if cfg.refinement and cfg.solver != "brute":
-            perm, refined, obj = greedy_two_exchange(a1, a2, d, cfg.lam, perm, obj)
+            perm, refined, obj = greedy_two_exchange(a1, a2, d, cfg.lam, perm, obj,
+                                                     g1.directed)
         if best is None or obj < best[0]:
             best = (obj, perm, index, objectives, steps, converged, refined)
     obj, perm, index, objectives, steps, converged, refined = best

@@ -11,12 +11,74 @@ from graphspace import (
     MatchConfig,
     geodesic,
     graph_distance,
+    node_distance_matrix,
     pad_pair,
     permute,
 )
 import graphspace.matching as matching
 from graphspace.assignment import _lap_raw, objective_value
-from graphspace.matching import _lift, _null_average, _vertex
+from graphspace.matching import (
+    _faq_descent,
+    _faq_inits,
+    _lift,
+    _null_average,
+    _pad_for,
+    _swap_deltas,
+    _vertex,
+)
+
+
+def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
+    """Frank-Wolfe recomputing every product from the iterate (the descent
+    ``_faq_descent`` must agree with): four dense products per iteration,
+    two for the gradient and two for the search direction.
+
+    It steps toward the vertices ``(rows, cols)`` drawn from ``vertices``,
+    the ones the loop under test chose, after checking that each minimizes
+    the linear cost of the recomputed gradient.  Following them keeps both
+    runs on one path through exact vertex ties, which Frank-Wolfe makes
+    itself: after an interior line-search step from a vertex, the gradient
+    scores both ends of that segment equally.
+    """
+    n1, n2 = a1.shape[0], a2.shape[0]
+    partial = size >= n1 + n2
+    d_t = d.T if (d is not None and lam != 0.0) else None
+
+    def node_term(m):
+        return lam * float((m * d_t).sum()) if d_t is not None else 0.0
+
+    p = p0.copy()
+    f = -float(((a2 @ p @ a1.T) * p).sum()) + node_term(p)
+    objectives, steps, converged = [f], [], False
+    for _ in range(max_iter):
+        m_p = a2 @ p @ a1.T
+        grad = -m_p - a2.T @ p @ a1
+        if d_t is not None:
+            grad = grad + lam * d_t
+        rows, cols = _vertex(grad.T, partial)
+        best = grad.T[rows, cols].sum()
+        rows, cols = next(vertices)
+        assert math.isclose(grad.T[rows, cols].sum(), best, rel_tol=1e-9, abs_tol=1e-12)
+        q = np.zeros((n2, n1))
+        q[cols, rows] = 1.0
+        r = q - p
+        m_r = a2 @ r @ a1.T
+        a_coef = -float((m_r * r).sum())
+        b_coef = -float((m_r * p).sum()) - float((m_p * r).sum()) + node_term(r)
+        eta = min(1.0, max(0.0, -b_coef / (2.0 * a_coef))) if a_coef > 0.0 else 1.0
+        if eta == 0.0:
+            converged = True
+            break
+        p = p + eta * r
+        f_new = -float(((a2 @ p @ a1.T) * p).sum()) + node_term(p)
+        objectives.append(f_new)
+        steps.append(eta)
+        if abs(f_new - f) <= tol * max(1.0, abs(f)):
+            converged = True
+            break
+        f = f_new
+    rows, cols = _vertex(-_null_average(p, size).T, partial)
+    return _lift(rows, cols, n1, n2, size), objectives, steps, converged
 
 
 class TestMatchConfig:
@@ -238,6 +300,30 @@ class TestFaq:
         assert sorted(res.p.perm.tolist()) == list(range(n))
 
 
+@st.composite
+def _seeded_pairs(draw):
+    """(g1, g2, lam, directed, padding, seed): 2-8 nodes per side, normal
+    weights and attributes from a seeded stream, so ties in the data are
+    improbable."""
+    directed = draw(st.booleans())
+    padding = draw(st.sampled_from(["two_way", "one_way", "none"]))
+    lam = draw(st.sampled_from([0.0, 0.7]))
+    n1 = draw(st.integers(2, 8))
+    n2 = n1 if padding == "none" else draw(st.integers(2, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def graph(n):
+        w = rng.normal(size=(n, n))
+        np.fill_diagonal(w, 0.0)
+        if not directed:
+            w = np.triu(w, 1)
+            w = w + w.T
+        return Graph(w, node_attrs=rng.normal(size=(n, 2)), directed=directed)
+
+    return graph(n1), graph(n2), lam, directed, padding, seed
+
+
 def _attributed_graph(rng, n):
     w = np.triu(rng.random((n, n)) * (rng.random((n, n)) < 0.4), 1)
     return Graph(w + w.T, node_attrs=rng.normal(size=(n, 2)))
@@ -334,6 +420,71 @@ class TestRealBlock:
             assert gap >= -1e-9
             hits += gap <= 1e-9 * (1.0 + oracle.objective)
         assert hits >= pinned_hits
+
+
+def _settled(objectives, steps, tol):
+    """The trace without a last step that changed the objective by at most
+    ``tol``.  Near a stationary point the size of that step is set by the
+    rounding of the line search's slope, which may also round to a zero
+    step, ending the run one step earlier."""
+    objectives, steps = list(objectives), list(steps)
+    if steps and abs(objectives[-1] - objectives[-2]) <= tol * max(1.0, abs(objectives[-2])):
+        return objectives[:-1], steps[:-1]
+    return objectives, steps
+
+
+class TestTrackedProducts:
+    """The products the Frank-Wolfe loop and the two-exchange sweep update
+    in place of recomputing, against references that recompute them."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_seeded_pairs(), st.sampled_from(["barycenter", "identity"]))
+    def test_faq_descent_matches_four_product_loop(self, pair, faq_init):
+        g1, g2, lam, directed, padding, seed = pair
+        cfg = MatchConfig(lam=lam, padding=padding, faq_init=faq_init, restarts=1,
+                          seed=seed)
+        g1p, g2p = _pad_for(cfg, g1, g2)
+        n1, n2, size = g1.n, g2.n, g1p.n
+        d = node_distance_matrix(g1p, g2p, extended=True)[:n1, :n2] if lam else None
+        for p0 in _faq_inits(cfg, size):
+            args = (g1.adjacency, g2.adjacency, d, lam, p0[:n2, :n1], cfg.max_iter,
+                    cfg.tol, size)
+            chosen = []
+
+            def spy(c, partial):
+                chosen.append(_vertex(c, partial))
+                return chosen[-1]
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(matching, "_vertex", spy)
+                perm, objectives, steps, converged = _faq_descent(*args, directed)
+            # the last call projects the final iterate back to a permutation
+            ref_perm, ref_objectives, ref_steps, ref_converged = (
+                four_product_faq_descent(*args, iter(chosen[:-1])))
+            got = _settled(objectives, steps, cfg.tol)
+            want = _settled(ref_objectives, ref_steps, cfg.tol)
+            assert [len(v) for v in got] == [len(v) for v in want]
+            for x, y in zip(got[0] + got[1], want[0] + want[1]):
+                assert math.isclose(x, y, rel_tol=1e-9, abs_tol=1e-12)
+            assert converged == ref_converged
+            assert np.array_equal(perm, ref_perm)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_seeded_pairs())
+    def test_swap_deltas_are_objective_changes(self, pair):
+        g1, g2, lam, directed, padding, seed = pair
+        g1p, g2p = _pad_for(MatchConfig(padding=padding), g1, g2)
+        a1, a2, n = g1p.adjacency, g2p.adjacency, g1p.n
+        d = node_distance_matrix(g1p, g2p, extended=True) if lam else None
+        perm = np.random.default_rng(seed).permutation(n)
+        base = objective_value(a1, a2, d, lam, perm)
+        deltas = _swap_deltas(a1, a2, d, lam, perm, directed)
+        assert np.all(np.isinf(np.diag(deltas)))
+        for a, b in zip(*np.nonzero(np.isfinite(deltas))):
+            swapped = perm.copy()
+            swapped[a], swapped[b] = swapped[b], swapped[a]
+            change = objective_value(a1, a2, d, lam, swapped) - base
+            assert abs(deltas[a, b] - change) <= 1e-9 * (1.0 + abs(base))
 
 
 class TestGraphDistance:
