@@ -27,6 +27,7 @@ from .documents import (
 from .generators import FAMILIES, generate, trial_rng
 from .matching import _PADDINGS, _SOLVERS, MatchConfig, geodesic, graph_distance
 from .pipelines import (
+    _check_corpus,
     bench_recovery,
     distance_csv,
     knn_classify,
@@ -207,9 +208,12 @@ def _cmd_knn(args) -> int:
         raise ValidationError(f"{args.train}: every training row needs a label")
     train = [load_graph(p) for _, p, _ in train_items]
     test = [load_graph(p) for _, p, _ in test_items]
+    cfg = _cfg(args)
+    # name the input file at fault before any matching
+    _check_corpus(train, cfg, [str(p) for _, p, _ in train_items])
+    _check_corpus(test, cfg, [str(p) for _, p, _ in test_items], like=train[0])
     labels = [label for _, _, label in train_items]
-    preds, _ = knn_classify(train, labels, test, args.k, _cfg(args),
-                            workers=args.workers)
+    preds, _ = knn_classify(train, labels, test, args.k, cfg, workers=args.workers)
     truths = [label for _, _, label in test_items]
     accuracy = None
     if all(t is not None for t in truths):
@@ -228,8 +232,14 @@ def _cmd_knn(args) -> int:
 
 def _cmd_pairwise(args) -> int:
     graphs = [load_graph(p) for p in args.inputs]
-    matrix = pairwise_distances(graphs, _cfg(args), workers=args.workers)
-    text = distance_csv(matrix, [Path(p).name for p in args.inputs])
+    cfg = _cfg(args)
+    _check_corpus(graphs, cfg, args.inputs)  # names the input file at fault
+    matrix = pairwise_distances(graphs, cfg, workers=args.workers)
+    # rows and columns are labelled by base name unless two inputs share one
+    ids = [Path(p).name for p in args.inputs]
+    if len(set(ids)) < len(ids):
+        ids = list(args.inputs)
+    text = distance_csv(matrix, ids)
     sys.stdout.write(text)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -302,6 +302,13 @@ def ambient_distance(g1: Graph, g2: Graph) -> float:
     return math.sqrt(math.fsum((diff * diff).ravel().tolist()))
 
 
+def _squared_distances(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """||x1_i - x2_j||^2 between the rows of ``x1`` and ``x2``, per entry of
+    any leading stack axes (each entry as computed alone)."""
+    diff = x1[..., :, None, :] - x2[..., None, :, :]
+    return np.einsum("...ijk,...ijk->...ij", diff, diff)
+
+
 def node_distance_matrix(g1: Graph, g2: Graph, extended: bool = False) -> np.ndarray:
     """Pairwise squared attribute distances, d_ij = ||attr1_i - attr2_j||^2.
 
@@ -316,10 +323,8 @@ def node_distance_matrix(g1: Graph, g2: Graph, extended: bool = False) -> np.nda
         raise ValueError(
             f"attribute dimension mismatch: {g1.attr_dim} vs {g2.attr_dim}"
         )
-    diff = g1.node_attrs[:, None, :] - g2.node_attrs[None, :, :]
-    d = np.einsum("ijk,ijk->ij", diff, diff)
+    d = _squared_distances(g1.node_attrs, g2.node_attrs)
     if extended:
-        d = d.copy()
         d[g1.null_mask, :] = 0.0
         d[:, g2.null_mask] = 0.0
     return d

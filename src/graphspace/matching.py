@@ -36,6 +36,17 @@ identities.  The gradient is -(M + N) plus the node term, and N = M when
 both adjacencies are symmetric.  The vertex Q pairs real nodes ``rows``
 with slots ``cols``, so A2^T Q A1 = A2[cols]^T A1[rows] is a single
 product, and the step to X + eta (Q - X) moves M by eta (A2 Q A1^T - M).
+
+The Frank-Wolfe loop (``_faq_stack``) and the two-exchange loop
+(``_two_exchange_stack``) run on a stack of same-shape pairs, the shape a
+batch of many tiny matches needs: each iteration or sweep takes the dense
+products of all unfinished pairs at once, one LAP per pair, and the
+vertices' gathered products and sums over pairs of equal vertex size.
+Every pair keeps its own line search and stopping test, so it runs exactly
+as it would alone.  ``_faq_objectives`` scores a stack of pairs as
+``graph_distance`` scores one; ``pipelines`` groups the pairs of a batch
+by shape.  A single pair is a stack of one: ``_faq_descent`` and
+``greedy_two_exchange`` are its 2-D entry points into the same loops.
 """
 
 from __future__ import annotations
@@ -49,8 +60,9 @@ from .assignment import BRUTE_FORCE_MAX_NODES, _lap_raw, brute_force_match, obje
 from .graphs import (
     Graph,
     Permutation,
+    _squared_distances,
     node_distance_matrix,
-    pad_pair,
+    pad_to_size,
     permute,
 )
 
@@ -164,16 +176,20 @@ def build_match_result(g1_padded: Graph, g2_padded: Graph, perm: np.ndarray,
     )
 
 
-def _pad_for(cfg: MatchConfig, g1: Graph, g2: Graph):
+def _padded_size(cfg: MatchConfig, n1: int, n2: int) -> int:
+    """Node count of a pair padded as ``cfg.padding`` says."""
     if cfg.padding == "two_way":
-        return pad_pair(g1, g2, "two_way")
+        return n1 + n2
     if cfg.padding == "one_way":
-        return pad_pair(g1, g2, "to_size", size=max(g1.n, g2.n))
-    if g1.n != g2.n:
-        raise ValueError(
-            f"padding 'none' requires equal sizes, got {g1.n} vs {g2.n}"
-        )
-    return g1, g2
+        return max(n1, n2)
+    if n1 != n2:
+        raise ValueError(f"padding 'none' requires equal sizes, got {n1} vs {n2}")
+    return n1
+
+
+def _pad_for(cfg: MatchConfig, g1: Graph, g2: Graph):
+    size = _padded_size(cfg, g1.n, g2.n)
+    return pad_to_size(g1, size), pad_to_size(g2, size)
 
 
 def _swap_deltas(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
@@ -185,26 +201,81 @@ def _swap_deltas(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     slots a, b changes T by an expression in X = a1 C^T and Y = a1^T C plus
     a 2x2-block correction (zero diagonals assumed).  Undirected a1 and C
     are exactly symmetric, so there Y = X and a sweep costs one product;
-    a directed pair costs two.
+    a directed pair costs two.  Every argument may carry a leading stack
+    axis, and each entry of a stack gets the deltas it gets alone.
     """
-    c = a2[np.ix_(perm, perm)]
-    x = a1 @ c.T
-    xd = np.diag(x)
+    n = perm.shape[-1]
+    lead = (np.arange(len(perm))[:, None, None],) if perm.ndim > 1 else ()
+    c = a2[(*lead, perm[..., :, None], perm[..., None, :])]
+    x = a1 @ c.swapaxes(-1, -2)
+    xd = x.diagonal(axis1=-2, axis2=-1)
+    d_t = x + x.swapaxes(-1, -2) - xd[..., :, None] - xd[..., None, :]
     if directed:
-        y = a1.T @ c
-        yd = np.diag(y)
-        d_t = (x + x.T - xd[:, None] - xd[None, :]
-               + y + y.T - yd[:, None] - yd[None, :]
-               + (a1 + a1.T) * (c + c.T))
+        y = a1.swapaxes(-1, -2) @ c
+        yd = y.diagonal(axis1=-2, axis2=-1)
+        d_t = (d_t + y + y.swapaxes(-1, -2) - yd[..., :, None] - yd[..., None, :]
+               + (a1 + a1.swapaxes(-1, -2)) * (c + c.swapaxes(-1, -2)))
     else:
-        d_t = 2.0 * (x + x.T - xd[:, None] - xd[None, :] + 2.0 * a1 * c)
+        d_t = 2.0 * (d_t + 2.0 * a1 * c)
     deltas = -2.0 * d_t
     if lam != 0.0 and d is not None:
-        dp = d[:, perm]
-        dd = np.diag(dp)
-        deltas = deltas + lam * (dp + dp.T - dd[:, None] - dd[None, :])
-    np.fill_diagonal(deltas, np.inf)
+        dp = d[(*lead, np.arange(n)[:, None], perm[..., None, :])]
+        dd = dp.diagonal(axis1=-2, axis2=-1)
+        deltas = deltas + lam * (dp + dp.swapaxes(-1, -2) - dd[..., :, None]
+                                 - dd[..., None, :])
+    deltas.reshape(*deltas.shape[:-2], n * n)[..., ::n + 1] = np.inf
     return deltas
+
+
+def _two_exchange_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
+                        lam: float, perms, objs, directed: bool):
+    """Greedy two-exchange on a stack of equal-size padded pairs.
+
+    ``a1``, ``a2`` and ``d`` are (B, n, n) stacks, or 2-D for a single
+    pair, ``perms`` the B starting permutations and ``objs`` their exact
+    objectives.  One ``_swap_deltas`` sweep scores every swap of every
+    unfinished entry; each entry then takes its best swap, re-verified
+    against its exactly recomputed objective, and finishes when that swap
+    does not improve.  The stack shrinks only when entries finish.
+    Returns ``(perm, objectives, obj)`` per entry, as
+    ``greedy_two_exchange`` does for one pair.
+    """
+    single = a1.ndim == 2
+    cur = np.array(perms, dtype=int)
+    n = cur.shape[1]
+    objs = list(objs)
+    trails = [[] for _ in objs]
+    final = [None] * len(objs)
+    ids = list(range(len(objs)))
+    while True:
+        deltas = _swap_deltas(a1, a2, d, lam, cur[0] if single else cur,
+                              directed).reshape(len(ids), -1)
+        done = []
+        for j, k in enumerate(deltas.argmin(axis=1).tolist()):
+            e = ids[j]
+            if deltas[j, k] >= 0.0:
+                done.append(j)
+                continue
+            a, b = divmod(k, n)
+            cand = cur[j].copy()
+            cand[a], cand[b] = cand[b], cand[a]
+            cand_obj = (objective_value(a1, a2, d, lam, cand) if single else
+                        objective_value(a1[j], a2[j], None if d is None else d[j], lam, cand))
+            if cand_obj >= objs[e]:
+                done.append(j)
+                continue
+            cur[j], objs[e] = cand, cand_obj
+            trails[e].append(cand_obj)
+        for j in done:
+            final[ids[j]] = cur[j].copy()
+        if len(done) == len(ids):
+            return [(p, tuple(t), o) for p, t, o in zip(final, trails, objs)]
+        if done:
+            keep = np.ones(len(ids), dtype=bool)
+            keep[done] = False
+            ids = [e for e, k in zip(ids, keep.tolist()) if k]
+            cur, a1, a2 = cur[keep], a1[keep], a2[keep]
+            d = None if d is None else d[keep]
 
 
 def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
@@ -219,24 +290,9 @@ def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     recomputed objective, which guarantees termination under floating
     point.  Returns ``(perm, objectives, obj)``: the final permutation, the
     exact objective after each applied swap, and the exact objective of
-    ``perm``.
+    ``perm``.  ``_two_exchange_stack`` on the pair's 2-D blocks.
     """
-    perm = np.array(perm, dtype=int)
-    objectives = []
-    while True:
-        deltas = _swap_deltas(a1, a2, d, lam, perm, directed)
-        flat = int(np.argmin(deltas))
-        a, b = divmod(flat, len(perm))
-        if deltas[a, b] >= 0.0:
-            break
-        cand = perm.copy()
-        cand[a], cand[b] = cand[b], cand[a]
-        cand_obj = objective_value(a1, a2, d, lam, cand)
-        if cand_obj >= obj:
-            break
-        perm, obj = cand, cand_obj
-        objectives.append(obj)
-    return perm, tuple(objectives), obj
+    return _two_exchange_stack(a1, a2, d, lam, [perm], [obj], directed)[0]
 
 
 def _vertex(c: np.ndarray, partial: bool):
@@ -261,17 +317,18 @@ def _null_average(x: np.ndarray, size: int) -> np.ndarray:
     averaging, a real slot's unused mass s_i spreads evenly over the
     ``size - n1`` null nodes and a real node's unused mass r_j over the
     ``size - n2`` null slots, so an assignment's score is a constant plus
-    the sum of the returned weights over its real-to-real pairs.
+    the sum of the returned weights over its real-to-real pairs.  ``x`` is
+    one n2 x n1 block or a stack of them.
     """
-    n2, n1 = x.shape
+    n2, n1 = x.shape[-2:]
     w = x
     if size > n2:
-        w = w - (1.0 - x.sum(axis=0)) / (size - n2)
+        w = w - (1.0 - x.sum(axis=-2))[..., None, :] / (size - n2)
     if size > n1:
-        s = 1.0 - x.sum(axis=1)
-        w = w - s[:, None] / (size - n1)
+        s = 1.0 - x.sum(axis=-1)
+        w = w - s[..., :, None] / (size - n1)
         if size > n2:
-            w = w + ((size - n1) - s.sum()) / ((size - n1) * (size - n2))
+            w = w + (((size - n1) - s.sum(axis=-1)) / ((size - n1) * (size - n2)))[..., None, None]
     return w
 
 
@@ -292,16 +349,86 @@ def _lift(rows: np.ndarray, cols: np.ndarray, n1: int, n2: int, size: int) -> np
     return perm
 
 
-def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
-                 lam: float, p0: np.ndarray, max_iter: int, tol: float,
-                 size: int, directed: bool):
-    """Frank-Wolfe over the doubly stochastic polytope with exact line search.
+def _dots(x: np.ndarray, y: np.ndarray) -> list[float]:
+    """``np.vdot`` of every entry pair of two stacks, or of two single blocks.
 
-    Runs on the real block of a pair padded to ``size`` nodes: ``a1`` and
-    ``a2`` are the unpadded adjacencies, ``d`` the n1 x n2 node cost and
-    ``p0`` the n2 x n1 real block of the padded start; ``directed`` says
-    whether the adjacencies may be asymmetric.  Returns the padded
-    permutation with the relaxed objectives, step sizes and convergence.
+    A (1, K) @ (K, 1) product per entry is the same BLAS dot that ``vdot``
+    calls, so an entry's value does not depend on the rest of the stack.
+    """
+    if x.ndim == 2 or len(x) == 1:
+        return [float(np.vdot(x, y))]
+    b = len(x)
+    return (x.reshape(b, 1, -1) @ y.reshape(b, -1, 1)).ravel().tolist()
+
+
+def _by_length(verts, at: np.ndarray | None):
+    """The vertices ``(rows, cols)`` of the stack entries ``at`` (a column,
+    or None for a single block) as index groups, one per number k of real
+    pairs: ``(lead, rows, cols, pairs)`` with (len(group), k) ``rows`` and
+    ``cols``, where ``x[(*lead, cols)]`` gathers the group's slot rows of
+    ``x`` and ``x[pairs]`` its (len(group), k) vertex entries."""
+    if at is None:
+        rows, cols = verts[0]
+        return [((), rows, cols, (cols[None], rows[None]))]
+    ks = [len(rows) for rows, _ in verts]
+    by_k = {k: [j for j, kj in enumerate(ks) if kj == k] for k in set(ks)}
+    groups = []
+    for js in by_k.values():
+        sel = at if len(by_k) == 1 else at[js]
+        rows = np.array([verts[j][0] for j in js], dtype=int)
+        cols = np.array([verts[j][1] for j in js], dtype=int)
+        groups.append(((sel,), rows, cols, (sel, cols, rows)))
+    return groups
+
+
+def _vertex_products(x2: np.ndarray, x1: np.ndarray, groups) -> np.ndarray:
+    """X2[cols]^T X1[rows] for the vertex of every entry, one product per
+    group, so each entry's product is the one it gets alone."""
+    if len(groups) == 1:
+        lead, rows, cols, _ = groups[0]
+        return x2[(*lead, cols)].swapaxes(-1, -2) @ x1[(*lead, rows)]
+    out = np.empty((len(x2), x2.shape[2], x1.shape[2]))
+    for (at,), rows, cols, _ in groups:
+        out[at[:, 0]] = x2[at, cols].swapaxes(-1, -2) @ x1[at, rows]
+    return out
+
+
+def _vertex_sums(x: np.ndarray, groups) -> list[float]:
+    """sum(x[cols, rows]) over the vertex of every entry, summed as alone."""
+    if len(groups) == 1:
+        return x[groups[0][3]].sum(axis=-1).tolist()
+    out = np.empty(len(x))
+    for (at,), _, _, pairs in groups:
+        out[at[:, 0]] = x[pairs].sum(axis=-1)
+    return out.tolist()
+
+
+def _relaxed(m_p: np.ndarray, p: np.ndarray, c_t: np.ndarray | None) -> list[float]:
+    """The relaxed objective -<M, P> + <lam D^T, P> of every entry."""
+    if c_t is None:
+        return [-v for v in _dots(m_p, p)]
+    return [c - v for v, c in zip(_dots(m_p, p), _dots(c_t, p))]
+
+
+def _faq_stack(a1: np.ndarray, a2: np.ndarray, c_t: np.ndarray | None,
+               p0: np.ndarray, max_iter: int, tol: float, size: int, directed: bool):
+    """Frank-Wolfe over the doubly stochastic polytope with exact line search,
+    on a stack of same-shape pairs padded to ``size`` nodes.
+
+    ``a1`` (B, n1, n1) and ``a2`` (B, n2, n2) are the unpadded adjacencies,
+    ``c_t`` (B, n2, n1) the node term lam D^T (None without one) and ``p0``
+    (B, n2, n1) the real blocks of the padded starts; ``directed`` says
+    whether the adjacencies may be asymmetric.  A single pair may come as
+    2-D blocks without the stack axis, which spares it the stack's
+    indexing.  Returns per entry the padded permutation with the relaxed
+    objectives, step sizes and convergence.
+
+    Every entry has its own line search and stopping test, and runs
+    exactly as it would alone: dense products and inner products are taken
+    per entry, each vertex is one ``_vertex`` call, and the vertices'
+    gathered products and sums are taken over groups of equal vertex size
+    k, so no entry's arithmetic is padded.  The arrays shrink only when
+    entries stop, so a stack of one copies nothing per iteration.
 
     The loop keeps M = A2 P A1^T and N = A2^T P A1 current along its steps:
     the gradient is -(M + N) + lam D^T and the line search's slope is
@@ -310,55 +437,88 @@ def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     Undirected adjacencies are exactly symmetric, so there N = M and an
     iteration costs one dense product; a directed pair costs two.
     """
-    n1, n2 = a1.shape[0], a2.shape[0]
+    n2, n1 = p0.shape[-2:]
+    nb = len(p0) if p0.ndim == 3 else 1
+    at = np.arange(nb)[:, None] if p0.ndim == 3 else None
     partial = size >= n1 + n2
-    c_t = np.ascontiguousarray(lam * d.T) if (d is not None and lam != 0.0) else None
-
-    def relaxed(m_p, p):
-        f = -float(np.vdot(m_p, p))
-        return f + float(np.vdot(c_t, p)) if c_t is not None else f
-
-    p = p0.copy()
-    m_p = a2 @ p @ a1.T
-    n_p = a2.T @ p @ a1 if directed else m_p
-    f = relaxed(m_p, p)
-    objectives = [f]
-    steps = []
-    converged = False
+    p = np.array(p0)
+    m_p = a2 @ p @ a1.swapaxes(-1, -2)
+    n_p = a2.swapaxes(-1, -2) @ p @ a1 if directed else m_p
+    f = _relaxed(m_p, p, c_t)
+    objectives = [[v] for v in f]
+    steps = [[] for _ in range(nb)]
+    converged = [False] * nb
+    ids = list(range(nb))
+    stopped, iterates = [], []  # entries that stopped early, and their P
     for _ in range(max_iter):
-        grad = -(m_p + n_p)
+        grad = -(m_p + n_p) if directed else -2.0 * m_p
         if c_t is not None:
             grad += c_t
         # vertex minimizing <grad, Q> over (partial) permutation matrices
-        rows, cols = _vertex(grad.T, partial)
-        n_q = a2[cols].T @ a1[rows]
-        m_r = (a2[:, cols] @ a1[:, rows].T if directed else n_q) - m_p
-        # f(P + eta R) = f + eta b + eta^2 a with R = Q - P
-        a_coef = float(np.vdot(m_r, p)) - float(m_r[cols, rows].sum())
-        b_coef = float(grad[cols, rows].sum()) - float(np.vdot(grad, p))
-        if a_coef > 0.0:
-            eta = min(1.0, max(0.0, -b_coef / (2.0 * a_coef)))
-        else:
-            # concave or flat along the segment: the vertex end is no worse
-            eta = 1.0
-        if eta == 0.0:
-            converged = True
-            break
-        p *= 1.0 - eta
-        p[cols, rows] += eta
-        m_p = m_p + eta * m_r
-        n_p = n_p + eta * (n_q - n_p) if directed else m_p
-        f_new = relaxed(m_p, p)
-        objectives.append(f_new)
-        steps.append(eta)
-        if abs(f_new - f) <= tol * max(1.0, abs(f)):
-            f = f_new
-            converged = True
-            break
+        groups = _by_length([_vertex(grad.T, partial)] if at is None else
+                            [_vertex(grad[j].T, partial) for j in range(len(ids))], at)
+        n_q = _vertex_products(a2, a1, groups)
+        m_q = (_vertex_products(a2.swapaxes(-1, -2), a1.swapaxes(-1, -2), groups)
+               if directed else n_q)
+        m_r = m_q - m_p
+        # f(P + eta R) = f + eta b + eta^2 a with R = Q - P; a concave or
+        # flat segment steps to its vertex end, which is no worse
+        eta = []
+        for mp, mq, gq, gp in zip(_dots(m_r, p), _vertex_sums(m_r, groups),
+                                  _vertex_sums(grad, groups), _dots(grad, p)):
+            a_coef, b_coef = mp - mq, gq - gp
+            eta.append(min(1.0, max(0.0, -b_coef / (2.0 * a_coef))) if a_coef > 0.0 else 1.0)
+        # a zero step leaves its entry unchanged, and the entry stops below;
+        # a stack of one steps by a float
+        step = eta[0] if len(eta) == 1 else np.array(eta)[:, None, None]
+        p *= 1.0 - step
+        for lead, _, _, pairs in groups:
+            p[pairs] += step if len(eta) == 1 else step[lead[0], 0, 0]
+        m_p = m_p + step * m_r
+        n_p = n_p + step * (n_q - n_p) if directed else m_p
+        f_new = _relaxed(m_p, p, c_t)
+        done = []
+        for j, (e, s, old, new) in enumerate(zip(ids, eta, f, f_new)):
+            if s != 0.0:
+                objectives[e].append(new)
+                steps[e].append(s)
+            if s == 0.0 or abs(new - old) <= tol * max(1.0, abs(old)):
+                converged[e] = True
+                done.append(j)
         f = f_new
-    # project the doubly stochastic iterate back to a permutation
-    rows, cols = _vertex(-_null_average(p, size).T, partial)
-    return _lift(rows, cols, n1, n2, size), tuple(objectives), tuple(steps), converged
+        if len(done) == len(ids):
+            break
+        if done:
+            stopped += [ids[j] for j in done]
+            iterates.append(p[done])
+            keep = np.ones(len(ids), dtype=bool)
+            keep[done] = False
+            ids = [e for e, k in zip(ids, keep.tolist()) if k]
+            f = [v for v, k in zip(f, keep.tolist()) if k]
+            p, m_p, n_p, a1, a2 = p[keep], m_p[keep], n_p[keep], a1[keep], a2[keep]
+            c_t = None if c_t is None else c_t[keep]
+            at = at[:len(ids)]
+    # project each doubly stochastic iterate back to a permutation
+    weights = -_null_average(np.concatenate([*iterates, p]) if iterates else p, size)
+    out = [None] * nb
+    for e, w in zip(stopped + ids, weights.reshape(-1, n2, n1)):
+        out[e] = (_lift(*_vertex(w.T, partial), n1, n2, size), tuple(objectives[e]),
+                  tuple(steps[e]), converged[e])
+    return out
+
+
+def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
+                 lam: float, p0: np.ndarray, max_iter: int, tol: float,
+                 size: int, directed: bool):
+    """Frank-Wolfe on one pair: ``_faq_stack`` on its 2-D blocks.
+
+    ``a1`` and ``a2`` are the unpadded adjacencies, ``d`` the n1 x n2 node
+    cost and ``p0`` the n2 x n1 real block of the padded start.  Returns
+    the padded permutation with the relaxed objectives, step sizes and
+    convergence.
+    """
+    c_t = np.ascontiguousarray(lam * d.T) if (d is not None and lam != 0.0) else None
+    return _faq_stack(a1, a2, c_t, p0, max_iter, tol, size, directed)[0]
 
 
 def _faq_inits(cfg: MatchConfig, n: int):
@@ -399,6 +559,43 @@ def _umeyama_candidates(cfg: MatchConfig, g1p: Graph, g2p: Graph, d: np.ndarray 
         score = score - cfg.lam * d
     _, perm = _lap_raw(-score)
     return [(perm, None, (), True)]
+
+
+def _best_candidates(lam: float, a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
+                     rounds, refine):
+    """The first candidate of least exact objective, per entry of a stack
+    of padded pairs.
+
+    ``a1``, ``a2`` and ``d`` are (B, n, n) stacks, and ``rounds`` yields
+    per start one ``(perm, objectives, steps, converged)`` candidate for
+    each entry.  Each distinct candidate of an entry is scored by its exact
+    objective and, given ``refine``, improved by greedy two-exchange:
+    ``refine(entries, perms, objs)`` returns ``(perm, objectives, obj)``
+    for each listed entry.  Returns per entry ``(obj, perm, index,
+    objectives, steps, converged, refined)``.
+    """
+    seen = [set() for _ in range(len(a1))]
+    best = [None] * len(a1)
+    for index, cands in enumerate(rounds):
+        fresh = []
+        for e, cand in enumerate(cands):
+            key = cand[0].tobytes()
+            if key not in seen[e]:  # a repeat scores and refines as before: it cannot win
+                seen[e].add(key)
+                fresh.append(e)
+        perms = [cands[e][0] for e in fresh]
+        scores = [objective_value(a1[e], a2[e], None if d is None else d[e], lam, perm)
+                  for e, perm in zip(fresh, perms)]
+        objs, refined = scores, [()] * len(fresh)
+        if refine is not None and fresh:
+            perms, refined, objs = zip(*refine(fresh, perms, scores))
+        for e, perm, obj, score, trail in zip(fresh, perms, objs, scores, refined):
+            _, objectives, steps, converged = cands[e]
+            if objectives is None:  # no relaxation: trace the exact objective
+                objectives = (score,)
+            if best[e] is None or obj < best[e][0]:
+                best[e] = (obj, perm, index, objectives, steps, converged, trail)
+    return best
 
 
 def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResult:
@@ -448,22 +645,13 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     else:
         candidates = _faq_candidates(cfg, g1, g2, d, g1p.n)
 
-    best, seen = None, set()
-    for index, (perm, objectives, steps, converged) in enumerate(candidates):
-        key = perm.tobytes()
-        if key in seen:  # scores and refines as before, so it cannot win
-            continue
-        seen.add(key)
-        obj = objective_value(a1, a2, d, cfg.lam, perm)
-        if objectives is None:  # no relaxation: trace the exact objective
-            objectives = (obj,)
-        refined = ()
-        if cfg.refinement and cfg.solver != "brute":
-            perm, refined, obj = greedy_two_exchange(a1, a2, d, cfg.lam, perm, obj,
-                                                     g1.directed)
-        if best is None or obj < best[0]:
-            best = (obj, perm, index, objectives, steps, converged, refined)
-    obj, perm, index, objectives, steps, converged, refined = best
+    refine = None
+    if cfg.refinement and cfg.solver != "brute":
+        def refine(entries, perms, objs):
+            return [greedy_two_exchange(a1, a2, d, cfg.lam, perms[0], objs[0], g1.directed)]
+    obj, perm, index, objectives, steps, converged, refined = _best_candidates(
+        cfg.lam, a1[None], a2[None], None if d is None else d[None],
+        ([c] for c in candidates), refine)[0]
     trace = SolverTrace(
         solver=cfg.solver,
         iterations=len(steps),
@@ -474,6 +662,60 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
         refinement_objectives=refined,
     )
     return build_match_result(g1p, g2p, perm, cfg.lam, obj, trace, co_optimal, n_co_optimal)
+
+
+def _zero_padded(stack: np.ndarray, size: int) -> np.ndarray:
+    """A (B, n, n) stack padded with zero rows and columns to (B, size, size)."""
+    n = stack.shape[1]
+    if n == size:
+        return stack
+    out = np.zeros((len(stack), size, size))
+    out[:, :n, :n] = stack
+    return out
+
+
+def _node_costs(g1s, g2s, size: int) -> np.ndarray:
+    """``node_distance_matrix(extended=True)`` of every pair padded to ``size``."""
+    def padded(graphs):
+        x = np.zeros((len(graphs), size, graphs[0].attr_dim))
+        x[:, :graphs[0].n] = np.stack([g.node_attrs for g in graphs])
+        null = np.ones((len(graphs), size), dtype=bool)
+        null[:, :graphs[0].n] = np.stack([g.null_mask for g in graphs])
+        return x, null
+
+    (x1, null1), (x2, null2) = padded(g1s), padded(g2s)
+    return np.where(null1[:, :, None] | null2[:, None, :], 0.0, _squared_distances(x1, x2))
+
+
+def _faq_objectives(cfg: MatchConfig, pairs) -> list[float]:
+    """``graph_distance(g1, g2, cfg).objective`` for every ``(g1, g2)`` of
+    ``pairs``, solved as one stack.
+
+    The solver must be ``faq``, and all pairs must share the directedness
+    and the sizes n1 and n2; with ``cfg.lam > 0`` every graph needs node
+    attributes of one dimension.  Each start is one ``_faq_stack`` run over
+    all pairs, and each round of refinements one ``_two_exchange_stack``.
+    """
+    g1s, g2s = [g for g, _ in pairs], [g for _, g in pairs]
+    n1, n2, directed = g1s[0].n, g2s[0].n, g1s[0].directed
+    size = _padded_size(cfg, n1, n2)
+    adj1 = np.stack([g.adjacency for g in g1s])
+    adj2 = np.stack([g.adjacency for g in g2s])
+    a1, a2 = _zero_padded(adj1, size), _zero_padded(adj2, size)
+    d = c_t = None
+    if cfg.lam != 0.0:
+        d = _node_costs(g1s, g2s, size)
+        c_t = np.ascontiguousarray(cfg.lam * d[:, :n1, :n2].swapaxes(1, 2))
+    rounds = (_faq_stack(adj1, adj2, c_t, np.broadcast_to(p0[:n2, :n1], (len(pairs), n2, n1)),
+                         cfg.max_iter, cfg.tol, size, directed)
+              for p0 in _faq_inits(cfg, size))
+    refine = None
+    if cfg.refinement:
+        def refine(entries, perms, objs):
+            return _two_exchange_stack(a1[entries], a2[entries],
+                                       None if d is None else d[entries], cfg.lam,
+                                       perms, objs, directed)
+    return [best[0] for best in _best_candidates(cfg.lam, a1, a2, d, rounds, refine)]
 
 
 def geodesic(m: MatchResult, t: float) -> Graph:

@@ -18,7 +18,7 @@ import numpy as np
 from .assignment import BRUTE_FORCE_MAX_NODES
 from .generators import generate, trial_rng
 from .graphs import Graph, pad_pair, permute
-from .matching import MatchConfig, graph_distance
+from .matching import MatchConfig, _faq_objectives, graph_distance
 
 __all__ = [
     "RecoveryReport",
@@ -62,20 +62,82 @@ def symmetric_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> 
     return symmetric_match(g1, g2, cfg)[0]
 
 
+def _check_corpus(graphs, cfg: MatchConfig, names, like: Graph | None = None) -> None:
+    """Reject, before any matching, graphs that some pair could not match.
+
+    Every graph must share the directedness of ``like`` (default: the
+    first graph), and with ``cfg.lam > 0`` it needs node attributes of the
+    same dimension.  The error names the first graph that breaks a rule by
+    its entry in ``names``.
+    """
+    like = like or (graphs[0] if graphs else None)
+    for g, name in zip(graphs, names):
+        if g.directed != like.directed:
+            raise ValueError(f"cannot match a directed graph against an undirected one ({name})")
+        if cfg.lam == 0.0:
+            continue
+        if g.node_attrs is None:
+            raise ValueError(f"lambda = {cfg.lam} requires node attributes, but {name} has none")
+        if like.node_attrs is not None and g.attr_dim != like.attr_dim:
+            raise ValueError(f"attribute dimension mismatch: {name} has {g.attr_dim}, "
+                             f"expected {like.attr_dim}")
+
+
+def _numbered(what: str, count: int) -> list[str]:
+    return [f"{what} {i}" for i in range(count)]
+
+
+# floats in one (B, n, n) array of a stack, at most; a larger group of
+# pairs is solved as several stacks
+_STACK_FLOATS = 1 << 20
+
+
+def _symmetric_distances(pairs, cfg: MatchConfig, workers: int) -> list[float]:
+    """``symmetric_distance`` of every pair, both directions in same-shape stacks.
+
+    Under ``faq`` the ordered pairs of both directions are grouped by
+    their exact sizes (n1, n2), and each group runs through
+    ``_faq_objectives`` as one stack, split into chunks that bound its
+    memory and, with ``workers > 1``, spread over the thread pool.  Every
+    entry of a stack is solved as it would be alone, so the values equal
+    those of ``symmetric_distance`` pair by pair.  Other solvers match
+    pair by pair.
+    """
+    if cfg.solver != "faq":
+        return _run_indexed(
+            [lambda a=a, b=b: symmetric_distance(a, b, cfg) for a, b in pairs], workers)
+    ordered = [o for a, b in pairs for o in ((a, b), (b, a))]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, (a, b) in enumerate(ordered):
+        groups.setdefault((a.n, b.n), []).append(k)
+    chunks = []
+    for (n1, n2), members in groups.items():
+        cap = max(1, _STACK_FLOATS // max(1, (n1 + n2) ** 2))
+        parts = max(-(-len(members) // cap), min(workers, len(members)))
+        chunks.extend(c.tolist() for c in np.array_split(members, parts))
+    values = _run_indexed(
+        [lambda c=c: _faq_objectives(cfg, [ordered[k] for k in c]) for c in chunks], workers)
+    objective = [0.0] * len(ordered)
+    for c, objs in zip(chunks, values):
+        for k, obj in zip(c, objs):
+            objective[k] = obj
+    d_g = [math.sqrt(obj) for obj in objective]
+    return [min(d_g[2 * i], d_g[2 * i + 1]) for i in range(len(pairs))]
+
+
 def pairwise_distances(corpus, cfg: MatchConfig | None = None,
                        workers: int = 1) -> np.ndarray:
     """Symmetrized quotient distances between all corpus pairs.
 
-    Zero diagonal, symmetric by construction.
+    Zero diagonal, symmetric by construction; each value is
+    ``symmetric_distance`` of its pair.
     """
     corpus = list(corpus)
     cfg = cfg or MatchConfig()
+    _check_corpus(corpus, cfg, _numbered("graph", len(corpus)))
     m = len(corpus)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    values = _run_indexed(
-        [lambda a=i, b=j: symmetric_distance(corpus[a], corpus[b], cfg) for i, j in pairs],
-        workers,
-    )
+    values = _symmetric_distances([(corpus[i], corpus[j]) for i, j in pairs], cfg, workers)
     out = np.zeros((m, m))
     for (i, j), d in zip(pairs, values):
         out[i, j] = out[j, i] = d
@@ -109,13 +171,10 @@ def knn_classify(train, train_labels, test, k: int,
     if not 1 <= k <= len(train):
         raise ValueError(f"k must lie in 1..{len(train)}, got {k}")
     cfg = cfg or MatchConfig()
+    _check_corpus(train, cfg, _numbered("training graph", len(train)))
+    _check_corpus(test, cfg, _numbered("test graph", len(test)), like=train[0])
 
-    tasks = [
-        lambda a=i, b=j: symmetric_distance(test[a], train[b], cfg)
-        for i in range(len(test))
-        for j in range(len(train))
-    ]
-    flat = _run_indexed(tasks, workers)
+    flat = _symmetric_distances([(a, b) for a in test for b in train], cfg, workers)
     dists = np.array(flat).reshape(len(test), len(train))
 
     predictions = []

@@ -132,6 +132,20 @@ class TestCommands:
         assert lines[0].startswith("id,graph_000.json")
         assert len(lines) == 4
 
+    def test_pairwise_labels_colliding_names_by_path(self, tmp_path, capsys):
+        # two inputs share a base name: rows and columns use the paths as given
+        files = []
+        for seed, name in ((1, "a"), (2, "b")):
+            assert main(["generate", "--family", "binomial", "--count", "1",
+                         "--sizes", "4", "5", "--seed", str(seed),
+                         "--out-dir", str(tmp_path / name)]) == 0
+            files.append(str(tmp_path / name / "graph_000.json"))
+        capsys.readouterr()
+        assert main(["pairwise", *files]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert lines[0] == "id," + ",".join(files)
+        assert [line.split(",")[0] for line in lines[1:]] == files
+
     def test_bench_recovery(self, capsys):
         rc = main([
             "bench-recovery", "--family", "binomial", "--sizes", "4", "5",
@@ -233,6 +247,24 @@ class TestExitCodes:
     def test_negative_workers_is_2(self, corpus_dir, capsys):
         self._assert_exit_2(["pairwise", *graphs_in(corpus_dir), "--workers", "-3"],
                             capsys, "workers must be at least 1")
+
+    @pytest.mark.parametrize("command", ["pairwise", "knn"])
+    def test_lambda_with_unattributed_graph_names_the_file_2(self, command, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        assert main(["generate", "--family", "letter_like", "--count", "2", "--seed", "1",
+                     "--out-dir", str(corpus)]) == 0
+        capsys.readouterr()
+        save_graph(random_symmetric_graph(4, np.random.default_rng(3)), tmp_path / "plain.json")
+        if command == "pairwise":
+            argv = ["pairwise", *graphs_in(corpus), str(tmp_path / "plain.json")]
+        else:
+            (tmp_path / "train.csv").write_text(
+                "corpus/graph_000.json,a\ncorpus/graph_001.json,b\n")
+            (tmp_path / "test.csv").write_text("plain.json\n")
+            argv = ["knn", "--train", str(tmp_path / "train.csv"),
+                    "--test", str(tmp_path / "test.csv")]
+        self._assert_exit_2([*argv, "--lambda", "1"], capsys,
+                            f"requires node attributes, but {tmp_path / 'plain.json'} has none")
 
     def test_model_mean_without_attributes_is_2(self, tmp_path, capsys):
         corpus, model = tmp_path / "corpus", tmp_path / "model.json"

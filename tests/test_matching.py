@@ -20,11 +20,15 @@ from graphspace.assignment import _lap_raw, objective_value
 from graphspace.matching import (
     _faq_descent,
     _faq_inits,
+    _faq_stack,
     _lift,
     _null_average,
     _pad_for,
+    _padded_size,
     _swap_deltas,
+    _two_exchange_stack,
     _vertex,
+    greedy_two_exchange,
 )
 
 
@@ -485,6 +489,90 @@ class TestTrackedProducts:
             swapped[a], swapped[b] = swapped[b], swapped[a]
             change = objective_value(a1, a2, d, lam, swapped) - base
             assert abs(deltas[a, b] - change) <= 1e-9 * (1.0 + abs(base))
+
+
+@st.composite
+def _stacks(draw):
+    """(a1, a2, d, lam, size, directed, seed): a stack of 1-6 random pairs
+    of one shape (1-6 nodes per side), padded as drawn, with node costs."""
+    directed = draw(st.booleans())
+    padding = draw(st.sampled_from(["two_way", "one_way", "none"]))
+    n1 = draw(st.integers(1, 6))
+    n2 = n1 if padding == "none" else draw(st.integers(1, 6))
+    b = draw(st.integers(1, 6))
+    lam = draw(st.sampled_from([0.0, 0.7]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+
+    def adjacency(n):
+        w = rng.normal(size=(b, n, n)) * (rng.random((b, n, n)) < 0.7)
+        w[:, np.arange(n), np.arange(n)] = 0.0
+        return w if directed else np.triu(w, 1) + np.swapaxes(np.triu(w, 1), 1, 2)
+
+    size = _padded_size(MatchConfig(padding=padding), n1, n2)
+    return adjacency(n1), adjacency(n2), rng.random((b, size, size)), lam, size, directed, seed
+
+
+def _padded(a, size):
+    out = np.zeros((len(a), size, size))
+    out[:, :a.shape[1], :a.shape[1]] = a
+    return out
+
+
+class TestStacks:
+    """Each entry of a stacked Frank-Wolfe run or two-exchange equals the
+    run of that entry alone, the stack of one behind ``_faq_descent`` and
+    ``greedy_two_exchange``, exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks(), st.sampled_from([1, 2, 3, 100]), st.booleans())
+    def test_faq_stack_entries_run_as_alone(self, stack, max_iter, random_starts):
+        a1, a2, d, lam, size, directed, seed = stack
+        b, n1, n2 = len(a1), a1.shape[1], a2.shape[1]
+        rng = np.random.default_rng(seed + 1)
+        if random_starts:
+            p0 = np.stack([np.eye(size)[rng.permutation(size)][:n2, :n1] for _ in range(b)])
+        else:
+            p0 = np.full((b, n2, n1), 1.0 / size)
+        d = d[:, :n1, :n2]
+        c_t = np.ascontiguousarray(lam * np.swapaxes(d, 1, 2)) if lam else None
+        got = _faq_stack(a1, a2, c_t, p0, max_iter, 1e-8, size, directed)
+        for e in range(b):
+            perm, objectives, steps, converged = _faq_descent(
+                a1[e], a2[e], d[e], lam, p0[e], max_iter, 1e-8, size, directed)
+            assert np.array_equal(got[e][0], perm)
+            assert got[e][1:] == (objectives, steps, converged)
+
+    def test_faq_stack_entries_stop_apart(self):
+        # one stack whose entries stop after different numbers of steps,
+        # one of them at max_iter without converging
+        rng = np.random.default_rng(8)
+        a1 = np.stack([random_symmetric_graph(5, rng).adjacency for _ in range(8)])
+        a2 = np.stack([random_symmetric_graph(5, rng).adjacency for _ in range(8)])
+        p0 = np.full((8, 5, 5), 0.1)
+        got = _faq_stack(a1, a2, None, p0, 4, 1e-8, 10, False)
+        assert len({len(steps) for _, _, steps, _ in got}) > 1
+        assert {converged for *_, converged in got} == {True, False}
+        for e in range(8):
+            alone = _faq_descent(a1[e], a2[e], None, 0.0, p0[e], 4, 1e-8, 10, False)
+            assert np.array_equal(got[e][0], alone[0]) and got[e][1:] == alone[1:]
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks())
+    def test_two_exchange_stack_entries_run_as_alone(self, stack):
+        a1, a2, d, lam, size, directed, seed = stack
+        a1, a2 = _padded(a1, size), _padded(a2, size)
+        d = d if lam else None
+        rng = np.random.default_rng(seed + 1)
+        perms = [rng.permutation(size) for _ in range(len(a1))]
+        objs = [objective_value(a1[e], a2[e], None if d is None else d[e], lam, perms[e])
+                for e in range(len(a1))]
+        got = _two_exchange_stack(a1, a2, d, lam, perms, objs, directed)
+        for e, (perm, objectives, obj) in enumerate(got):
+            alone = greedy_two_exchange(a1[e], a2[e], None if d is None else d[e], lam,
+                                        perms[e], objs[e], directed)
+            assert np.array_equal(perm, alone[0])
+            assert (objectives, obj) == alone[1:]
 
 
 class TestGraphDistance:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from conftest import oracle, random_symmetric_graph
+from conftest import oracle, random_directed_graph, random_symmetric_graph
 from graphspace import (
+    Graph,
     MatchConfig,
     bench_recovery,
     binomial,
@@ -12,6 +13,7 @@ from graphspace import (
     knn_classify,
     letter_like,
     pairwise_distances,
+    symmetric_distance,
     symmetric_match,
     trial_rng,
 )
@@ -95,6 +97,103 @@ class TestDistances:
         m = np.array([[0.0, 1.5], [1.5, 0.0]])
         text = distance_csv(m, ["a", "b"])
         assert text == "id,a,b\na,0.0,1.5\nb,1.5,0.0\n"
+
+
+def _letters(seed, count):
+    return [letter_like(trial_rng(seed, k), node_drop=0.2) for k in range(count)]
+
+
+def _assert_matches_pair_by_pair(corpus, cfg, workers=1):
+    """pairwise_distances and knn_classify, which solve same-shape pairs as
+    one stack, equal symmetric_distance pair by pair, byte for byte."""
+    m = len(corpus)
+    want = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            want[i, j] = want[j, i] = symmetric_distance(corpus[i], corpus[j], cfg)
+    assert pairwise_distances(corpus, cfg, workers=workers).tobytes() == want.tobytes()
+    if m:
+        train, test = corpus[:(m + 1) // 2], corpus[(m + 1) // 2:]
+        _, dists = knn_classify(train, ["a"] * len(train), test, 1, cfg, workers=workers)
+        want = np.array([[symmetric_distance(g, h, cfg) for h in train] for g in test])
+        assert dists.tobytes() == want.reshape(len(test), len(train)).tobytes()
+
+
+class TestStackedBatches:
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("refinement", [False, True])
+    def test_letters(self, lam, refinement):
+        corpus = _letters(21, 14)
+        assert len({g.n for g in corpus}) > 1
+        _assert_matches_pair_by_pair(corpus, MatchConfig(lam=lam, refinement=refinement))
+
+    def test_directed_binomial(self):
+        rng = np.random.default_rng(22)
+        corpus = [random_directed_graph(int(rng.integers(2, 7)), rng) for _ in range(10)]
+        _assert_matches_pair_by_pair(corpus, MatchConfig(refinement=True))
+
+    @pytest.mark.parametrize("padding", ["two_way", "one_way"])
+    def test_restarts(self, padding):
+        cfg = MatchConfig(lam=0.5, padding=padding, restarts=2, refinement=True, seed=3)
+        _assert_matches_pair_by_pair(_letters(23, 10), cfg)
+
+    @pytest.mark.parametrize("solver", ["umeyama", "brute"])
+    def test_other_solvers(self, solver):
+        rng = np.random.default_rng(24)
+        corpus = [random_symmetric_graph(int(rng.integers(2, 6)), rng) for _ in range(6)]
+        _assert_matches_pair_by_pair(corpus, MatchConfig(solver=solver, refinement=True))
+
+    @pytest.mark.parametrize("sizes", [[], [4], [5] * 6, [1, 1, 2, 1, 3]],
+                             ids=["empty", "single", "same-size", "one-node"])
+    def test_edge_corpora(self, sizes):
+        rng = np.random.default_rng(25)
+        corpus = [random_symmetric_graph(n, rng) for n in sizes]
+        _assert_matches_pair_by_pair(corpus, MatchConfig(refinement=True))
+        _assert_matches_pair_by_pair(corpus, MatchConfig(padding="none" if len(set(sizes)) < 2
+                                                         else "one_way"))
+
+    def test_workers_split_stacks_without_changing_values(self):
+        corpus = _letters(26, 12)
+        cfg = MatchConfig(lam=1.0, refinement=True)
+        _assert_matches_pair_by_pair(corpus, cfg, workers=3)
+
+    def test_padding_none_rejects_unequal_sizes(self):
+        rng = np.random.default_rng(27)
+        corpus = [random_symmetric_graph(n, rng) for n in (3, 3, 4)]
+        with pytest.raises(ValueError, match="padding 'none' requires equal sizes"):
+            pairwise_distances(corpus, MatchConfig(padding="none"))
+
+
+class TestCorpusChecks:
+    """A corpus no pair of which could be matched is rejected before any
+    matching, naming the first graph at fault."""
+
+    def test_missing_attributes_named_by_index(self):
+        corpus = _letters(28, 3) + [random_symmetric_graph(4, np.random.default_rng(0))]
+        with pytest.raises(ValueError, match="graph 3 has none"):
+            pairwise_distances(corpus, MatchConfig(lam=1.0))
+        pairwise_distances(corpus, MatchConfig(lam=0.0))
+
+    def test_knn_names_training_or_test_graph(self):
+        letters = _letters(29, 3)
+        plain = random_symmetric_graph(4, np.random.default_rng(1))
+        cfg = MatchConfig(lam=1.0)
+        with pytest.raises(ValueError, match="training graph 1 has none"):
+            knn_classify([letters[0], plain], ["a", "b"], letters[1:], 1, cfg)
+        with pytest.raises(ValueError, match="test graph 2 has none"):
+            knn_classify(letters[:1], ["a"], [*letters[1:], plain], 1, cfg)
+
+    def test_attribute_dimension_mismatch(self):
+        letters = _letters(30, 2)
+        other = Graph(letters[0].adjacency, node_attrs=np.zeros((letters[0].n, 3)))
+        with pytest.raises(ValueError, match="dimension mismatch: graph 2 has 3, expected 2"):
+            pairwise_distances([*letters, other], MatchConfig(lam=1.0))
+
+    def test_mixed_directedness(self):
+        rng = np.random.default_rng(31)
+        corpus = [random_symmetric_graph(3, rng), random_directed_graph(3, rng)]
+        with pytest.raises(ValueError, match=r"directed graph against an undirected one \(graph 1\)"):
+            pairwise_distances(corpus)
 
 
 class TestKnn:
