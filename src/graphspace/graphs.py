@@ -233,7 +233,7 @@ def permute(g: Graph, p) -> Graph:
     p = as_permutation(p, g.n)
     idx = p.perm
     adj = np.zeros_like(g.adjacency)
-    adj[np.ix_(idx, idx)] = g.adjacency
+    adj[idx[:, None], idx] = g.adjacency
     attrs = None
     if g.node_attrs is not None:
         attrs = np.zeros_like(g.node_attrs)

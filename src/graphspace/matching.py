@@ -51,6 +51,7 @@ by shape.  A single pair is a stack of one: ``_faq_descent`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -521,13 +522,20 @@ def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     return _faq_stack(a1, a2, c_t, p0, max_iter, tol, size, directed)[0]
 
 
+@functools.lru_cache(maxsize=1024)
+def _restart_perm(seed: int, r: int, n: int) -> np.ndarray:
+    """The seeded permutation of restart ``r``; drawn once per (seed, r, n)."""
+    perm = np.random.default_rng(np.random.SeedSequence([seed, r])).permutation(n)
+    perm.setflags(write=False)
+    return perm
+
+
 def _faq_inits(cfg: MatchConfig, n: int):
     """The configured start, then ``cfg.restarts`` seeded random permutation matrices."""
     yield np.eye(n) if cfg.faq_init == "identity" or not n else np.full((n, n), 1.0 / n)
     for r in range(1, cfg.restarts + 1):
-        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, r]))
         m = np.zeros((n, n))
-        m[rng.permutation(n), np.arange(n)] = 1.0
+        m[_restart_perm(cfg.seed, r, n), np.arange(n)] = 1.0
         yield m
 
 
