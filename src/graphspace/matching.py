@@ -274,7 +274,7 @@ def _two_exchange_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
         if done:
             keep = np.ones(len(ids), dtype=bool)
             keep[done] = False
-            ids = [e for e, k in zip(ids, keep.tolist()) if k]
+            ids = [e for e, kept in zip(ids, keep.tolist()) if kept]
             cur, a1, a2 = cur[keep], a1[keep], a2[keep]
             d = None if d is None else d[keep]
 
@@ -494,8 +494,8 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, c_t: np.ndarray | None,
             iterates.append(p[done])
             keep = np.ones(len(ids), dtype=bool)
             keep[done] = False
-            ids = [e for e, k in zip(ids, keep.tolist()) if k]
-            f = [v for v, k in zip(f, keep.tolist()) if k]
+            ids = [e for e, kept in zip(ids, keep.tolist()) if kept]
+            f = [v for v, kept in zip(f, keep.tolist()) if kept]
             p, m_p, n_p, a1, a2 = p[keep], m_p[keep], n_p[keep], a1[keep], a2[keep]
             c_t = None if c_t is None else c_t[keep]
             at = at[:len(ids)]
