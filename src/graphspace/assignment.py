@@ -51,6 +51,7 @@ def objective_value(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     ``d[i, perm[i]]``.  Uses fsum so the value is independent of summation
     order (symmetric in the two graphs for the optimal permutation).
     """
+    perm = np.asarray(perm)
     diff = a1 - a2[perm[:, None], perm]
     # Zero differences add nothing to fsum's correctly rounded exact sum.
     diff = diff[diff != 0.0]
