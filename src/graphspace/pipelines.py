@@ -89,7 +89,7 @@ def _numbered(what: str, count: int) -> list[str]:
 
 # floats in one (B, n, n) array of a stack, at most; a larger group of
 # pairs is solved as several stacks
-_STACK_FLOATS = 1 << 20
+_STACK_FLOATS = 1 << 18
 
 
 def _symmetric_distances(pairs, cfg: MatchConfig, workers: int) -> list[float]:
