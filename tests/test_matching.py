@@ -494,11 +494,12 @@ class TestTrackedProducts:
 @st.composite
 def _stacks(draw):
     """(a1, a2, d, lam, size, directed, seed): a stack of 1-6 random pairs
-    of one shape (1-6 nodes per side), padded as drawn, with node costs."""
+    of one shape (1-12 nodes per side, so vertices reach the 9 pairs from
+    which numpy sums in blocks), padded as drawn, with node costs."""
     directed = draw(st.booleans())
     padding = draw(st.sampled_from(["two_way", "one_way", "none"]))
-    n1 = draw(st.integers(1, 6))
-    n2 = n1 if padding == "none" else draw(st.integers(1, 6))
+    n1 = draw(st.integers(1, 12))
+    n2 = n1 if padding == "none" else draw(st.integers(1, 12))
     b = draw(st.integers(1, 6))
     lam = draw(st.sampled_from([0.0, 0.7]))
     seed = draw(st.integers(0, 2**32 - 1))
