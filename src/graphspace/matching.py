@@ -244,13 +244,15 @@ def _two_exchange_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     single = a1.ndim == 2
     cur = np.array(perms, dtype=int)
     n = cur.shape[1]
+    if n < 2:  # no two slots to swap
+        return [(p, (), o) for p, o in zip(cur, objs)]
     objs = list(objs)
     trails = [[] for _ in objs]
     final = [None] * len(objs)
     ids = list(range(len(objs)))
     while True:
         deltas = _swap_deltas(a1, a2, d, lam, cur[0] if single else cur,
-                              directed).reshape(len(ids), -1)
+                              directed).reshape(len(ids), n * n)
         done = []
         for j, k in enumerate(deltas.argmin(axis=1).tolist()):
             e = ids[j]
@@ -358,8 +360,8 @@ def _dots(x: np.ndarray, y: np.ndarray) -> list[float]:
     """
     if x.ndim == 2 or len(x) == 1:
         return [float(np.vdot(x, y))]
-    b = len(x)
-    return (x.reshape(b, 1, -1) @ y.reshape(b, -1, 1)).ravel().tolist()
+    b, k = len(x), x.shape[1] * x.shape[2]
+    return (x.reshape(b, 1, k) @ y.reshape(b, k, 1)).ravel().tolist()
 
 
 def _by_length(verts, at: np.ndarray | None):
@@ -502,7 +504,7 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, c_t: np.ndarray | None,
     # project each doubly stochastic iterate back to a permutation
     weights = -_null_average(np.concatenate([*iterates, p]) if iterates else p, size)
     out = [None] * nb
-    for e, w in zip(stopped + ids, weights.reshape(-1, n2, n1)):
+    for e, w in zip(stopped + ids, weights.reshape(nb, n2, n1)):
         out[e] = (_lift(*_vertex(w.T, partial), n1, n2, size), tuple(objectives[e]),
                   tuple(steps[e]), converged[e])
     return out

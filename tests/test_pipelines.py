@@ -143,8 +143,8 @@ class TestStackedBatches:
         corpus = [random_symmetric_graph(int(rng.integers(2, 6)), rng) for _ in range(6)]
         _assert_matches_pair_by_pair(corpus, MatchConfig(solver=solver, refinement=True))
 
-    @pytest.mark.parametrize("sizes", [[], [4], [5] * 6, [1, 1, 2, 1, 3]],
-                             ids=["empty", "single", "same-size", "one-node"])
+    @pytest.mark.parametrize("sizes", [[], [4], [5] * 6, [1, 1, 2, 1, 3], [0, 3, 1, 0]],
+                             ids=["empty", "single", "same-size", "one-node", "no-node"])
     def test_edge_corpora(self, sizes):
         rng = np.random.default_rng(25)
         corpus = [random_symmetric_graph(n, rng) for n in sizes]
