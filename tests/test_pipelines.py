@@ -165,7 +165,7 @@ class TestStackedBatches:
 
 
 class TestCorpusChecks:
-    """A corpus no pair of which could be matched is rejected before any
+    """A corpus with a pair that cannot be matched is rejected before any
     matching, naming the first graph at fault."""
 
     def test_missing_attributes_named_by_index(self):
