@@ -341,6 +341,8 @@ def _lift(rows: np.ndarray, cols: np.ndarray, n1: int, n2: int, size: int) -> np
     Unmatched real nodes go to the first null slots; null nodes then fill
     the remaining slots in increasing order.
     """
+    if len(rows) == size:  # a full square assignment: rows is arange(size)
+        return cols
     perm = np.full(size, -1)
     perm[rows] = cols
     taken = np.zeros(size, dtype=bool)
@@ -444,7 +446,7 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, c_t: np.ndarray | None,
     nb = len(p0) if p0.ndim == 3 else 1
     at = np.arange(nb)[:, None] if p0.ndim == 3 else None
     partial = size >= n1 + n2
-    p = np.array(p0)
+    p = p0.copy()
     m_p = a2 @ p @ a1.swapaxes(-1, -2)
     n_p = a2.swapaxes(-1, -2) @ p @ a1 if directed else m_p
     f = _relaxed(m_p, p, c_t)
