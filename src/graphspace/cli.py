@@ -25,7 +25,8 @@ from .documents import (
     save_graph,
 )
 from .generators import FAMILIES, generate, trial_rng
-from .matching import _PADDINGS, _SOLVERS, MatchConfig, geodesic, graph_distance
+from .graphs import _PADDINGS
+from .matching import _SOLVERS, MatchConfig, geodesic, graph_distance
 from .pipelines import (
     _check_corpus,
     bench_recovery,
@@ -134,7 +135,9 @@ def _cmd_geodesic(args) -> int:
 
 def _cmd_mean(args) -> int:
     graphs = [load_graph(p) for p in args.inputs]
-    gm = karcher_mean(graphs, _cfg(args), max_outer=args.max_outer, tol=args.mean_tol)
+    cfg = _cfg(args)
+    _check_corpus(graphs, cfg, args.inputs)  # names the input file at fault
+    gm = karcher_mean(graphs, cfg, max_outer=args.max_outer, tol=args.mean_tol)
     save_graph(gm.mu, args.out)
     manifest = {
         "template_size": gm.mu.n,
@@ -150,7 +153,9 @@ def _cmd_mean(args) -> int:
 
 def _cmd_pca(args) -> int:
     graphs = [load_graph(p) for p in args.inputs]
-    model = graph_pca(graphs, _cfg(args), include_nodes=args.include_nodes,
+    cfg = _cfg(args)
+    _check_corpus(graphs, cfg, args.inputs)  # names the input file at fault
+    model = graph_pca(graphs, cfg, include_nodes=args.include_nodes,
                       max_outer=args.max_outer, tol=args.mean_tol)
     if args.components:
         if args.components > model.n_components:

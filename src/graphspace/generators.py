@@ -68,8 +68,8 @@ def full_heavy_tailed(n: int, rng) -> Graph:
 
 
 def letter_like(rng, coord_noise: float = 0.15, edge_noise: float = 0.05,
-                node_drop: float = 0.0, coords=None, edges=None) -> Graph:
-    """Distorted copy of a letter prototype with 2-d coordinates as attributes.
+                node_drop: float = 0.0) -> Graph:
+    """Distorted copy of the capital-A prototype with 2-d coordinates as attributes.
 
     Each node survives with probability 1 - node_drop (at least two always
     survive), every coordinate gets Gaussian jitter, and every surviving
@@ -78,11 +78,9 @@ def letter_like(rng, coord_noise: float = 0.15, edge_noise: float = 0.05,
     if coord_noise < 0 or not 0 <= edge_noise <= 1 or not 0 <= node_drop < 1:
         raise ValueError("invalid distortion parameters")
     rng = _as_rng(rng)
-    coords = LETTER_A_COORDS if coords is None else np.asarray(coords, dtype=float)
-    edges = LETTER_A_EDGES if edges is None else tuple(edges)
-    n0 = coords.shape[0]
+    n0 = LETTER_A_COORDS.shape[0]
     adj0 = np.zeros((n0, n0))
-    for i, j in edges:
+    for i, j in LETTER_A_EDGES:
         adj0[i, j] = adj0[j, i] = 1.0
 
     keep = rng.random(n0) >= node_drop
@@ -91,7 +89,7 @@ def letter_like(rng, coord_noise: float = 0.15, edge_noise: float = 0.05,
         keep[:2] = True
     idx = np.flatnonzero(keep)
     adj = adj0[np.ix_(idx, idx)]
-    pos = coords[idx] + rng.normal(scale=coord_noise, size=(len(idx), 2))
+    pos = LETTER_A_COORDS[idx] + rng.normal(scale=coord_noise, size=(len(idx), 2))
 
     n = len(idx)
     flips = np.triu(rng.random((n, n)) < edge_noise, k=1)

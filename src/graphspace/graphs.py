@@ -8,9 +8,9 @@ triangles of an undirected matrix, each undirected edge contributes twice;
 distances are a factor sqrt(2) larger than upper-triangle conventions.
 
 Null (padding) nodes are unattached nodes with zero edge weights and zero
-attribute rows.  Their attribute is never materialized: during matching it
-enters only through zeroed rows/columns of the extended node-distance
-matrix, so matching a real node to a null node is attribute-cost-free.
+attribute rows.  Their attribute is never materialized: it enters only
+through the rows and columns that ``node_distance_matrix`` zeroes, so
+matching a real node to a null node is attribute-cost-free.
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ __all__ = [
     "to_laplacian",
     "from_laplacian",
 ]
+
+_PADDINGS = ("two_way", "one_way", "none")
 
 
 def _as_square_float(adjacency) -> np.ndarray:
@@ -260,29 +262,30 @@ def pad_to_size(g: Graph, m: int) -> Graph:
     return Graph._trusted(adj, attrs, g.directed, mask)
 
 
-def pad_pair(g1: Graph, g2: Graph, mode: str = "two_way", size: int | None = None):
+def _padded_size(mode: str, n1: int, n2: int) -> int:
+    """Node count of a pair of sizes n1 and n2 padded as ``mode`` says."""
+    if mode == "two_way":
+        return n1 + n2
+    if mode == "one_way":
+        return max(n1, n2)
+    if mode != "none":
+        raise ValueError(f"unknown padding mode {mode!r}")
+    if n1 != n2:
+        raise ValueError(f"padding 'none' requires equal sizes, got {n1} vs {n2}")
+    return n1
+
+
+def pad_pair(g1: Graph, g2: Graph, mode: str = "two_way"):
     """Pad two graphs to a common size with null nodes.
 
     ``two_way`` brings both to size n1 + n2 (null nodes added even when the
     sizes already agree, which gives the matcher freedom to park nodes on
-    null slots).  ``to_size`` pads both up to ``size``, which must be at
-    least max(n1, n2); this is the one-way variant used when registering a
-    corpus against a fixed template.
+    null slots), ``one_way`` to max(n1, n2), and ``none`` leaves a pair of
+    equal sizes as it is.
     """
     if g1.directed != g2.directed:
         raise ValueError("cannot pad a directed graph against an undirected one")
-    if mode == "two_way":
-        m = g1.n + g2.n
-    elif mode == "to_size":
-        if size is None:
-            raise ValueError("mode 'to_size' requires a target size")
-        if size < max(g1.n, g2.n):
-            raise ValueError(
-                f"target size {size} is smaller than max input size {max(g1.n, g2.n)}"
-            )
-        m = size
-    else:
-        raise ValueError(f"unknown padding mode {mode!r}")
+    m = _padded_size(mode, g1.n, g2.n)
     return pad_to_size(g1, m), pad_to_size(g2, m)
 
 
@@ -302,20 +305,22 @@ def ambient_distance(g1: Graph, g2: Graph) -> float:
     return math.sqrt(math.fsum((diff * diff).ravel().tolist()))
 
 
-def _squared_distances(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """||x1_i - x2_j||^2 between the rows of ``x1`` and ``x2``, per entry of
-    any leading stack axes (each entry as computed alone)."""
+def _null_costs(x1: np.ndarray, null1: np.ndarray, x2: np.ndarray,
+                null2: np.ndarray) -> np.ndarray:
+    """||x1_i - x2_j||^2 between the rows of ``x1`` and ``x2``, zero on every
+    row of a null node of ``null1`` and every column of one of ``null2``,
+    per entry of any leading stack axes (each entry as computed alone)."""
     diff = x1[..., :, None, :] - x2[..., None, :, :]
-    return np.einsum("...ijk,...ijk->...ij", diff, diff)
+    d = np.einsum("...ijk,...ijk->...ij", diff, diff)
+    return np.where(null1[..., :, None] | null2[..., None, :], 0.0, d)
 
 
-def node_distance_matrix(g1: Graph, g2: Graph, extended: bool = False) -> np.ndarray:
+def node_distance_matrix(g1: Graph, g2: Graph) -> np.ndarray:
     """Pairwise squared attribute distances, d_ij = ||attr1_i - attr2_j||^2.
 
-    With ``extended=True`` every row or column belonging to a null node of
-    either graph is set to zero, realizing the convention that a null
-    node's attribute equals whatever it is matched against and therefore
-    never contributes cost.
+    Every row or column belonging to a null node of either graph is zero,
+    realizing the convention that a null node's attribute equals whatever
+    it is matched against and therefore never contributes cost.
     """
     if g1.node_attrs is None or g2.node_attrs is None:
         raise ValueError("node_distance_matrix requires node attributes on both graphs")
@@ -323,11 +328,7 @@ def node_distance_matrix(g1: Graph, g2: Graph, extended: bool = False) -> np.nda
         raise ValueError(
             f"attribute dimension mismatch: {g1.attr_dim} vs {g2.attr_dim}"
         )
-    d = _squared_distances(g1.node_attrs, g2.node_attrs)
-    if extended:
-        d[g1.null_mask, :] = 0.0
-        d[:, g2.null_mask] = 0.0
-    return d
+    return _null_costs(g1.node_attrs, g1.null_mask, g2.node_attrs, g2.null_mask)
 
 
 def to_laplacian(g: Graph) -> np.ndarray:

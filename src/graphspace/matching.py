@@ -59,11 +59,13 @@ import numpy as np
 
 from .assignment import BRUTE_FORCE_MAX_NODES, _lap_raw, brute_force_match, objective_value
 from .graphs import (
+    _PADDINGS,
     Graph,
     Permutation,
-    _squared_distances,
+    _null_costs,
+    _padded_size,
     node_distance_matrix,
-    pad_to_size,
+    pad_pair,
     permute,
 )
 
@@ -75,7 +77,6 @@ __all__ = [
     "geodesic",
 ]
 
-_PADDINGS = ("two_way", "one_way", "none")
 _SOLVERS = ("faq", "umeyama", "brute")
 _FAQ_INITS = ("barycenter", "identity")
 
@@ -175,22 +176,6 @@ def build_match_result(g1_padded: Graph, g2_padded: Graph, perm: np.ndarray,
         co_optimal=co_optimal,
         n_co_optimal=n_co_optimal,
     )
-
-
-def _padded_size(cfg: MatchConfig, n1: int, n2: int) -> int:
-    """Node count of a pair padded as ``cfg.padding`` says."""
-    if cfg.padding == "two_way":
-        return n1 + n2
-    if cfg.padding == "one_way":
-        return max(n1, n2)
-    if n1 != n2:
-        raise ValueError(f"padding 'none' requires equal sizes, got {n1} vs {n2}")
-    return n1
-
-
-def _pad_for(cfg: MatchConfig, g1: Graph, g2: Graph):
-    size = _padded_size(cfg, g1.n, g2.n)
-    return pad_to_size(g1, size), pad_to_size(g2, size)
 
 
 def _swap_deltas(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
@@ -415,18 +400,19 @@ def _relaxed(m_p: np.ndarray, p: np.ndarray, c_t: np.ndarray | None) -> list[flo
     return [c - v for v, c in zip(_dots(m_p, p), _dots(c_t, p))]
 
 
-def _faq_stack(a1: np.ndarray, a2: np.ndarray, c_t: np.ndarray | None,
+def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
                p0: np.ndarray, max_iter: int, tol: float, size: int, directed: bool):
     """Frank-Wolfe over the doubly stochastic polytope with exact line search,
     on a stack of same-shape pairs padded to ``size`` nodes.
 
     ``a1`` (B, n1, n1) and ``a2`` (B, n2, n2) are the unpadded adjacencies,
-    ``c_t`` (B, n2, n1) the node term lam D^T (None without one) and ``p0``
-    (B, n2, n1) the real blocks of the padded starts; ``directed`` says
-    whether the adjacencies may be asymmetric.  A single pair may come as
-    2-D blocks without the stack axis, which spares it the stack's
-    indexing.  Returns per entry the padded permutation with the relaxed
-    objectives, step sizes and convergence.
+    ``d`` (B, n1, n2) the real blocks of the node costs (None without them),
+    weighted by ``lam``, and ``p0`` (B, n2, n1) the real blocks of the
+    padded starts; ``directed`` says whether the adjacencies may be
+    asymmetric.  A single pair may come as 2-D blocks without the stack
+    axis, which spares it the stack's indexing.  Returns per entry the
+    padded permutation with the relaxed objectives, step sizes and
+    convergence.
 
     Every entry has its own line search and stopping test, and runs
     exactly as it would alone: dense products and inner products are taken
@@ -446,6 +432,8 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, c_t: np.ndarray | None,
     nb = len(p0) if p0.ndim == 3 else 1
     at = np.arange(nb)[:, None] if p0.ndim == 3 else None
     partial = size >= n1 + n2
+    c_t = (np.ascontiguousarray(lam * d.swapaxes(-1, -2))
+           if (d is not None and lam != 0.0) else None)
     p = p0.copy()
     m_p = a2 @ p @ a1.swapaxes(-1, -2)
     n_p = a2.swapaxes(-1, -2) @ p @ a1 if directed else m_p
@@ -522,8 +510,7 @@ def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     the padded permutation with the relaxed objectives, step sizes and
     convergence.
     """
-    c_t = np.ascontiguousarray(lam * d.T) if (d is not None and lam != 0.0) else None
-    return _faq_stack(a1, a2, c_t, p0, max_iter, tol, size, directed)[0]
+    return _faq_stack(a1, a2, d, lam, p0, max_iter, tol, size, directed)[0]
 
 
 @functools.lru_cache(maxsize=1024)
@@ -631,15 +618,13 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     when a symmetric value is required.
     """
     cfg = cfg or MatchConfig()
-    if g1.directed != g2.directed:
-        raise ValueError("cannot match a directed graph against an undirected one")
+    g1p, g2p = pad_pair(g1, g2, cfg.padding)
     if cfg.solver == "umeyama" and g1.directed:
         raise ValueError(
             "spectral matching requires symmetric adjacency matrices; "
             "use the 'faq' solver for directed graphs"
         )
-    g1p, g2p = _pad_for(cfg, g1, g2)
-    d = None if cfg.lam == 0.0 else node_distance_matrix(g1p, g2p, extended=True)
+    d = None if cfg.lam == 0.0 else node_distance_matrix(g1p, g2p)
     a1, a2 = g1p.adjacency, g2p.adjacency
     co_optimal, n_co_optimal = (), 0
     if cfg.solver == "brute":
@@ -687,7 +672,7 @@ def _zero_padded(stack: np.ndarray, size: int) -> np.ndarray:
 
 
 def _node_costs(g1s, g2s, size: int) -> np.ndarray:
-    """``node_distance_matrix(extended=True)`` of every pair padded to ``size``."""
+    """``node_distance_matrix`` of every pair padded to ``size``."""
     def padded(graphs):
         x = np.zeros((len(graphs), size, graphs[0].attr_dim))
         x[:, :graphs[0].n] = np.stack([g.node_attrs for g in graphs])
@@ -695,8 +680,7 @@ def _node_costs(g1s, g2s, size: int) -> np.ndarray:
         null[:, :graphs[0].n] = np.stack([g.null_mask for g in graphs])
         return x, null
 
-    (x1, null1), (x2, null2) = padded(g1s), padded(g2s)
-    return np.where(null1[:, :, None] | null2[:, None, :], 0.0, _squared_distances(x1, x2))
+    return _null_costs(*padded(g1s), *padded(g2s))
 
 
 def _faq_objectives(cfg: MatchConfig, pairs) -> list[float]:
@@ -710,15 +694,14 @@ def _faq_objectives(cfg: MatchConfig, pairs) -> list[float]:
     """
     g1s, g2s = [g for g, _ in pairs], [g for _, g in pairs]
     n1, n2, directed = g1s[0].n, g2s[0].n, g1s[0].directed
-    size = _padded_size(cfg, n1, n2)
+    size = _padded_size(cfg.padding, n1, n2)
     adj1 = np.stack([g.adjacency for g in g1s])
     adj2 = np.stack([g.adjacency for g in g2s])
     a1, a2 = _zero_padded(adj1, size), _zero_padded(adj2, size)
-    d = c_t = None
-    if cfg.lam != 0.0:
-        d = _node_costs(g1s, g2s, size)
-        c_t = np.ascontiguousarray(cfg.lam * d[:, :n1, :n2].swapaxes(1, 2))
-    rounds = (_faq_stack(adj1, adj2, c_t, np.broadcast_to(p0[:n2, :n1], (len(pairs), n2, n1)),
+    d = None if cfg.lam == 0.0 else _node_costs(g1s, g2s, size)
+    d_real = None if d is None else d[:, :n1, :n2]
+    rounds = (_faq_stack(adj1, adj2, d_real, cfg.lam,
+                         np.broadcast_to(p0[:n2, :n1], (len(pairs), n2, n1)),
                          cfg.max_iter, cfg.tol, size, directed)
               for p0 in _faq_inits(cfg, size))
     refine = None

@@ -238,7 +238,9 @@ def graph_pca(graphs, cfg: MatchConfig | None = None, include_nodes: bool = Fals
     residuals A_i* - A_mu over the strict upper triangle (full
     off-diagonal when directed), appends sqrt(lambda)-scaled attribute
     residuals when ``include_nodes``, centers, and takes a thin SVD.
-    A corpus of identical graphs yields all-zero singular values.
+    A corpus of identical graphs yields all-zero singular values.  A given
+    ``mean`` must be the one of ``graphs``: one registration per graph, on
+    a template no smaller than the largest graph.
     """
     graphs = list(graphs)
     if len(graphs) < 2:
@@ -246,6 +248,12 @@ def graph_pca(graphs, cfg: MatchConfig | None = None, include_nodes: bool = Fals
     cfg = cfg or MatchConfig()
     if include_nodes and cfg.lam <= 0:
         raise ValueError("include_nodes requires lambda > 0 (attribute block scale)")
+    if mean is not None:
+        largest = max(g.n for g in graphs)
+        if len(mean.registrations) != len(graphs) or mean.mu.n < largest:
+            raise ValueError(
+                f"a mean of {len(mean.registrations)} graphs on a {mean.mu.n}-node template "
+                f"does not fit {len(graphs)} graphs of up to {largest} nodes")
     gm = mean if mean is not None else karcher_mean(graphs, cfg, max_outer, tol)
     mu = gm.mu
     size, directed = mu.n, mu.directed

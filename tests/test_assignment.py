@@ -21,7 +21,7 @@ def exhaustive_match(g1, g2, lam):
     """Score every permutation in lexicographic order (the scan the oracle
     must agree with): (best perm, objective, n_co_optimal, co_optimal)."""
     n = g1.n
-    d = node_distance_matrix(g1, g2, extended=True) if lam != 0.0 else None
+    d = node_distance_matrix(g1, g2) if lam != 0.0 else None
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
     scores = _chunk_scores(g1.adjacency, g2.adjacency, d, lam, perms)
     idx = np.flatnonzero(scores == scores.min())
@@ -87,7 +87,7 @@ class TestObjectiveValue:
         # zero differences are skipped; the correctly rounded sum must not move
         g1, g2, lam = pair
         perm = np.array(rnd.sample(range(g1.n), g1.n), dtype=int)
-        d = node_distance_matrix(g1, g2, extended=True) if lam else None
+        d = node_distance_matrix(g1, g2) if lam else None
         diff = g1.adjacency - g2.adjacency[np.ix_(perm, perm)]
         expected = math.fsum((diff * diff).ravel().tolist())
         if lam:

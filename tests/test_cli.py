@@ -248,7 +248,7 @@ class TestExitCodes:
         self._assert_exit_2(["pairwise", *graphs_in(corpus_dir), "--workers", "-3"],
                             capsys, "workers must be at least 1")
 
-    @pytest.mark.parametrize("command", ["pairwise", "knn"])
+    @pytest.mark.parametrize("command", ["pairwise", "knn", "mean", "pca"])
     def test_lambda_with_unattributed_graph_names_the_file_2(self, command, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         assert main(["generate", "--family", "letter_like", "--count", "2", "--seed", "1",
@@ -257,6 +257,9 @@ class TestExitCodes:
         save_graph(random_symmetric_graph(4, np.random.default_rng(3)), tmp_path / "plain.json")
         if command == "pairwise":
             argv = ["pairwise", *graphs_in(corpus), str(tmp_path / "plain.json")]
+        elif command in ("mean", "pca"):
+            argv = [command, *graphs_in(corpus), str(tmp_path / "plain.json"),
+                    "--out", str(tmp_path / "out.json")]
         else:
             (tmp_path / "train.csv").write_text(
                 "corpus/graph_000.json,a\ncorpus/graph_001.json,b\n")

@@ -164,18 +164,34 @@ class TestPadding:
         assert p1.null_mask.tolist() == [False, False, True, True, True]
         assert p2.null_mask.tolist() == [False, False, False, True, True]
 
-    def test_to_size_noop_at_own_size(self):
+    @pytest.mark.parametrize("mode", ["one_way", "none"])
+    def test_noop_at_own_size(self, mode):
         rng = np.random.default_rng(5)
         g = random_symmetric_graph(4, rng)
-        p1, p2 = pad_pair(g, g, "to_size", size=4)
+        p1, p2 = pad_pair(g, g, mode)
         assert p1 is g and p2 is g
 
-    def test_to_size_too_small_rejected(self):
+    def test_none_rejects_unequal_sizes(self):
         rng = np.random.default_rng(6)
         g1 = random_symmetric_graph(4, rng)
         g2 = random_symmetric_graph(2, rng)
-        with pytest.raises(ValueError, match="smaller than"):
-            pad_pair(g1, g2, "to_size", size=3)
+        with pytest.raises(ValueError, match="padding 'none' requires equal sizes"):
+            pad_pair(g1, g2, "none")
+
+    def test_unknown_mode_rejected(self):
+        g = Graph(np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="unknown padding mode 'to_size'"):
+            pad_pair(g, g, "to_size")
+
+    @pytest.mark.parametrize("mode", ["two_way", "one_way", "none"])
+    def test_graph_distance_pads_as_pad_pair(self, mode):
+        rng = np.random.default_rng(10)
+        g1 = random_symmetric_graph(3, rng)
+        g2 = random_symmetric_graph(3 if mode == "none" else 5, rng)
+        want = pad_pair(g1, g2, mode)[1]
+        got = graph_distance(g1, g2, MatchConfig(padding=mode)).g2_padded
+        assert got.n == want.n
+        assert np.array_equal(got.null_mask, want.null_mask)
 
     def test_pads_attrs_with_zero_rows(self):
         g = Graph(np.zeros((2, 2)), node_attrs=[[1.0, 2.0], [3.0, 4.0]])
@@ -238,7 +254,7 @@ class TestNodeDistanceMatrix:
         g1 = Graph(np.zeros((1, 1)), node_attrs=[[1.0]])
         g2 = Graph(np.zeros((1, 1)), node_attrs=[[4.0]])
         p1, p2 = pad_pair(g1, g2, "two_way")
-        d = node_distance_matrix(p1, p2, extended=True)
+        d = node_distance_matrix(p1, p2)
         assert d.shape == (2, 2)
         assert d[0, 0] == 9.0
         assert d[0, 1] == d[1, 0] == d[1, 1] == 0.0

@@ -17,14 +17,13 @@ from graphspace import (
 )
 import graphspace.matching as matching
 from graphspace.assignment import _lap_raw, objective_value
+from graphspace.graphs import _padded_size
 from graphspace.matching import (
     _faq_descent,
     _faq_inits,
     _faq_stack,
     _lift,
     _null_average,
-    _pad_for,
-    _padded_size,
     _swap_deltas,
     _two_exchange_stack,
     _vertex,
@@ -447,9 +446,9 @@ class TestTrackedProducts:
         g1, g2, lam, directed, padding, seed = pair
         cfg = MatchConfig(lam=lam, padding=padding, faq_init=faq_init, restarts=1,
                           seed=seed)
-        g1p, g2p = _pad_for(cfg, g1, g2)
+        g1p, g2p = pad_pair(g1, g2, padding)
         n1, n2, size = g1.n, g2.n, g1p.n
-        d = node_distance_matrix(g1p, g2p, extended=True)[:n1, :n2] if lam else None
+        d = node_distance_matrix(g1p, g2p)[:n1, :n2] if lam else None
         for p0 in _faq_inits(cfg, size):
             args = (g1.adjacency, g2.adjacency, d, lam, p0[:n2, :n1], cfg.max_iter,
                     cfg.tol, size)
@@ -477,9 +476,9 @@ class TestTrackedProducts:
     @given(_seeded_pairs())
     def test_swap_deltas_are_objective_changes(self, pair):
         g1, g2, lam, directed, padding, seed = pair
-        g1p, g2p = _pad_for(MatchConfig(padding=padding), g1, g2)
+        g1p, g2p = pad_pair(g1, g2, padding)
         a1, a2, n = g1p.adjacency, g2p.adjacency, g1p.n
-        d = node_distance_matrix(g1p, g2p, extended=True) if lam else None
+        d = node_distance_matrix(g1p, g2p) if lam else None
         perm = np.random.default_rng(seed).permutation(n)
         base = objective_value(a1, a2, d, lam, perm)
         deltas = _swap_deltas(a1, a2, d, lam, perm, directed)
@@ -510,7 +509,7 @@ def _stacks(draw):
         w[:, np.arange(n), np.arange(n)] = 0.0
         return w if directed else np.triu(w, 1) + np.swapaxes(np.triu(w, 1), 1, 2)
 
-    size = _padded_size(MatchConfig(padding=padding), n1, n2)
+    size = _padded_size(padding, n1, n2)
     return adjacency(n1), adjacency(n2), rng.random((b, size, size)), lam, size, directed, seed
 
 
@@ -536,8 +535,7 @@ class TestStacks:
         else:
             p0 = np.full((b, n2, n1), 1.0 / size)
         d = d[:, :n1, :n2]
-        c_t = np.ascontiguousarray(lam * np.swapaxes(d, 1, 2)) if lam else None
-        got = _faq_stack(a1, a2, c_t, p0, max_iter, 1e-8, size, directed)
+        got = _faq_stack(a1, a2, d, lam, p0, max_iter, 1e-8, size, directed)
         for e in range(b):
             perm, objectives, steps, converged = _faq_descent(
                 a1[e], a2[e], d[e], lam, p0[e], max_iter, 1e-8, size, directed)
@@ -551,7 +549,7 @@ class TestStacks:
         a1 = np.stack([random_symmetric_graph(5, rng).adjacency for _ in range(8)])
         a2 = np.stack([random_symmetric_graph(5, rng).adjacency for _ in range(8)])
         p0 = np.full((8, 5, 5), 0.1)
-        got = _faq_stack(a1, a2, None, p0, 4, 1e-8, 10, False)
+        got = _faq_stack(a1, a2, None, 0.0, p0, 4, 1e-8, 10, False)
         assert len({len(steps) for _, _, steps, _ in got}) > 1
         assert {converged for *_, converged in got} == {True, False}
         for e in range(8):

@@ -270,6 +270,17 @@ class TestGraphPca:
         with pytest.raises(ValueError, match="two"):
             graph_pca([random_symmetric_graph(4, rng)])
 
+    def test_mean_of_another_corpus_rejected(self):
+        rng = np.random.default_rng(19)
+        five = perturbed_corpus(random_symmetric_graph(6, rng), 5, rng)
+        with pytest.raises(ValueError, match="mean of 5 graphs .* does not fit 3 graphs"):
+            graph_pca(five[:3], mean=karcher_mean(five))
+        large = perturbed_corpus(random_symmetric_graph(9, rng), 3, rng)
+        with pytest.raises(ValueError, match="6-node template does not fit .* up to 9 nodes"):
+            graph_pca(large, mean=karcher_mean(five[:3]))
+        own = graph_pca(five[:3], mean=karcher_mean(five[:3]))
+        assert own.n_samples == 3
+
     def test_include_nodes_round_trip(self):
         rng = np.random.default_rng(16)
         corpus = [letter_like(rng, coord_noise=0.2, edge_noise=0.0) for _ in range(5)]
