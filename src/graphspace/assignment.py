@@ -61,6 +61,24 @@ def objective_value(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     return total
 
 
+def _objective_values(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
+                      lam: float, perms: np.ndarray) -> list[float]:
+    """``objective_value`` of every entry of (B, n, n) stacks and (B, n)
+    ``perms``, bit for bit: the differences of all entries are gathered at
+    once, and each entry keeps its own fsums."""
+    lead = np.arange(len(perms))[:, None]
+    diff = a1 - a2[lead[:, :, None], perms[:, :, None], perms[:, None, :]]
+    nonzero = diff != 0.0
+    vals = diff[nonzero]
+    squares = (vals * vals).tolist()
+    ends = np.cumsum(nonzero.sum(axis=(1, 2))).tolist()
+    totals = [math.fsum(squares[start:end]) for start, end in zip([0, *ends], ends)]
+    if lam != 0.0 and d is not None:
+        node = d[lead, np.arange(perms.shape[1]), perms].tolist()
+        totals = [total + lam * math.fsum(row) for total, row in zip(totals, node)]
+    return totals
+
+
 def _surviving_leaves(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
                       lam: float, directed: bool, ub: float):
     """Yield, in lexicographic order, blocks of permutations the bound keeps.

@@ -152,6 +152,8 @@ def _cmd_mean(args) -> int:
 
 
 def _cmd_pca(args) -> int:
+    if args.components < 0:
+        raise ValidationError(f"--components must be nonnegative, got {args.components}")
     graphs = [load_graph(p) for p in args.inputs]
     cfg = _cfg(args)
     _check_corpus(graphs, cfg, args.inputs)  # names the input file at fault
@@ -169,9 +171,14 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.components < 0:
+        raise ValidationError(f"--components must be nonnegative, got {args.components}")
     pca = pca_model_from_document(_read_json(args.model))
     if pca.n_components == 0 or float(pca.singular_values.max(initial=0.0)) == 0.0:
         raise ValidationError("model has no variance to sample from")
+    if args.components > pca.n_components:
+        raise ValidationError(
+            f"--components {args.components} exceeds available rank {pca.n_components}")
     k = args.components or components_for_variance(pca, 0.8)
     gauss = fit_gaussian(pca, k, threshold=args.threshold)
     graphs = sample_graphs(gauss, seed=args.seed, count=args.count)

@@ -42,11 +42,15 @@ The Frank-Wolfe loop (``_faq_stack``) and the two-exchange loop
 batch of many tiny matches needs: each iteration or sweep takes the dense
 products of all unfinished pairs at once, one LAP per pair, and the
 vertices' gathered products and sums over pairs of equal vertex size.
-Every pair keeps its own line search and stopping test, so it runs exactly
-as it would alone.  ``_faq_objectives`` scores a stack of pairs as
-``graph_distance`` scores one; ``pipelines`` groups the pairs of a batch
-by shape.  A single pair is a stack of one: ``_faq_descent`` and
-``greedy_two_exchange`` are its 2-D entry points into the same loops.
+Around the LAPs, the vertex step (``_vertices``), the lift of the final
+projection to padded permutations (``_lifts``) and the exact scoring of a
+round of candidates (``assignment._objective_values``) are array work over
+the whole stack.  Every pair keeps its own line search and stopping test,
+so it runs exactly as it would alone.  ``_faq_objectives`` scores a stack
+of pairs as ``graph_distance`` scores one; ``pipelines`` groups the pairs
+of a batch by shape.  A single pair is a stack of one: ``_faq_descent``
+and ``greedy_two_exchange`` are its 2-D entry points into the same loops,
+and it takes the per-pair ``_vertex``, ``_lift`` and ``objective_value``.
 """
 
 from __future__ import annotations
@@ -57,7 +61,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assignment import BRUTE_FORCE_MAX_NODES, _lap_raw, brute_force_match, objective_value
+from .assignment import (
+    BRUTE_FORCE_MAX_NODES,
+    _lap_raw,
+    _objective_values,
+    brute_force_match,
+    objective_value,
+)
 from .graphs import (
     _PADDINGS,
     Graph,
@@ -298,6 +308,21 @@ def _vertex(c: np.ndarray, partial: bool):
     return rows[keep], cols[keep]
 
 
+def _vertices(c: np.ndarray, partial: bool):
+    """``_vertex`` of every entry of a (B, n1, n2) cost stack, one LAP each.
+
+    Returns (B, min(n1, n2)) ``rows`` and ``cols``, every entry's pairs on
+    ``min(c, 0)`` under ``partial``, and the (B, min(n1, n2)) mask ``keep``
+    of the pairs ``_vertex`` keeps (None when it keeps them all).
+    """
+    laps = np.empty((len(c), 2, min(c.shape[1:])), dtype=int)
+    for j, x in enumerate(np.minimum(c, 0.0) if partial else c):
+        laps[j] = _lap_raw(x)
+    rows, cols = laps[:, 0], laps[:, 1]
+    keep = c[np.arange(len(c))[:, None], rows, cols] < 0.0 if partial else None
+    return rows, cols, keep
+
+
 def _null_average(x: np.ndarray, size: int) -> np.ndarray:
     """Real block of the padded iterate averaged over null relabelings.
 
@@ -339,6 +364,24 @@ def _lift(rows: np.ndarray, cols: np.ndarray, n1: int, n2: int, size: int) -> np
     return perm
 
 
+def _lifts(rows: np.ndarray, cols: np.ndarray, keep: np.ndarray | None,
+           n1: int, n2: int, size: int) -> np.ndarray:
+    """``_lift`` of every entry's kept pairs, from ``_vertices``' output:
+    the (B, size) padded permutations."""
+    if keep is None and rows.shape[1] == size:
+        return cols
+    lead = np.arange(len(rows))[:, None]
+    perm = np.full((len(rows), size), -1)
+    perm[lead, rows] = cols if keep is None else np.where(keep, cols, -1)
+    # the i-th unmatched real node of an entry parks on null slot n2 + i
+    unmatched = perm[:, :n1] < 0
+    perm[:, :n1] = np.where(unmatched, n2 - 1 + np.cumsum(unmatched, axis=1), perm[:, :n1])
+    taken = np.zeros((len(rows), size), dtype=bool)
+    taken[lead, perm[:, :n1]] = True
+    perm[:, n1:] = np.nonzero(~taken)[1].reshape(len(rows), size - n1)
+    return perm
+
+
 def _dots(x: np.ndarray, y: np.ndarray) -> list[float]:
     """``np.vdot`` of every entry pair of two stacks, or of two single blocks.
 
@@ -351,23 +394,21 @@ def _dots(x: np.ndarray, y: np.ndarray) -> list[float]:
     return (x.reshape(b, 1, k) @ y.reshape(b, k, 1)).ravel().tolist()
 
 
-def _by_length(verts, at: np.ndarray | None):
-    """The vertices ``(rows, cols)`` of the stack entries ``at`` (a column,
-    or None for a single block) as index groups, one per number k of real
-    pairs: ``(lead, rows, cols, pairs)`` with (len(group), k) ``rows`` and
+def _groups(at: np.ndarray, rows: np.ndarray, cols: np.ndarray, keep: np.ndarray | None):
+    """The vertices of the stack entries ``at`` (a column), from
+    ``_vertices``' output, as index groups, one per number k of kept pairs:
+    ``(lead, rows, cols, pairs)`` with (len(group), k) ``rows`` and
     ``cols``, where ``x[(*lead, cols)]`` gathers the group's slot rows of
     ``x`` and ``x[pairs]`` its (len(group), k) vertex entries."""
-    if at is None:
-        rows, cols = verts[0]
-        return [((), rows, cols, (cols[None], rows[None]))]
-    ks = [len(rows) for rows, _ in verts]
-    by_k = {k: [j for j, kj in enumerate(ks) if kj == k] for k in set(ks)}
+    if keep is None:
+        return [((at,), rows, cols, (at, cols, rows))]
+    counts = keep.sum(axis=1)
     groups = []
-    for js in by_k.values():
-        sel = at if len(by_k) == 1 else at[js]
-        rows = np.array([verts[j][0] for j in js], dtype=int)
-        cols = np.array([verts[j][1] for j in js], dtype=int)
-        groups.append(((sel,), rows, cols, (sel, cols, rows)))
+    for k in np.flatnonzero(np.bincount(counts)).tolist():
+        js = np.flatnonzero(counts == k)
+        sel, mask = at[js], keep[js]
+        r, c = rows[js][mask].reshape(len(js), k), cols[js][mask].reshape(len(js), k)
+        groups.append(((sel,), r, c, (sel, c, r)))
     return groups
 
 
@@ -416,10 +457,14 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
 
     Every entry has its own line search and stopping test, and runs
     exactly as it would alone: dense products and inner products are taken
-    per entry, each vertex is one ``_vertex`` call, and the vertices'
-    gathered products and sums are taken over groups of equal vertex size
-    k, so no entry's arithmetic is padded.  The arrays shrink only when
-    entries stop, so a stack of one copies nothing per iteration.
+    per entry, each entry's vertex is one LAP (``_vertices`` over the
+    stack, which clips and filters the whole stack's costs at once), and
+    the vertices' gathered products and sums are taken over groups of
+    equal vertex size k, so no entry's arithmetic is padded.  The final
+    projection is one LAP per entry too, lifted to padded permutations by
+    ``_lifts`` for the whole stack.  The arrays shrink only when entries
+    stop.  A 2-D pair takes ``_vertex`` and ``_lift`` instead, and copies
+    nothing per iteration.
 
     The loop keeps M = A2 P A1^T and N = A2^T P A1 current along its steps:
     the gradient is -(M + N) + lam D^T and the line search's slope is
@@ -448,8 +493,11 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
         if c_t is not None:
             grad += c_t
         # vertex minimizing <grad, Q> over (partial) permutation matrices
-        groups = _by_length([_vertex(grad.T, partial)] if at is None else
-                            [_vertex(grad[j].T, partial) for j in range(len(ids))], at)
+        if at is None:
+            rows, cols = _vertex(grad.T, partial)
+            groups = [((), rows, cols, (cols[None], rows[None]))]
+        else:
+            groups = _groups(at, *_vertices(grad.swapaxes(-1, -2), partial))
         n_q = _vertex_products(a2, a1, groups)
         m_q = (_vertex_products(a2.swapaxes(-1, -2), a1.swapaxes(-1, -2), groups)
                if directed else n_q)
@@ -493,10 +541,13 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
             at = at[:len(ids)]
     # project each doubly stochastic iterate back to a permutation
     weights = -_null_average(np.concatenate([*iterates, p]) if iterates else p, size)
+    if at is None:
+        perms = [_lift(*_vertex(weights.T, partial), n1, n2, size)]
+    else:
+        perms = _lifts(*_vertices(weights.swapaxes(-1, -2), partial), n1, n2, size)
     out = [None] * nb
-    for e, w in zip(stopped + ids, weights.reshape(nb, n2, n1)):
-        out[e] = (_lift(*_vertex(w.T, partial), n1, n2, size), tuple(objectives[e]),
-                  tuple(steps[e]), converged[e])
+    for e, perm in zip(stopped + ids, perms):
+        out[e] = (perm, tuple(objectives[e]), tuple(steps[e]), converged[e])
     return out
 
 
@@ -565,16 +616,20 @@ def _best_candidates(lam: float, a1: np.ndarray, a2: np.ndarray, d: np.ndarray |
     """The first candidate of least exact objective, per entry of a stack
     of padded pairs.
 
-    ``a1``, ``a2`` and ``d`` are (B, n, n) stacks, and ``rounds`` yields
-    per start one ``(perm, objectives, steps, converged)`` candidate for
-    each entry.  Each distinct candidate of an entry is scored by its exact
-    objective and, given ``refine``, improved by greedy two-exchange:
+    ``a1``, ``a2`` and ``d`` are (B, n, n) stacks, or 2-D for a single
+    pair, and ``rounds`` yields per start one ``(perm, objectives, steps,
+    converged)`` candidate for each entry.  Each distinct candidate of an
+    entry is scored by its exact objective, ``objective_value`` for a
+    single pair and ``_objective_values`` over a round's fresh entries of
+    a stack, and, given ``refine``, improved by greedy two-exchange:
     ``refine(entries, perms, objs)`` returns ``(perm, objectives, obj)``
     for each listed entry.  Returns per entry ``(obj, perm, index,
     objectives, steps, converged, refined)``.
     """
-    seen = [set() for _ in range(len(a1))]
-    best = [None] * len(a1)
+    single = a1.ndim == 2
+    nb = 1 if single else len(a1)
+    seen = [set() for _ in range(nb)]
+    best = [None] * nb
     for index, cands in enumerate(rounds):
         fresh = []
         for e, cand in enumerate(cands):
@@ -582,11 +637,16 @@ def _best_candidates(lam: float, a1: np.ndarray, a2: np.ndarray, d: np.ndarray |
             if key not in seen[e]:  # a repeat scores and refines as before: it cannot win
                 seen[e].add(key)
                 fresh.append(e)
+        if not fresh:
+            continue
         perms = [cands[e][0] for e in fresh]
-        scores = [objective_value(a1[e], a2[e], None if d is None else d[e], lam, perm)
-                  for e, perm in zip(fresh, perms)]
+        if single:
+            scores = [objective_value(a1, a2, d, lam, perms[0])]
+        else:
+            scores = _objective_values(a1[fresh], a2[fresh], None if d is None else d[fresh],
+                                       lam, np.array(perms))
         objs, refined = scores, [()] * len(fresh)
-        if refine is not None and fresh:
+        if refine is not None:
             perms, refined, objs = zip(*refine(fresh, perms, scores))
         for e, perm, obj, score, trail in zip(fresh, perms, objs, scores, refined):
             _, objectives, steps, converged = cands[e]
@@ -647,8 +707,7 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
         def refine(entries, perms, objs):
             return [greedy_two_exchange(a1, a2, d, cfg.lam, perms[0], objs[0], g1.directed)]
     obj, perm, index, objectives, steps, converged, refined = _best_candidates(
-        cfg.lam, a1[None], a2[None], None if d is None else d[None],
-        ([c] for c in candidates), refine)[0]
+        cfg.lam, a1, a2, d, ([c] for c in candidates), refine)[0]
     trace = SolverTrace(
         solver=cfg.solver,
         iterations=len(steps),

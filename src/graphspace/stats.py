@@ -132,7 +132,10 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
             else:
                 result = graph_distance(g, mu, inner_cfg)
                 new_perm = result.p.perm
-            new_e = _edge_energy(result.g1_registered.adjacency, mu.adjacency)
+            # with lam = 0 the objective is the exact fsum of the same
+            # squared differences, so it is the edge energy bit for bit
+            new_e = (result.objective if cfg.lam == 0.0 else
+                     _edge_energy(result.g1_registered.adjacency, mu.adjacency))
             if new_e < energies[i]:
                 perms[i] = new_perm
                 registered[i] = result.g1_registered
@@ -314,6 +317,11 @@ def _unvectorize(model: GraphPcaModel, vec: np.ndarray, threshold: float) -> Gra
     return Graph(adj, node_attrs=attrs, directed=model.directed)
 
 
+def _check_threshold(threshold: float) -> None:
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and nonnegative, got {threshold}")
+
+
 def reconstruct(model: GraphPcaModel, scores, threshold: float = 0.0) -> Graph:
     """Map principal scores back to a graph.
 
@@ -330,8 +338,7 @@ def reconstruct(model: GraphPcaModel, scores, threshold: float = 0.0) -> Graph:
             f"scores must be a vector of length <= {model.n_components}, "
             f"got shape {scores.shape}"
         )
-    if threshold < 0:
-        raise ValueError("threshold must be nonnegative")
+    _check_threshold(threshold)
     vec = _vectorize(model, model.mean.mu) + model.center
     if scores.size:
         vec = vec + scores @ model.basis[: scores.shape[0]]
@@ -370,6 +377,7 @@ def fit_gaussian(pca: GraphPcaModel, k: int, threshold: float = 0.0) -> Gaussian
     """Fit mean and covariance of the first ``k`` score columns."""
     if k < 1:
         raise ValueError("k must be at least 1")
+    _check_threshold(threshold)
     if k > pca.n_components:
         raise ValueError(f"k={k} exceeds available components {pca.n_components}")
     if pca.n_samples < 2:

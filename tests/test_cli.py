@@ -248,6 +248,38 @@ class TestExitCodes:
         self._assert_exit_2(["pairwise", *graphs_in(corpus_dir), "--workers", "-3"],
                             capsys, "workers must be at least 1")
 
+    @pytest.mark.parametrize("threshold", [
+        pytest.param(["--threshold", "nan"], id="nan"),
+        pytest.param(["--threshold", "inf"], id="inf"),
+        pytest.param(["--count", "0", "--threshold", "-1"], id="negative-count-0"),
+    ])
+    def test_bad_sample_threshold_is_2(self, corpus_dir, tmp_path, capsys, threshold):
+        model = tmp_path / "model.json"
+        assert main(["pca", *graphs_in(corpus_dir), "--out", str(model)]) == 0
+        capsys.readouterr()
+        self._assert_exit_2(["sample", "--model", str(model), "--count", "2",
+                             "--out-dir", str(tmp_path / "s"), *threshold], capsys,
+                            "threshold must be finite and nonnegative")
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("command", ["pca", "sample"])
+    @pytest.mark.parametrize("components, needle", [
+        pytest.param("-1", "--components must be nonnegative, got -1", id="negative"),
+        pytest.param("99", "--components 99 exceeds available rank", id="above-rank"),
+    ])
+    def test_bad_components_is_2(self, corpus_dir, tmp_path, capsys, command, components,
+                                 needle):
+        model = tmp_path / "model.json"
+        if command == "pca":
+            argv = ["pca", *graphs_in(corpus_dir), "--out", str(model)]
+        else:
+            assert main(["pca", *graphs_in(corpus_dir), "--out", str(model)]) == 0
+            capsys.readouterr()
+            argv = ["sample", "--model", str(model), "--count", "1",
+                    "--out-dir", str(tmp_path / "s")]
+        self._assert_exit_2([*argv, "--components", components], capsys, needle)
+        assert not (tmp_path / "s").exists()
+
     @pytest.mark.parametrize("command", ["pairwise", "knn", "mean", "pca"])
     def test_lambda_with_unattributed_graph_names_the_file_2(self, command, tmp_path, capsys):
         corpus = tmp_path / "corpus"

@@ -16,17 +16,20 @@ from graphspace import (
     permute,
 )
 import graphspace.matching as matching
-from graphspace.assignment import _lap_raw, objective_value
+from graphspace.assignment import _lap_raw, _objective_values, objective_value
 from graphspace.graphs import _padded_size
 from graphspace.matching import (
     _faq_descent,
     _faq_inits,
     _faq_stack,
+    _groups,
     _lift,
+    _lifts,
     _null_average,
     _swap_deltas,
     _two_exchange_stack,
     _vertex,
+    _vertices,
     greedy_two_exchange,
 )
 
@@ -572,6 +575,81 @@ class TestStacks:
                                         perms[e], objs[e], directed)
             assert np.array_equal(perm, alone[0])
             assert (objectives, obj) == alone[1:]
+
+
+@st.composite
+def _cost_stacks(draw):
+    """(B, n1, n2) costs of 0-6 nodes per side on a grid of 5 values, so
+    that exact ties, zero costs and entries without a negative cost occur."""
+    b = draw(st.integers(1, 5))
+    n1, n2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    entries = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.5, 0.0, 1.0]),
+                            min_size=b * n1 * n2, max_size=b * n1 * n2))
+    return np.array(entries).reshape(b, n1, n2)
+
+
+@st.composite
+def _vertex_stacks(draw):
+    """(rows, cols, keep, n1, n2, size): B vertices as ``_vertices`` gives
+    them, with keep masks under two-way padding and none under one-way."""
+    b = draw(st.integers(1, 5))
+    n1, n2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    two_way = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = min(n1, n2)
+    rows = np.stack([np.sort(rng.permutation(n1)[:k]) for _ in range(b)])
+    cols = np.stack([rng.permutation(n2)[:k] for _ in range(b)])
+    keep = rng.random((b, k)) < 0.6 if two_way else None
+    return rows, cols, keep, n1, n2, n1 + n2 if two_way else max(n1, n2)
+
+
+class TestStackedHelpers:
+    """The whole-stack vertex, lift and scoring helpers against the
+    per-entry functions they replace in a stack, exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cost_stacks(), st.booleans())
+    def test_vertices_and_groups_are_per_entry_vertices(self, c, partial):
+        at = np.arange(len(c))[:, None]
+        rows, cols, keep = _vertices(c, partial)
+        got = {}
+        for (sel,), r, q, pairs in _groups(at, rows, cols, keep):
+            assert np.array_equal(pairs[0], sel)
+            assert np.array_equal(pairs[1], q) and np.array_equal(pairs[2], r)
+            for j, e in enumerate(sel[:, 0].tolist()):
+                got[e] = (r[j], q[j])
+        assert sorted(got) == list(range(len(c)))
+        for e, x in enumerate(c):
+            want_rows, want_cols = _vertex(x, partial)
+            assert np.array_equal(got[e][0], want_rows)
+            assert np.array_equal(got[e][1], want_cols)
+            kept = slice(None) if keep is None else keep[e]
+            assert np.array_equal(rows[e][kept], want_rows)
+            assert np.array_equal(cols[e][kept], want_cols)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_vertex_stacks())
+    def test_lifts_are_per_entry_lifts(self, case):
+        rows, cols, keep, n1, n2, size = case
+        perms = _lifts(rows, cols, keep, n1, n2, size)
+        assert perms.shape == (len(rows), size)
+        for e in range(len(rows)):
+            kept = slice(None) if keep is None else keep[e]
+            alone = _lift(rows[e][kept], cols[e][kept], n1, n2, size)
+            assert perms[e].dtype == alone.dtype == np.int64
+            assert perms[e].tobytes() == alone.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_stacks())
+    def test_objective_values_are_objective_value(self, stack):
+        a1, a2, d, lam, size, _, seed = stack
+        a1, a2 = _padded(a1, size), _padded(a2, size)
+        rng = np.random.default_rng(seed + 1)
+        perms = np.stack([rng.permutation(size) for _ in range(len(a1))])
+        for lam_ in (0.0, lam, 2.5):
+            got = _objective_values(a1, a2, d, lam_, perms)
+            for e in range(len(a1)):
+                assert got[e] == objective_value(a1[e], a2[e], d[e], lam_, perms[e])
 
 
 class TestGraphDistance:

@@ -175,6 +175,28 @@ class TestKarcherWarmStart:
             # some later pass starts from an adopted, non-identity alignment
             assert any(g1 is not corpus[j % k] for j, (g1, _) in enumerate(calls))
 
+    @pytest.mark.parametrize("solver, directed", [
+        ("faq", False), ("faq", True), ("umeyama", False), ("brute", False)])
+    def test_objective_is_edge_energy_at_lam_0(self, monkeypatch, solver, directed):
+        # the keep rule takes each registration's objective for its edge
+        # energy against the template when lam = 0
+        seen = []
+        real = stats_module.graph_distance
+
+        def spy(g1, g2, cfg):
+            result = real(g1, g2, cfg)
+            seen.append((result.objective, stats_module._edge_energy(
+                result.g1_registered.adjacency, g2.adjacency)))
+            return result
+
+        monkeypatch.setattr(stats_module, "graph_distance", spy)
+        rng = np.random.default_rng(9)
+        corpus = [_sparse_graph(int(rng.integers(4, 8)), rng, directed, False)
+                  for _ in range(5)]
+        karcher_mean(corpus, MatchConfig(solver=solver, refinement=True, restarts=1))
+        assert len(seen) > len(corpus)
+        assert all(obj == energy for obj, energy in seen)
+
 
 class TestGraphPca:
     def test_identical_graphs_zero_singular_values(self):
@@ -346,6 +368,14 @@ class TestGaussianModel:
             fit_gaussian(pca, 0)
         with pytest.raises(ValueError, match="exceeds"):
             fit_gaussian(pca, pca.n_components + 1)
+
+    @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+    def test_threshold_must_be_finite_and_nonnegative(self, threshold):
+        model = self._model(np.random.default_rng(24))
+        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+            fit_gaussian(model.pca, 2, threshold=threshold)
+        with pytest.raises(ValueError, match="threshold must be finite and nonnegative"):
+            reconstruct(model.pca, model.score_mean, threshold=threshold)
 
     def test_sample_graphs_shapes(self):
         model = self._model(np.random.default_rng(23))
