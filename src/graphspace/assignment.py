@@ -11,7 +11,9 @@ permutations of a padded graph pair.  Every term of the objective is
 nonnegative, so the cost of a partial assignment bounds all of its
 completions from below, and a prefix that already costs more than a known
 permutation is pruned; all n! permutations are scored only in the worst
-case, when nothing can be pruned.  It refuses instances above 10 nodes.
+case, when nothing can be pruned.  The search yields the surviving leaves
+in blocks of at most ``_BLOCK``, and each block is scored and merged into
+the running minimum as it is yielded.  It refuses instances above 10 nodes.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ __all__ = ["objective_value"]
 
 BRUTE_FORCE_MAX_NODES = 10
 _TIE_REPORT_LIMIT = 10_000
-_CHUNK = 100_000
 _BLOCK = 4096
 _SLACK = 1e-9
 
@@ -130,19 +131,6 @@ def _surviving_leaves(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
             stack.append((children[start:stop], bound[start:stop], free[start:stop]))
 
 
-def _batches(blocks):
-    """Concatenate consecutive blocks into batches of at least ``_CHUNK`` rows."""
-    pending, size = [], 0
-    for block in blocks:
-        pending.append(block)
-        size += len(block)
-        if size >= _CHUNK:
-            yield np.concatenate(pending)
-            pending, size = [], 0
-    if size:
-        yield np.concatenate(pending)
-
-
 def _chunk_scores(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
                   lam: float, perms: np.ndarray) -> np.ndarray:
     # Score differing from the objective by the constant |A1|^2 + |A2|^2:
@@ -173,9 +161,11 @@ def brute_force_match(g1: Graph, g2: Graph, d: np.ndarray | None, lam: float, ub
     ``g1`` and ``g2`` are an equal-size (padded) pair of at most
     ``BRUTE_FORCE_MAX_NODES`` nodes with node cost ``d``; prefixes are
     pruned against ``ub``, the exact objective of a known permutation
-    (``inf`` if none), improved by each better leaf.  The survivors are
-    scored in lexicographic order, so the result is that of scanning all n!
-    permutations, which happens only when nothing prunes.
+    (``inf`` if none), improved by each better leaf.  Each block of
+    survivors is scored as the search yields it, in lexicographic order: a
+    lower minimum restarts the ties, an equal one extends them.  The result
+    is that of scanning all n! permutations, which happens only when
+    nothing prunes.
 
     Returns ``(perm, co_optimal, n_co_optimal)``: the first minimizer, the
     first 10000 permutation vectors attaining the minimum (ties arise with
@@ -188,21 +178,14 @@ def brute_force_match(g1: Graph, g2: Graph, d: np.ndarray | None, lam: float, ub
             f"brute force refuses n={n} > {BRUTE_FORCE_MAX_NODES} (factorial blow-up)"
         )
     a1, a2 = g1.adjacency, g2.adjacency
-    best_score = math.inf
-    best_perm = None
-    ties: list[np.ndarray] = []
-    n_ties = 0
-    for perms in _batches(_surviving_leaves(a1, a2, d, lam, g1.directed, ub)):
+    best, ties, n_ties = math.inf, [], 0
+    for perms in _surviving_leaves(a1, a2, d, lam, g1.directed, ub):
         scores = _chunk_scores(a1, a2, d, lam, perms)
-        chunk_min = scores.min()
-        if chunk_min < best_score:
-            best_score = chunk_min
-            idx = np.flatnonzero(scores == chunk_min)
-            best_perm = perms[idx[0]].copy()
-            ties = [perms[k].copy() for k in idx[:_TIE_REPORT_LIMIT]]
-            n_ties = len(idx)
-        elif chunk_min == best_score:
-            idx = np.flatnonzero(scores == chunk_min)
-            ties.extend(perms[k].copy() for k in idx[: max(0, _TIE_REPORT_LIMIT - len(ties))])
+        low = scores.min()
+        if low <= best:
+            if low < best:
+                best, ties, n_ties = low, [], 0
+            idx = np.flatnonzero(scores == low)
+            ties.extend(perms[idx[: _TIE_REPORT_LIMIT - len(ties)]])
             n_ties += len(idx)
-    return best_perm, ties, n_ties
+    return ties[0], ties, n_ties

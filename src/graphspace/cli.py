@@ -101,16 +101,23 @@ def _match_document(res) -> dict:
     }
 
 
+def _pair(args):
+    """The two graphs of a pair command and its config, checked as a corpus
+    so that an error names the input file at fault."""
+    names = [args.graph1, args.graph2]
+    graphs, cfg = [load_graph(p) for p in names], _cfg(args)
+    _check_corpus(graphs, cfg, names)
+    return *graphs, cfg
+
+
 def _cmd_match(args) -> int:
-    res = graph_distance(load_graph(args.graph1), load_graph(args.graph2), _cfg(args))
+    res = graph_distance(*_pair(args))
     _emit(_match_document(res), args.out)
     return EXIT_OK if res.solver_trace.converged else EXIT_NO_CONVERGENCE
 
 
 def _cmd_dist(args) -> int:
-    d, res, direction = symmetric_match(
-        load_graph(args.graph1), load_graph(args.graph2), _cfg(args)
-    )
+    d, res, direction = symmetric_match(*_pair(args))
     _emit({"d_g": d, "objective": res.objective, "direction": direction,
            "converged": res.solver_trace.converged}, args.out)
     return EXIT_OK if res.solver_trace.converged else EXIT_NO_CONVERGENCE
@@ -119,7 +126,7 @@ def _cmd_dist(args) -> int:
 def _cmd_geodesic(args) -> int:
     if args.steps < 2:
         raise ValidationError("--steps must be at least 2 (the two endpoints)")
-    res = graph_distance(load_graph(args.graph1), load_graph(args.graph2), _cfg(args))
+    res = graph_distance(*_pair(args))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     times = [k / (args.steps - 1) for k in range(args.steps)]

@@ -386,30 +386,37 @@ def pca_model_from_document(doc):
     n_edges = size * (size - 1) // (1 if directed else 2)
     dim = n_edges + (size * attr_dim if include_nodes else 0)
 
+    # a model without components stores its basis and scores as []
     basis = _float_array(doc, "basis")
-    if basis.ndim == 1:
+    if basis.shape == (0,):
         basis = basis.reshape(0, dim)
     scores = _float_array(doc, "scores")
-    if scores.ndim == 1:
-        scores = scores.reshape(len(doc["scores"]), 0)
+    if scores.shape == (0,):
+        scores = scores.reshape(0, 0)
     center = _float_array(doc, "center")
     svals = _float_array(doc, "singular_values")
     if svals.ndim != 1:
         _fail("singular_values must be a list of numbers")
-    if basis.shape != (len(svals), dim):
-        _fail(f"basis shape {basis.shape} does not match {len(svals)} x {dim}")
+    k = len(svals)
+    if basis.shape != (k, dim):
+        _fail(f"basis shape {basis.shape} does not match {k} x {dim}")
     if center.shape != (dim,):
         _fail(f"center length {center.shape} does not match dimension {dim}")
-    if scores.ndim != 2 or scores.shape[1] != len(svals):
+    if scores.ndim != 2 or scores.shape[1] != k:
         _fail("scores must have one column per component")
+    per_component = {key: _float_array(doc, key)
+                     for key in ("component_variances", "explained_variance_ratio")}
+    for key, values in per_component.items():
+        if values.shape != (k,):
+            _fail(f"PCA model '{key}' must hold one number per component ({k}), "
+                  f"got shape {values.shape}")
 
     mean = GraphMean(mu=mu, registrations=(), energy_trace=(), converged=True)
     return GraphPcaModel(
         mean=mean,
         basis=basis,
         singular_values=svals,
-        component_variances=_float_array(doc, "component_variances"),
-        explained_variance_ratio=_float_array(doc, "explained_variance_ratio"),
+        **per_component,
         scores=scores,
         center=center,
         lam=lam,

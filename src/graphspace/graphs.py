@@ -157,7 +157,13 @@ class Permutation:
     perm: np.ndarray
 
     def __post_init__(self):
-        p = np.array(self.perm, dtype=int)
+        raw = np.asarray(self.perm)
+        kind = raw.dtype.kind
+        # bools, strings and fractional floats would otherwise cast silently
+        if kind not in "iuf" or (
+                kind == "f" and not (np.isfinite(raw) & (np.floor(raw) == raw)).all()):
+            raise ValueError("permutation entries must be integers")
+        p = raw.astype(int)
         if p.ndim != 1:
             raise ValueError("permutation must be a 1-d integer vector")
         n = p.shape[0]

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from conftest import oracle, random_symmetric_graph
 from graphspace import (
     Graph,
+    MatchConfig,
+    assignment,
+    graph_distance,
     node_distance_matrix,
     objective_value,
     pad_pair,
@@ -61,6 +64,28 @@ def _oracle_pairs(draw):
         return g1, g2, lam
     n = draw(st.integers(0, 7))
     return graph(n), graph(n), lam
+
+
+@st.composite
+def _tie_heavy_pairs(draw):
+    """(g1, g2, padding): 0/1 pairs of at most 6 nodes after padding, directed
+    or not, unpadded or two_way-padded, so that many permutations tie."""
+    directed = draw(st.booleans())
+    padding = draw(st.sampled_from(["none", "two_way"]))
+
+    def graph(n):
+        a = np.array(draw(st.lists(st.sampled_from([0.0, 1.0]),
+                                   min_size=n * n, max_size=n * n))).reshape(n, n)
+        if not directed:
+            a = np.triu(a, k=1)
+            a = a + a.T
+        np.fill_diagonal(a, 0.0)
+        return Graph(a, directed=directed)
+
+    if padding == "none":
+        n = draw(st.integers(0, 6))
+        return graph(n), graph(n), padding
+    return graph(draw(st.integers(0, 3))), graph(draw(st.integers(0, 3))), padding
 
 
 class TestObjectiveValue:
@@ -192,6 +217,25 @@ class TestBruteForceMatch:
         assert res.objective == obj
         assert res.n_co_optimal == n_ties
         assert [t.perm.tolist() for t in res.co_optimal] == ties
+
+    @settings(max_examples=60, deadline=None)
+    @given(_tie_heavy_pairs(), st.sampled_from([3, _TIE_REPORT_LIMIT]))
+    def test_ties_merge_across_blocks(self, pair, limit):
+        # the search yields leaves in blocks of _BLOCK; the minimizer, the
+        # listed ties (in order, up to the limit) and their count must not
+        # depend on where the block boundaries fall
+        g1, g2, padding = pair
+        cfg = MatchConfig(solver="brute", padding=padding)
+        seen = []
+        for block in (1, 3, 4096):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(assignment, "_BLOCK", block)
+                mp.setattr(assignment, "_TIE_REPORT_LIMIT", limit)
+                res = graph_distance(g1, g2, cfg)
+            seen.append((res.p.perm.tolist(), [t.perm.tolist() for t in res.co_optimal],
+                         res.n_co_optimal, res.objective))
+        assert seen[0] == seen[1] == seen[2]
+        assert seen[0][1][0] == seen[0][0] and len(seen[0][1]) == min(limit, seen[0][2])
 
     def test_padded_pair_tie_includes_null_swaps(self):
         rng = np.random.default_rng(8)

@@ -280,7 +280,8 @@ class TestExitCodes:
         self._assert_exit_2([*argv, "--components", components], capsys, needle)
         assert not (tmp_path / "s").exists()
 
-    @pytest.mark.parametrize("command", ["pairwise", "knn", "mean", "pca"])
+    @pytest.mark.parametrize("command", ["pairwise", "knn", "mean", "pca",
+                                         "match", "dist", "geodesic"])
     def test_lambda_with_unattributed_graph_names_the_file_2(self, command, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         assert main(["generate", "--family", "letter_like", "--count", "2", "--seed", "1",
@@ -292,6 +293,11 @@ class TestExitCodes:
         elif command in ("mean", "pca"):
             argv = [command, *graphs_in(corpus), str(tmp_path / "plain.json"),
                     "--out", str(tmp_path / "out.json")]
+        elif command in ("match", "dist"):
+            argv = [command, graphs_in(corpus)[0], str(tmp_path / "plain.json")]
+        elif command == "geodesic":
+            argv = [command, graphs_in(corpus)[0], str(tmp_path / "plain.json"),
+                    "--out-dir", str(tmp_path / "geo")]
         else:
             (tmp_path / "train.csv").write_text(
                 "corpus/graph_000.json,a\ncorpus/graph_001.json,b\n")

@@ -206,6 +206,13 @@ class TestPcaModelDocument:
         ("mean_graph", {"directed": False, "nodes": [{"id": 0}, {"id": 1}, {"id": 2}],
                         "edges": []}, "'mean_graph' must carry node attributes"),
         ("attr_dim", 3, "'attr_dim' = 3 columns"),
+        # per-component fields must match the component count
+        ("explained_variance_ratio", [0.1], "'explained_variance_ratio' must hold one number"),
+        ("component_variances", [[1.0, 2.0]], "'component_variances' must hold one number"),
+        ("component_variances", [], "per component \\(3\\), got shape \\(0,\\)"),
+        # a flat non-empty basis or scores names its key
+        ("basis", [1.0, 2.0], "basis shape \\(2,\\) does not match 3 x 9"),
+        ("scores", [1.0, 2.0], "scores must have one column per component"),
     ])
     def test_malformed_fields_rejected(self, key, value, message):
         rng = np.random.default_rng(5)

@@ -81,6 +81,18 @@ class TestPermutation:
         with pytest.raises(ValueError, match="bijection"):
             Permutation([0, 0, 2])
 
+    @pytest.mark.parametrize("perm", [[0.0, 1.7], [True, False], [math.nan, 0.0],
+                                      [math.inf, 0.0], np.array([1.5, 0.0]), ["1", "0"]])
+    def test_rejects_non_integer_entries(self, perm):
+        with pytest.raises(ValueError, match="entries must be integers"):
+            Permutation(perm)
+
+    @pytest.mark.parametrize("perm,expected", [([1.0, 0.0], [1, 0]), ([], []),
+                                               (np.array([2, 0, 1], dtype=np.uint8), [2, 0, 1])])
+    def test_integral_entries_accepted(self, perm, expected):
+        p = Permutation(perm)
+        assert p.perm.tolist() == expected and p.perm.dtype == int
+
     def test_matrix_orientation(self):
         p = Permutation([1, 2, 0])
         m = p.matrix()
