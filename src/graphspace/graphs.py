@@ -159,8 +159,11 @@ class Permutation:
     def __post_init__(self):
         raw = np.asarray(self.perm)
         kind = raw.dtype.kind
-        # bools, strings and fractional floats would otherwise cast silently
-        if kind not in "iuf" or (
+        # bools, strings and fractional floats would otherwise cast silently,
+        # and numpy promotes a bool listed among numbers (``[True, 0]``)
+        mixed_bool = raw.ndim == 1 and not isinstance(self.perm, np.ndarray) and any(
+            isinstance(x, (bool, np.bool_)) for x in self.perm)
+        if kind not in "iuf" or mixed_bool or (
                 kind == "f" and not (np.isfinite(raw) & (np.floor(raw) == raw)).all()):
             raise ValueError("permutation entries must be integers")
         p = raw.astype(int)

@@ -661,12 +661,13 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     """Register ``g1`` to ``g2`` with the configured solver.
 
     Pads the pair as ``cfg.padding`` says.  ``brute`` proposes the
-    branch-and-bound optimum, searched against a two-exchange incumbent,
-    and lists every co-optimal permutation.  ``umeyama`` proposes one
-    spectral assignment, ``faq`` one Frank-Wolfe run per start (the
-    ``cfg.faq_init`` start, then ``cfg.restarts`` random ones), each
-    stopping when the relative change of the relaxed objective drops below
-    ``cfg.tol`` or after ``cfg.max_iter`` steps (flagged in the trace).
+    branch-and-bound optimum, searched against an incumbent (the first
+    Frank-Wolfe candidate refined by greedy two-exchange), and lists every
+    co-optimal permutation; the incumbent only prunes.  ``umeyama``
+    proposes one spectral assignment, ``faq`` one Frank-Wolfe run per
+    start (the ``cfg.faq_init`` start, then ``cfg.restarts`` random ones),
+    each stopping when the relative change of the relaxed objective drops
+    below ``cfg.tol`` or after ``cfg.max_iter`` steps (flagged in the trace).
     Each distinct candidate is scored by its exact objective and, with
     ``cfg.refinement``, a heuristic one is improved by greedy two-exchange;
     the first candidate with the lowest objective wins.
@@ -690,7 +691,7 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     if cfg.solver == "brute":
         n, ub = g1p.n, math.inf
         if 2 <= n <= BRUTE_FORCE_MAX_NODES:  # larger pairs are refused below
-            start = np.arange(n)
+            start = next(_faq_candidates(cfg, g1, g2, d, n))[0]
             ub = greedy_two_exchange(a1, a2, d, cfg.lam, start,
                                      objective_value(a1, a2, d, cfg.lam, start),
                                      g1.directed)[2]

@@ -257,8 +257,9 @@ def bench_recovery(family: str, size_range, trials: int,
     if trials < 1:
         raise ValueError("trials must be positive")
     cfg = cfg or MatchConfig()
-    if oracle_max_n > BRUTE_FORCE_MAX_NODES:
-        raise ValueError(f"oracle_max_n cannot exceed {BRUTE_FORCE_MAX_NODES}")
+    if not 0 <= oracle_max_n <= BRUTE_FORCE_MAX_NODES:
+        raise ValueError(
+            f"oracle_max_n must be between 0 and {BRUTE_FORCE_MAX_NODES}, got {oracle_max_n}")
     tasks = [
         lambda t=t: _recovery_trial(family, size_range, cfg, seed, t, p, oracle_max_n)
         for t in range(trials)

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import oracle, random_symmetric_graph
@@ -12,6 +12,7 @@ from graphspace import (
     MatchConfig,
     assignment,
     graph_distance,
+    matching,
     node_distance_matrix,
     objective_value,
     pad_pair,
@@ -86,6 +87,24 @@ def _tie_heavy_pairs(draw):
         n = draw(st.integers(0, 6))
         return graph(n), graph(n), padding
     return graph(draw(st.integers(0, 3))), graph(draw(st.integers(0, 3))), padding
+
+
+@st.composite
+def _metric_triples(draw):
+    """(a, b, c, pi): three equal-size graphs of at most 6 nodes, directed or
+    not, with tie-prone or real weights, and a relabeling of ``a``."""
+    directed = draw(st.booleans())
+    n = draw(st.integers(0, 6))
+
+    def graph():
+        a = np.array(draw(st.lists(_WEIGHTS, min_size=n * n, max_size=n * n))).reshape(n, n)
+        if not directed:
+            a = np.triu(a, k=1)
+            a = a + a.T
+        np.fill_diagonal(a, 0.0)
+        return Graph(a, directed=directed)
+
+    return graph(), graph(), graph(), draw(st.permutations(range(n)))
 
 
 class TestObjectiveValue:
@@ -245,3 +264,45 @@ class TestBruteForceMatch:
         assert res.objective == 0.0
         # the two null nodes of each side permute freely: at least 2!*... ties
         assert res.n_co_optimal >= 2
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(_oracle_pairs().map(lambda c: (*c, "none")),
+                     _tie_heavy_pairs().map(lambda c: (c[0], c[1], 0.0, c[2]))))
+    @example((Graph(np.zeros((0, 0))), Graph([[0.0, 1.0], [1.0, 0.0]]), 0.0, "two_way"))
+    @example((Graph(np.zeros((3, 3)), directed=True), Graph(np.zeros((0, 0)), directed=True),
+              0.0, "two_way"))
+    def test_result_does_not_depend_on_incumbent(self, case):
+        # the incumbent only prunes: searching without one (ub = inf) must
+        # find the same minimizer, objective, ties in order and tie count
+        g1, g2, lam, padding = case
+        cfg = MatchConfig(solver="brute", padding=padding, lam=lam)
+        seeded = graph_distance(g1, g2, cfg)
+        search = matching.brute_force_match
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(matching, "brute_force_match",
+                       lambda a, b, d, lam, ub: search(a, b, d, lam, math.inf))
+            unseeded = graph_distance(g1, g2, cfg)
+        assert seeded.p.perm.tolist() == unseeded.p.perm.tolist()
+        assert seeded.objective == unseeded.objective
+        assert ([t.perm.tolist() for t in seeded.co_optimal]
+                == [t.perm.tolist() for t in unseeded.co_optimal])
+        assert seeded.n_co_optimal == unseeded.n_co_optimal
+        assert seeded.solver_trace == unseeded.solver_trace
+
+
+class TestQuotientMetric:
+    """The metric axioms and relabeling invariance of the exact quotient
+    distance: equal-size pairs, no padding, no node term."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(_metric_triples())
+    def test_metric_axioms_and_relabeling_invariance(self, triple):
+        a, b, c, pi = triple
+
+        def dist(x, y):
+            return oracle(x, y).d_g
+
+        assert dist(a, a) == 0.0
+        assert dist(a, b) == dist(b, a)
+        assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-9
+        assert dist(permute(a, np.array(pi, dtype=int)), b) == dist(a, b)

@@ -244,6 +244,11 @@ class TestExitCodes:
                              "--mean-tol", tol], capsys, "tol must be finite and nonnegative")
         assert not (tmp_path / "m.json").exists()
 
+    def test_negative_oracle_max_n_is_2(self, capsys):
+        self._assert_exit_2(["bench-recovery", "--family", "binomial", "--sizes", "4", "5",
+                             "--trials", "1", "--oracle-max-n", "-3"], capsys,
+                            "oracle_max_n must be between 0 and 10, got -3")
+
     def test_negative_workers_is_2(self, corpus_dir, capsys):
         self._assert_exit_2(["pairwise", *graphs_in(corpus_dir), "--workers", "-3"],
                             capsys, "workers must be at least 1")

@@ -82,13 +82,17 @@ class TestPermutation:
             Permutation([0, 0, 2])
 
     @pytest.mark.parametrize("perm", [[0.0, 1.7], [True, False], [math.nan, 0.0],
-                                      [math.inf, 0.0], np.array([1.5, 0.0]), ["1", "0"]])
+                                      [math.inf, 0.0], np.array([1.5, 0.0]), ["1", "0"],
+                                      [True, 0], [0, np.True_, 2], (1.0, False)])
     def test_rejects_non_integer_entries(self, perm):
         with pytest.raises(ValueError, match="entries must be integers"):
             Permutation(perm)
 
     @pytest.mark.parametrize("perm,expected", [([1.0, 0.0], [1, 0]), ([], []),
-                                               (np.array([2, 0, 1], dtype=np.uint8), [2, 0, 1])])
+                                               (np.array([2, 0, 1], dtype=np.uint8), [2, 0, 1]),
+                                               ([np.int64(1), np.uint8(0)], [1, 0]),
+                                               ((np.int32(0), 2.0, 1), [0, 2, 1]),
+                                               (np.array([], dtype=np.int64), [])])
     def test_integral_entries_accepted(self, perm, expected):
         p = Permutation(perm)
         assert p.perm.tolist() == expected and p.perm.dtype == int

@@ -259,3 +259,8 @@ class TestBenchRecovery:
     def test_trials_validated(self):
         with pytest.raises(ValueError, match="trials"):
             bench_recovery("binomial", (4, 5), 0)
+
+    @pytest.mark.parametrize("oracle_max_n", [-1, 11])
+    def test_oracle_max_n_validated(self, oracle_max_n):
+        with pytest.raises(ValueError, match="oracle_max_n must be between 0 and 10"):
+            bench_recovery("binomial", (4, 5), 1, oracle_max_n=oracle_max_n)
