@@ -16,6 +16,7 @@ from graphspace import (
     MatchConfig,
     components_for_variance,
     graph_pca,
+    karcher_mean,
     letter_like,
     reconstruct,
     trial_rng,
@@ -38,8 +39,8 @@ def main():
     print(f"corpus: 50 distorted letters, sizes {sizes}")
 
     cfg = MatchConfig(lam=1.0, refinement=True)
-    model = graph_pca(corpus, cfg, include_nodes=True)
-    mean = model.mean
+    mean = karcher_mean(corpus, cfg)
+    model = graph_pca(mean, cfg.lam, include_nodes=True)
 
     print("\n== Mean graph ==")
     print(f"  template: {describe(mean.mu)}")
@@ -71,7 +72,7 @@ def main():
              for i in range(15)]
     noisy = [letter_like(trial_rng(5, i), coord_noise=0.25, edge_noise=0.2)
              for i in range(15)]
-    both = graph_pca(crisp + noisy, cfg, include_nodes=True)
+    both = graph_pca(karcher_mean(crisp + noisy, cfg), cfg.lam, include_nodes=True)
     spread = np.linalg.norm(both.scores[:, :2], axis=1)
     print(f"  mean 2-pc score norm: crisp {spread[:15].mean():.3f} "
           f"vs noisy {spread[15:].mean():.3f}")

@@ -18,6 +18,7 @@ from graphspace import (
     fit_gaussian,
     graph_pca,
     graph_to_document,
+    karcher_mean,
     letter_like,
     sample_graphs,
     sample_scores,
@@ -36,7 +37,7 @@ def main():
         for i in range(40)
     ]
     cfg = MatchConfig(lam=1.0, refinement=True)
-    pca = graph_pca(corpus, cfg, include_nodes=True)
+    pca = graph_pca(karcher_mean(corpus, cfg), cfg.lam, include_nodes=True)
     k = components_for_variance(pca, 0.8)
     model = fit_gaussian(pca, k, threshold=0.2)
     print(f"fitted a {k}-dimensional Gaussian over principal scores "

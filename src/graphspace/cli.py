@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -101,13 +102,30 @@ def _match_document(res) -> dict:
     }
 
 
-def _pair(args):
-    """The two graphs of a pair command and its config, checked as a corpus
+def _corpus(args, paths, like=None):
+    """The graphs at ``paths`` and the command's config, checked as a corpus
     so that an error names the input file at fault."""
-    names = [args.graph1, args.graph2]
-    graphs, cfg = [load_graph(p) for p in names], _cfg(args)
-    _check_corpus(graphs, cfg, names)
-    return *graphs, cfg
+    graphs, cfg = [load_graph(p) for p in paths], _cfg(args)
+    _check_corpus(graphs, cfg, [str(p) for p in paths], like)
+    return graphs, cfg
+
+
+def _pair(args):
+    (g1, g2), cfg = _corpus(args, [args.graph1, args.graph2])
+    return g1, g2, cfg
+
+
+def _save_graphs(out_dir, prefix: str, graphs) -> list[str]:
+    """Write ``graphs`` into ``out_dir`` as ``{prefix}_000.json``, ... and
+    return the file names; every graph is drawn before the directory is
+    made, so a failed draw leaves nothing behind."""
+    graphs = list(graphs)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    files = [f"{prefix}_{i:03d}.json" for i in range(len(graphs))]
+    for g, name in zip(graphs, files):
+        save_graph(g, out_dir / name)
+    return files
 
 
 def _cmd_match(args) -> int:
@@ -127,24 +145,21 @@ def _cmd_geodesic(args) -> int:
     if args.steps < 2:
         raise ValidationError("--steps must be at least 2 (the two endpoints)")
     res = graph_distance(*_pair(args))
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     times = [k / (args.steps - 1) for k in range(args.steps)]
-    files = []
-    for k, t in enumerate(times):
-        name = f"step_{k:03d}.json"
-        save_graph(geodesic(res, t), out_dir / name)
-        files.append(name)
+    files = _save_graphs(args.out_dir, "step", (geodesic(res, t) for t in times))
     manifest = {"times": times, "files": files, **_match_document(res)}
-    _emit(manifest, out_dir / "manifest.json")
+    _emit(manifest, Path(args.out_dir) / "manifest.json")
     return EXIT_OK if res.solver_trace.converged else EXIT_NO_CONVERGENCE
 
 
+def _karcher(args):
+    """The Karcher mean of the command's inputs, and the config it used."""
+    graphs, cfg = _corpus(args, args.inputs)
+    return karcher_mean(graphs, cfg, max_outer=args.max_outer, tol=args.mean_tol), cfg
+
+
 def _cmd_mean(args) -> int:
-    graphs = [load_graph(p) for p in args.inputs]
-    cfg = _cfg(args)
-    _check_corpus(graphs, cfg, args.inputs)  # names the input file at fault
-    gm = karcher_mean(graphs, cfg, max_outer=args.max_outer, tol=args.mean_tol)
+    gm, _ = _karcher(args)
     save_graph(gm.mu, args.out)
     manifest = {
         "template_size": gm.mu.n,
@@ -158,46 +173,35 @@ def _cmd_mean(args) -> int:
     return EXIT_OK if gm.converged else EXIT_NO_CONVERGENCE
 
 
+def _check_components(k: int, rank: float = math.inf) -> None:
+    if k < 0:
+        raise ValidationError(f"--components must be nonnegative, got {k}")
+    if k > rank:
+        raise ValidationError(f"--components {k} exceeds available rank {rank}")
+
+
 def _cmd_pca(args) -> int:
-    if args.components < 0:
-        raise ValidationError(f"--components must be nonnegative, got {args.components}")
-    graphs = [load_graph(p) for p in args.inputs]
-    cfg = _cfg(args)
-    _check_corpus(graphs, cfg, args.inputs)  # names the input file at fault
-    model = graph_pca(graphs, cfg, include_nodes=args.include_nodes,
-                      max_outer=args.max_outer, tol=args.mean_tol)
+    _check_components(args.components)  # before the mean is computed
+    gm, cfg = _karcher(args)
+    model = graph_pca(gm, cfg.lam, include_nodes=args.include_nodes)
+    _check_components(args.components, model.n_components)
     if args.components:
-        if args.components > model.n_components:
-            raise ValidationError(
-                f"--components {args.components} exceeds available rank "
-                f"{model.n_components}"
-            )
         model = truncate_components(model, args.components)
     _emit(pca_model_document(model), args.out)
-    return EXIT_OK if model.mean.converged else EXIT_NO_CONVERGENCE
+    return EXIT_OK if gm.converged else EXIT_NO_CONVERGENCE
 
 
 def _cmd_sample(args) -> int:
-    if args.components < 0:
-        raise ValidationError(f"--components must be nonnegative, got {args.components}")
     pca = pca_model_from_document(_read_json(args.model))
     if pca.n_components == 0 or float(pca.singular_values.max(initial=0.0)) == 0.0:
         raise ValidationError("model has no variance to sample from")
-    if args.components > pca.n_components:
-        raise ValidationError(
-            f"--components {args.components} exceeds available rank {pca.n_components}")
+    _check_components(args.components, pca.n_components)
     k = args.components or components_for_variance(pca, 0.8)
     gauss = fit_gaussian(pca, k, threshold=args.threshold)
     graphs = sample_graphs(gauss, seed=args.seed, count=args.count)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for i, g in enumerate(graphs):
-        name = f"sample_{i:03d}.json"
-        save_graph(g, out_dir / name)
-        files.append(name)
+    files = _save_graphs(args.out_dir, "sample", graphs)
     _emit({"count": args.count, "components": k, "threshold": args.threshold,
-           "seed": args.seed, "files": files}, out_dir / "manifest.json")
+           "seed": args.seed, "files": files}, Path(args.out_dir) / "manifest.json")
     return EXIT_OK
 
 
@@ -225,12 +229,8 @@ def _cmd_knn(args) -> int:
     test_items = _read_labels_csv(args.test)
     if any(label is None for _, _, label in train_items):
         raise ValidationError(f"{args.train}: every training row needs a label")
-    train = [load_graph(p) for _, p, _ in train_items]
-    test = [load_graph(p) for _, p, _ in test_items]
-    cfg = _cfg(args)
-    # name the input file at fault before any matching
-    _check_corpus(train, cfg, [str(p) for _, p, _ in train_items])
-    _check_corpus(test, cfg, [str(p) for _, p, _ in test_items], like=train[0])
+    train, cfg = _corpus(args, [p for _, p, _ in train_items])
+    test, _ = _corpus(args, [p for _, p, _ in test_items], like=train[0])
     labels = [label for _, _, label in train_items]
     preds, _ = knn_classify(train, labels, test, args.k, cfg, workers=args.workers)
     truths = [label for _, _, label in test_items]
@@ -250,9 +250,7 @@ def _cmd_knn(args) -> int:
 
 
 def _cmd_pairwise(args) -> int:
-    graphs = [load_graph(p) for p in args.inputs]
-    cfg = _cfg(args)
-    _check_corpus(graphs, cfg, args.inputs)  # names the input file at fault
+    graphs, cfg = _corpus(args, args.inputs)
     matrix = pairwise_distances(graphs, cfg, workers=args.workers)
     # rows and columns are labelled by base name unless two inputs share one
     ids = [Path(p).name for p in args.inputs]
@@ -283,19 +281,13 @@ def _cmd_bench_recovery(args) -> int:
 def _cmd_generate(args) -> int:
     if args.count < 0:
         raise ValidationError("--count must be nonnegative")
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = []
-    for i in range(args.count):
-        g = generate(args.family, (args.sizes[0], args.sizes[1]),
-                     trial_rng(args.seed, i), p=args.p,
-                     coord_noise=args.coord_noise, edge_noise=args.edge_noise,
-                     node_drop=args.node_drop)
-        name = f"graph_{i:03d}.json"
-        save_graph(g, out_dir / name)
-        files.append(name)
+    graphs = [generate(args.family, (args.sizes[0], args.sizes[1]), trial_rng(args.seed, i),
+                       p=args.p, coord_noise=args.coord_noise, edge_noise=args.edge_noise,
+                       node_drop=args.node_drop)
+              for i in range(args.count)]
+    files = _save_graphs(args.out_dir, "graph", graphs)
     _emit({"family": args.family, "count": args.count, "seed": args.seed,
-           "files": files}, out_dir / "manifest.json")
+           "files": files}, Path(args.out_dir) / "manifest.json")
     return EXIT_OK
 
 

@@ -325,7 +325,7 @@ def pca_model_document(model) -> dict:
         "include_nodes": model.include_nodes,
         "attr_dim": model.attr_dim,
         "nonnegative": model.nonnegative,
-        "mean_graph": graph_to_document(model.mean.mu),
+        "mean_graph": graph_to_document(model.mu),
         "center": model.center.tolist(),
         "basis": model.basis.tolist(),
         "singular_values": model.singular_values.tolist(),
@@ -347,8 +347,8 @@ def _float_array(doc: dict, key: str) -> np.ndarray:
 
 
 def pca_model_from_document(doc):
-    """Rebuild a PCA model from its document (registrations are not stored)."""
-    from .stats import GraphMean, GraphPcaModel
+    """Rebuild a PCA model from its document."""
+    from .stats import GraphPcaModel
 
     if not isinstance(doc, dict):
         _fail("PCA model must be a JSON object")
@@ -383,6 +383,8 @@ def pca_model_from_document(doc):
     if include_nodes and (mu.attr_dim == 0 or mu.attr_dim != attr_dim):
         _fail(f"PCA model 'mean_graph' must carry node attributes with 'attr_dim' = "
               f"{attr_dim} columns when 'include_nodes' is set, got {mu.attr_dim}")
+    if not include_nodes and attr_dim != 0:
+        _fail(f"PCA model 'attr_dim' must be 0 without 'include_nodes', got {attr_dim}")
     n_edges = size * (size - 1) // (1 if directed else 2)
     dim = n_edges + (size * attr_dim if include_nodes else 0)
 
@@ -411,9 +413,8 @@ def pca_model_from_document(doc):
             _fail(f"PCA model '{key}' must hold one number per component ({k}), "
                   f"got shape {values.shape}")
 
-    mean = GraphMean(mu=mu, registrations=(), energy_trace=(), converged=True)
     return GraphPcaModel(
-        mean=mean,
+        mu=mu,
         basis=basis,
         singular_values=svals,
         **per_component,
@@ -421,8 +422,5 @@ def pca_model_from_document(doc):
         center=center,
         lam=lam,
         include_nodes=include_nodes,
-        directed=directed,
-        size=size,
-        attr_dim=attr_dim,
         nonnegative=doc["nonnegative"],
     )

@@ -37,6 +37,8 @@ LETTER_A_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (1, 3))
 
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator for trial ``index`` of a seeded batch."""
+    if master_seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {master_seed}")
     return np.random.default_rng(np.random.SeedSequence([master_seed, index]))
 
 

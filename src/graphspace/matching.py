@@ -126,6 +126,8 @@ class MatchConfig:
             raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.restarts < 0:
             raise ValueError("restarts must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass(frozen=True)

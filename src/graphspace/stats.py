@@ -4,11 +4,12 @@ The mean alternates between registering every graph to a template and
 averaging the registered adjacencies.  A registration is only adopted when
 it does not worsen that sample's edge discrepancy against the current
 template, so the traced energy sum is non-increasing even with heuristic
-matchers.  PCA vectorizes registered residuals (strict upper triangle for
-undirected graphs, so each edge is counted once), centers them, and takes
-a thin SVD; scores live in an ordinary Euclidean space where a
-low-dimensional Gaussian can be fitted and sampled, with samples mapped
-back to graphs through the PCA basis.
+matchers.  PCA takes such a mean and works in the tangent space at it: it
+vectorizes the registered residuals (strict upper triangle for undirected
+graphs, so each edge is counted once), centers them, and takes a thin
+SVD; scores live in an ordinary Euclidean space where a low-dimensional
+Gaussian can be fitted and sampled, with samples mapped back to graphs
+through the PCA basis.
 """
 
 from __future__ import annotations
@@ -184,15 +185,18 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
 class GraphPcaModel:
     """Principal directions of registered, centered graph residuals.
 
-    ``basis`` rows are orthonormal directions over the residual
-    vectorization (edge block, then sqrt(lambda)-scaled attribute block
-    when ``include_nodes``); ``singular_values`` are the singular values
-    of the centered residual matrix, so sum(s^2) / (n_samples - 1) is the
-    total residual variance and ``component_variances`` are the per-axis
-    variances whose square roots scale the principal-variation displays.
+    ``mu`` is the mean graph the residuals are taken from; the template
+    size, directedness and (with ``include_nodes``) the attribute
+    dimension are read off it.  ``basis`` rows are orthonormal directions
+    over the residual vectorization (edge block, then sqrt(lambda)-scaled
+    attribute block when ``include_nodes``); ``singular_values`` are the
+    singular values of the centered residual matrix, so sum(s^2) /
+    (n_samples - 1) is the total residual variance and
+    ``component_variances`` are the per-axis variances whose square roots
+    scale the principal-variation displays.
     """
 
-    mean: GraphMean
+    mu: Graph
     basis: np.ndarray
     singular_values: np.ndarray
     component_variances: np.ndarray
@@ -201,10 +205,19 @@ class GraphPcaModel:
     center: np.ndarray
     lam: float
     include_nodes: bool
-    directed: bool
-    size: int
-    attr_dim: int
     nonnegative: bool
+
+    @property
+    def size(self) -> int:
+        return self.mu.n
+
+    @property
+    def directed(self) -> bool:
+        return self.mu.directed
+
+    @property
+    def attr_dim(self) -> int:
+        return self.mu.attr_dim if self.include_nodes else 0
 
     @property
     def n_components(self) -> int:
@@ -232,41 +245,32 @@ def _vectorize(model_like, graph: Graph) -> np.ndarray:
     return vec
 
 
-def graph_pca(graphs, cfg: MatchConfig | None = None, include_nodes: bool = False,
-              mean: GraphMean | None = None, max_outer: int = 30,
-              tol: float = 1e-9) -> GraphPcaModel:
-    """PCA of a graph corpus in the quotient space.
+def graph_pca(mean: GraphMean, lam: float = 0.0,
+              include_nodes: bool = False) -> GraphPcaModel:
+    """PCA in the tangent space at a Karcher mean.
 
-    Computes (or reuses) the Karcher mean, vectorizes the registered
-    residuals A_i* - A_mu over the strict upper triangle (full
-    off-diagonal when directed), appends sqrt(lambda)-scaled attribute
-    residuals when ``include_nodes``, centers, and takes a thin SVD.
-    A corpus of identical graphs yields all-zero singular values.  A given
-    ``mean`` must be the one of ``graphs``: one registration per graph, on
-    a template no smaller than the largest graph.
+    Vectorizes the registered residuals A_i* - A_mu of ``mean``'s
+    registrations over the strict upper triangle (full off-diagonal when
+    directed), appends sqrt(lambda)-scaled attribute residuals when
+    ``include_nodes``, centers, and takes a thin SVD.  ``lam`` scales
+    the attribute block; pass the lambda the mean was registered with.  A
+    corpus of identical graphs yields all-zero singular values.
     """
-    graphs = list(graphs)
-    if len(graphs) < 2:
+    regs = mean.registrations
+    if len(regs) < 2:
         raise ValueError("graph_pca requires at least two graphs")
-    cfg = cfg or MatchConfig()
-    if include_nodes and cfg.lam <= 0:
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+    if include_nodes and lam <= 0:
         raise ValueError("include_nodes requires lambda > 0 (attribute block scale)")
-    if mean is not None:
-        largest = max(g.n for g in graphs)
-        if len(mean.registrations) != len(graphs) or mean.mu.n < largest:
-            raise ValueError(
-                f"a mean of {len(mean.registrations)} graphs on a {mean.mu.n}-node template "
-                f"does not fit {len(graphs)} graphs of up to {largest} nodes")
-    gm = mean if mean is not None else karcher_mean(graphs, cfg, max_outer, tol)
-    mu = gm.mu
-    size, directed = mu.n, mu.directed
+    mu = mean.mu
     if include_nodes and mu.node_attrs is None:
         raise ValueError("include_nodes requires node attributes on the corpus")
 
-    rows, cols = _edge_indices(size, directed)
-    sqrt_lam = math.sqrt(cfg.lam) if include_nodes else 0.0
+    rows, cols = _edge_indices(mu.n, mu.directed)
+    sqrt_lam = math.sqrt(lam) if include_nodes else 0.0
     vecs = []
-    for reg in gm.registrations:
+    for reg in regs:
         resid = (reg.graph.adjacency - mu.adjacency)[rows, cols]
         if include_nodes:
             # a null node's attribute equals whatever it faces, so its
@@ -284,19 +288,17 @@ def graph_pca(graphs, cfg: MatchConfig | None = None, include_nodes: bool = Fals
     total = float((s * s).sum())
     evr = (s * s) / total if total > 0 else np.zeros_like(s)
     return GraphPcaModel(
-        mean=gm,
+        mu=mu,
         basis=vt,
         singular_values=s,
-        component_variances=(s * s) / (len(graphs) - 1),
+        component_variances=(s * s) / (len(regs) - 1),
         explained_variance_ratio=evr,
         scores=scores,
         center=center,
-        lam=cfg.lam,
+        lam=lam,
         include_nodes=include_nodes,
-        directed=directed,
-        size=size,
-        attr_dim=mu.attr_dim if include_nodes else 0,
-        nonnegative=bool(all(g.adjacency.min(initial=0.0) >= 0.0 for g in graphs)),
+        # a registered graph is a permuted, zero-padded input
+        nonnegative=bool(all(r.graph.adjacency.min(initial=0.0) >= 0.0 for r in regs)),
     )
 
 
@@ -339,7 +341,7 @@ def reconstruct(model: GraphPcaModel, scores, threshold: float = 0.0) -> Graph:
             f"got shape {scores.shape}"
         )
     _check_threshold(threshold)
-    vec = _vectorize(model, model.mean.mu) + model.center
+    vec = _vectorize(model, model.mu) + model.center
     if scores.size:
         vec = vec + scores @ model.basis[: scores.shape[0]]
     return _unvectorize(model, vec, threshold)
@@ -402,6 +404,8 @@ def sample_scores(model: GaussianGraphModel, seed: int, count: int) -> np.ndarra
     """Draw ``count`` score vectors from the fitted normal."""
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     chol = _cholesky_with_jitter(model.score_cov)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, model.k))

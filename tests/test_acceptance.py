@@ -190,9 +190,10 @@ def test_c05_mean_monotonicity():
 def test_c06_pca_suite():
     rng = np.random.default_rng(106)
     corpus = perturbed_corpus(random_symmetric_graph(6, rng), 10, rng, scale=0.3)
-    model = graph_pca(corpus, MatchConfig(refinement=True, restarts=3))
+    gm = karcher_mean(corpus, MatchConfig(refinement=True, restarts=3))
+    model = graph_pca(gm)
     recon_worst = 0.0
-    for i, reg in enumerate(model.mean.registrations):
+    for i, reg in enumerate(gm.registrations):
         back = reconstruct(model, model.scores[i])
         recon_worst = max(
             recon_worst, float(np.max(np.abs(back.adjacency - reg.graph.adjacency)))
@@ -201,9 +202,9 @@ def test_c06_pca_suite():
 
     base_corpus = perturbed_corpus(random_symmetric_graph(5, rng), 10, rng, scale=0.3)
     cfg = MatchConfig(solver="brute", padding="none")
-    model_a = graph_pca(base_corpus, cfg)
+    model_a = graph_pca(karcher_mean(base_corpus, cfg))
     relabeled = [permute(g, rng.permutation(g.n)) for g in base_corpus]
-    model_b = graph_pca(relabeled, cfg)
+    model_b = graph_pca(karcher_mean(relabeled, cfg))
     sv_err = float(np.max(np.abs(model_a.singular_values - model_b.singular_values)))
     da = np.linalg.norm(model_a.scores[:, None] - model_a.scores[None, :], axis=-1)
     db = np.linalg.norm(model_b.scores[:, None] - model_b.scores[None, :], axis=-1)
@@ -212,11 +213,12 @@ def test_c06_pca_suite():
 
     g1 = random_symmetric_graph(5, rng)
     g2 = random_symmetric_graph(5, rng)
-    two = graph_pca([g1, g2], cfg)
+    two_mean = karcher_mean([g1, g2], cfg)
+    two = graph_pca(two_mean)
     nonzero = two.singular_values[two.singular_values > 1e-12]
     iu = np.triu_indices(5, k=1)
-    r1 = (two.mean.registrations[0].graph.adjacency - two.mean.mu.adjacency)[iu]
-    r2 = (two.mean.registrations[1].graph.adjacency - two.mean.mu.adjacency)[iu]
+    r1 = (two_mean.registrations[0].graph.adjacency - two.mu.adjacency)[iu]
+    r2 = (two_mean.registrations[1].graph.adjacency - two.mu.adjacency)[iu]
     d = float(np.linalg.norm(r1 - r2))
     s = two.scores[:, 0]
     two_ok = (
@@ -236,7 +238,7 @@ def test_c07_gaussian_model():
     corpus = [letter_like(trial_rng(1070, i), coord_noise=0.15, edge_noise=0.08,
                           node_drop=0.15) for i in range(30)]
     cfg = MatchConfig(lam=1.0, refinement=True)
-    pca = graph_pca(corpus, cfg, include_nodes=True)
+    pca = graph_pca(karcher_mean(corpus, cfg), cfg.lam, include_nodes=True)
     k = components_for_variance(pca, 0.8)
     model = fit_gaussian(pca, k, threshold=0.1)
     scores = sample_scores(model, seed=1071, count=10000)

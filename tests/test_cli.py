@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -234,6 +235,35 @@ class TestExitCodes:
                              "--out-dir", str(tmp_path / "g")], capsys, "--count")
         assert not (tmp_path / "g" / "manifest.json").exists()
 
+    @pytest.mark.parametrize("command", ["match", "pairwise", "generate", "sample",
+                                         "bench-recovery"])
+    def test_negative_seed_names_the_seed_2(self, command, corpus_dir, tmp_path, capsys):
+        files = graphs_in(corpus_dir)
+        if command == "match":
+            argv = ["match", *files[:2], "--restarts", "2", "--seed", "-1"]
+        elif command == "pairwise":
+            argv = ["pairwise", *files, "--restarts", "1", "--seed", "-1"]
+        elif command == "generate":
+            argv = ["generate", "--family", "binomial", "--count", "2", "--seed", "-1",
+                    "--out-dir", str(tmp_path / "out")]
+        elif command == "sample":
+            assert main(["pca", *files, "--out", str(tmp_path / "model.json")]) == 0
+            capsys.readouterr()
+            argv = ["sample", "--model", str(tmp_path / "model.json"), "--count", "2",
+                    "--seed", "-1", "--out-dir", str(tmp_path / "out")]
+        else:
+            argv = ["bench-recovery", "--family", "binomial", "--sizes", "4", "5",
+                    "--trials", "1", "--seed", "-1"]
+        self._assert_exit_2(argv, capsys, "seed must be nonnegative, got -1")
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_generate_sizes_leave_no_directory_2(self, tmp_path, capsys):
+        # every graph is drawn before the output directory is made
+        self._assert_exit_2(["generate", "--family", "binomial", "--sizes", "0", "3",
+                             "--count", "2", "--out-dir", str(tmp_path / "bad")], capsys,
+                            "invalid size range [0, 3]")
+        assert not (tmp_path / "bad").exists()
+
     def test_zero_max_outer_is_2(self, corpus_dir, tmp_path, capsys):
         self._assert_exit_2(["mean", *graphs_in(corpus_dir), "--out", str(tmp_path / "m.json"),
                              "--max-outer", "0"], capsys, "max_outer must be at least 1")
@@ -389,6 +419,48 @@ class TestGoldenOutput:
             '  "restart_index": 0\n'
             '}\n'
         )
+
+
+    def test_statistics_outputs_frozen(self, tmp_path, capsys):
+        # pca (plain, and with the attribute block and a component cut) and
+        # sample on a small seeded corpus: every output file pinned by SHA-256
+        corpus = tmp_path / "corpus"
+        assert main(["generate", "--family", "letter_like", "--count", "6", "--seed", "4",
+                     "--node-drop", "0.2", "--out-dir", str(corpus)]) == 0
+        files = graphs_in(corpus)
+        for argv in (
+            ["pca", *files, "--refine", "--out", str(tmp_path / "plain.json")],
+            ["pca", *files, "--refine", "--lambda", "0.7", "--include-nodes",
+             "--components", "3", "--out", str(tmp_path / "nodes.json")],
+            ["sample", "--model", str(tmp_path / "plain.json"), "--count", "3", "--seed", "5",
+             "--threshold", "0.2", "--out-dir", str(tmp_path / "plain")],
+            ["sample", "--model", str(tmp_path / "nodes.json"), "--count", "3", "--seed", "5",
+             "--out-dir", str(tmp_path / "nodes")],
+        ):
+            assert main(argv) == 0
+        capsys.readouterr()
+        digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in tmp_path.rglob("*.json") if p.parent != corpus}
+        assert digests == {
+            "plain.json": "e74280a74d4d765d6b7e584f9f9b0861442e661e45fd24d6beb39292ba65c2bd",
+            "nodes.json": "1f200c27c6fb6b7e6f99a192d693954c8c12d3b894c980d8cfcdaaa3cd634e76",
+            "plain/manifest.json":
+                "59557b2a667a244313cfaab401c5c7ccc83d2f23c9b089863a5900f52dbfbad9",
+            "plain/sample_000.json":
+                "16b856c56ef74efdb787db98b311dc110815c00a2e95c8dff9103afa0eced15a",
+            "plain/sample_001.json":
+                "0820635790a3e0f78caa31ff6dd46b76b09d3e3e6645d5b59ce41ed30927a790",
+            "plain/sample_002.json":
+                "62b0170f38bff2bc8614b5245ac708c45099c9deaa2d23a13002e638529546cf",
+            "nodes/manifest.json":
+                "96455ed443e6e3766823ab8780cfbc78bd195bf00e671228c14fc29827ec43b4",
+            "nodes/sample_000.json":
+                "51990eef8de11d1b9064f89a23e9bc4c2ed5242c3084423c59af001369a755a9",
+            "nodes/sample_001.json":
+                "ed91e7eb8f08548289af645517382f2d22b71073e3dd1d9a5ecc1feb05bb8e53",
+            "nodes/sample_002.json":
+                "2fa193f7fe1573e5acbf9303a75547bc636462ec17ea35282df88a600385dbff",
+        }
 
 
 class TestDeterminism:

@@ -15,6 +15,7 @@ from graphspace import (
     dumps_graph,
     graph_pca,
     graph_to_document,
+    karcher_mean,
     load_graph,
     node_distance_matrix,
     pca_model_document,
@@ -173,7 +174,7 @@ class TestPcaModelDocument:
     def test_round_trip_reconstruction(self):
         rng = np.random.default_rng(2)
         corpus = perturbed_corpus(random_symmetric_graph(5, rng), 6, rng)
-        model = graph_pca(corpus, MatchConfig(refinement=True))
+        model = graph_pca(karcher_mean(corpus, MatchConfig(refinement=True)))
         doc = pca_model_document(model)
         # must survive a JSON round trip
         loaded = pca_model_from_document(json.loads(json.dumps(doc)))
@@ -213,12 +214,16 @@ class TestPcaModelDocument:
         # a flat non-empty basis or scores names its key
         ("basis", [1.0, 2.0], "basis shape \\(2,\\) does not match 3 x 9"),
         ("scores", [1.0, 2.0], "scores must have one column per component"),
+        # without 'include_nodes' the writer stores attr_dim 0, and any other
+        # value would be dropped on load
+        ("include_nodes", False, "'attr_dim' must be 0 without 'include_nodes', got 2"),
     ])
     def test_malformed_fields_rejected(self, key, value, message):
         rng = np.random.default_rng(5)
         corpus = perturbed_corpus(random_symmetric_graph(3, rng), 3, rng)
         corpus = [Graph(g.adjacency, node_attrs=rng.normal(size=(3, 2))) for g in corpus]
-        doc = pca_model_document(graph_pca(corpus, MatchConfig(lam=0.5), include_nodes=True))
+        doc = pca_model_document(
+            graph_pca(karcher_mean(corpus, MatchConfig(lam=0.5)), 0.5, include_nodes=True))
         pca_model_from_document(doc)
         doc[key] = value
         with pytest.raises(ValidationError, match=message):
@@ -227,7 +232,7 @@ class TestPcaModelDocument:
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(3)
         corpus = perturbed_corpus(random_symmetric_graph(4, rng), 3, rng)
-        doc = pca_model_document(graph_pca(corpus))
+        doc = pca_model_document(graph_pca(karcher_mean(corpus)))
         doc["basis"] = [row[:-1] for row in doc["basis"]]
         with pytest.raises(ValidationError, match="basis shape"):
             pca_model_from_document(doc)
@@ -347,8 +352,8 @@ class TestCanonicalWriter:
         attrs = rng.normal(size=(4, 1)) if include_nodes else None
         corpus = [Graph(g.adjacency, node_attrs=attrs)
                   for g in perturbed_corpus(base, 4, rng)]
-        model = graph_pca(corpus, MatchConfig(lam=0.5 if include_nodes else 0.0),
-                          include_nodes=include_nodes)
+        cfg = MatchConfig(lam=0.5 if include_nodes else 0.0)
+        model = graph_pca(karcher_mean(corpus, cfg), cfg.lam, include_nodes=include_nodes)
         model = truncate_components(model, min(k, model.n_components))
         doc = pca_model_document(model)
         assert _dumps(doc) == _oracle(doc)
@@ -357,7 +362,7 @@ class TestCanonicalWriter:
     def test_zero_components(self):
         rng = np.random.default_rng(4)
         corpus = perturbed_corpus(random_symmetric_graph(3, rng), 3, rng)
-        doc = pca_model_document(truncate_components(graph_pca(corpus), 0))
+        doc = pca_model_document(truncate_components(graph_pca(karcher_mean(corpus)), 0))
         assert doc["basis"] == [] and doc["scores"] == [[], [], []]
         assert _dumps(doc) == _oracle(doc)
 

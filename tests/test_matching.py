@@ -106,6 +106,8 @@ class TestMatchConfig:
             {"lam": math.inf},
             {"lam": math.nan},
             {"tol": math.nan},
+            # rejected when the config is built, not when a restart first draws
+            {"seed": -1},
         ],
     )
     def test_validation(self, kwargs):

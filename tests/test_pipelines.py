@@ -55,6 +55,10 @@ class TestGenerators:
         with pytest.raises(ValueError, match="family"):
             generate("weird", (2, 3), trial_rng(0, 0))
 
+    def test_trial_rng_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -3"):
+            trial_rng(-3, 0)
+
 
 class TestDistances:
     def test_symmetric_match_zero_for_duplicates(self):

@@ -202,19 +202,20 @@ class TestGraphPca:
     def test_identical_graphs_zero_singular_values(self):
         rng = np.random.default_rng(5)
         g = random_symmetric_graph(5, rng)
-        model = graph_pca([g, g, g])
+        model = graph_pca(karcher_mean([g, g, g]))
         assert np.all(model.singular_values <= 1e-12)
 
     def test_two_graph_closed_form(self):
         rng = np.random.default_rng(6)
         g1 = random_symmetric_graph(5, rng)
         g2 = random_symmetric_graph(5, rng)
-        model = graph_pca([g1, g2], MatchConfig(solver="brute", padding="none"))
+        gm = karcher_mean([g1, g2], MatchConfig(solver="brute", padding="none"))
+        model = graph_pca(gm)
         nonzero = model.singular_values[model.singular_values > 1e-12]
         assert len(nonzero) == 1
         iu = np.triu_indices(5, k=1)
-        r1 = (model.mean.registrations[0].graph.adjacency - model.mean.mu.adjacency)[iu]
-        r2 = (model.mean.registrations[1].graph.adjacency - model.mean.mu.adjacency)[iu]
+        r1 = (gm.registrations[0].graph.adjacency - model.mu.adjacency)[iu]
+        r2 = (gm.registrations[1].graph.adjacency - model.mu.adjacency)[iu]
         d = float(np.linalg.norm(r1 - r2))
         s = model.scores[:, 0]
         assert abs(abs(s[0]) - d / 2) <= 1e-9
@@ -223,26 +224,28 @@ class TestGraphPca:
     def test_full_rank_reconstruction(self):
         rng = np.random.default_rng(7)
         corpus = perturbed_corpus(random_symmetric_graph(6, rng), 6, rng)
-        model = graph_pca(corpus, MatchConfig(refinement=True))
-        for i, reg in enumerate(model.mean.registrations):
+        gm = karcher_mean(corpus, MatchConfig(refinement=True))
+        model = graph_pca(gm)
+        for i, reg in enumerate(gm.registrations):
             back = reconstruct(model, model.scores[i])
             assert np.max(np.abs(back.adjacency - reg.graph.adjacency)) <= 1e-9
 
     def test_zero_scores_give_mean(self):
         rng = np.random.default_rng(8)
         corpus = perturbed_corpus(random_symmetric_graph(5, rng), 5, rng)
-        model = graph_pca(corpus, MatchConfig(refinement=True))
+        model = graph_pca(karcher_mean(corpus, MatchConfig(refinement=True)))
         back = reconstruct(model, np.zeros(0))
-        assert np.max(np.abs(back.adjacency - model.mean.mu.adjacency)) <= 1e-9
+        assert np.max(np.abs(back.adjacency - model.mu.adjacency)) <= 1e-9
 
     def test_variance_identity(self):
         rng = np.random.default_rng(9)
         corpus = perturbed_corpus(random_symmetric_graph(6, rng), 8, rng)
-        model = graph_pca(corpus, MatchConfig(refinement=True))
+        gm = karcher_mean(corpus, MatchConfig(refinement=True))
+        model = graph_pca(gm)
         m = model.n_samples
         iu = np.triu_indices(model.size, k=1)
         resids = np.vstack(
-            [(r.graph.adjacency - model.mean.mu.adjacency)[iu] for r in model.mean.registrations]
+            [(r.graph.adjacency - model.mu.adjacency)[iu] for r in gm.registrations]
         )
         total_var = float(np.var(resids, axis=0, ddof=1).sum())
         assert abs(float((model.singular_values**2).sum()) / (m - 1) - total_var) <= 1e-9 * (
@@ -252,20 +255,20 @@ class TestGraphPca:
     def test_scores_are_centered(self):
         rng = np.random.default_rng(10)
         corpus = perturbed_corpus(random_symmetric_graph(5, rng), 6, rng)
-        model = graph_pca(corpus)
+        model = graph_pca(karcher_mean(corpus))
         assert np.max(np.abs(model.scores.mean(axis=0))) <= 1e-9
 
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(11)
         corpus = perturbed_corpus(random_symmetric_graph(6, rng), 5, rng)
-        model = graph_pca(corpus)
+        model = graph_pca(karcher_mean(corpus))
         gram = model.basis @ model.basis.T
         assert np.max(np.abs(gram - np.eye(len(gram)))) <= 1e-9
 
     def test_explained_variance_sums_to_one(self):
         rng = np.random.default_rng(12)
         corpus = perturbed_corpus(random_symmetric_graph(5, rng), 7, rng)
-        model = graph_pca(corpus)
+        model = graph_pca(karcher_mean(corpus))
         assert abs(float(model.explained_variance_ratio.sum()) - 1.0) <= 1e-9
 
     def test_permutation_invariance(self):
@@ -273,9 +276,9 @@ class TestGraphPca:
         base = random_symmetric_graph(5, rng)
         corpus = perturbed_corpus(base, 6, rng, scale=0.3)
         cfg = MatchConfig(solver="brute", padding="none")
-        model_a = graph_pca(corpus, cfg)
+        model_a = graph_pca(karcher_mean(corpus, cfg))
         relabeled = [permute(g, rng.permutation(g.n)) for g in corpus]
-        model_b = graph_pca(relabeled, cfg)
+        model_b = graph_pca(karcher_mean(relabeled, cfg))
         assert np.max(np.abs(model_a.singular_values - model_b.singular_values)) <= 1e-6
         da = np.linalg.norm(model_a.scores[:, None] - model_a.scores[None, :], axis=-1)
         db = np.linalg.norm(model_b.scores[:, None] - model_b.scores[None, :], axis=-1)
@@ -285,39 +288,29 @@ class TestGraphPca:
         rng = np.random.default_rng(14)
         corpus = perturbed_corpus(random_symmetric_graph(4, rng), 3, rng)
         with pytest.raises(ValueError, match="lambda"):
-            graph_pca(corpus, include_nodes=True)
+            graph_pca(karcher_mean(corpus), include_nodes=True)
 
     def test_needs_two_graphs(self):
         rng = np.random.default_rng(15)
         with pytest.raises(ValueError, match="two"):
-            graph_pca([random_symmetric_graph(4, rng)])
-
-    def test_mean_of_another_corpus_rejected(self):
-        rng = np.random.default_rng(19)
-        five = perturbed_corpus(random_symmetric_graph(6, rng), 5, rng)
-        with pytest.raises(ValueError, match="mean of 5 graphs .* does not fit 3 graphs"):
-            graph_pca(five[:3], mean=karcher_mean(five))
-        large = perturbed_corpus(random_symmetric_graph(9, rng), 3, rng)
-        with pytest.raises(ValueError, match="6-node template does not fit .* up to 9 nodes"):
-            graph_pca(large, mean=karcher_mean(five[:3]))
-        own = graph_pca(five[:3], mean=karcher_mean(five[:3]))
-        assert own.n_samples == 3
+            graph_pca(karcher_mean([random_symmetric_graph(4, rng)]))
 
     def test_include_nodes_round_trip(self):
         rng = np.random.default_rng(16)
         corpus = [letter_like(rng, coord_noise=0.2, edge_noise=0.0) for _ in range(5)]
         cfg = MatchConfig(lam=1.0, refinement=True)
-        model = graph_pca(corpus, cfg, include_nodes=True)
-        for i, reg in enumerate(model.mean.registrations):
+        gm = karcher_mean(corpus, cfg)
+        model = graph_pca(gm, cfg.lam, include_nodes=True)
+        for i, reg in enumerate(gm.registrations):
             back = reconstruct(model, model.scores[i])
             assert np.max(np.abs(back.adjacency - reg.graph.adjacency)) <= 1e-9
-            real = ~reg.graph.null_mask & ~model.mean.mu.null_mask
+            real = ~reg.graph.null_mask & ~model.mu.null_mask
             assert np.max(np.abs(back.node_attrs[real] - reg.graph.node_attrs[real])) <= 1e-9
 
     def test_threshold_drops_weak_edges(self):
         rng = np.random.default_rng(17)
         corpus = perturbed_corpus(random_symmetric_graph(5, rng), 5, rng)
-        model = graph_pca(corpus)
+        model = graph_pca(karcher_mean(corpus))
         g = reconstruct(model, model.scores[0], threshold=1e9)
         assert np.all(g.adjacency == 0.0)
 
@@ -325,7 +318,7 @@ class TestGraphPca:
         rng = np.random.default_rng(18)
         ws = [np.triu(rng.random((5, 5)), 1) for _ in range(5)]
         corpus = [Graph(w + w.T) for w in ws]
-        model = graph_pca(corpus, MatchConfig(refinement=True))
+        model = graph_pca(karcher_mean(corpus, MatchConfig(refinement=True)))
         assert model.nonnegative
         extreme = -50.0 * np.ones(model.n_components)
         g = reconstruct(model, extreme)
@@ -335,12 +328,17 @@ class TestGraphPca:
 class TestGaussianModel:
     def _model(self, rng, count=8, k=3):
         corpus = perturbed_corpus(random_symmetric_graph(6, rng), count, rng)
-        pca = graph_pca(corpus, MatchConfig(refinement=True))
+        pca = graph_pca(karcher_mean(corpus, MatchConfig(refinement=True)))
         return fit_gaussian(pca, k)
 
     def test_score_mean_near_zero(self):
         model = self._model(np.random.default_rng(19))
         assert np.max(np.abs(model.score_mean)) <= 1e-9
+
+    def test_negative_seed_rejected(self):
+        model = self._model(np.random.default_rng(26))
+        with pytest.raises(ValueError, match="seed must be nonnegative, got -1"):
+            sample_scores(model, seed=-1, count=2)
 
     def test_sampled_covariance_matches(self):
         model = self._model(np.random.default_rng(20))
@@ -355,7 +353,7 @@ class TestGaussianModel:
         rng = np.random.default_rng(21)
         g = random_symmetric_graph(5, rng)
         corpus = perturbed_corpus(g, 3, rng) + [g, g]
-        pca = graph_pca(corpus, MatchConfig(refinement=True))
+        pca = graph_pca(karcher_mean(corpus, MatchConfig(refinement=True)))
         model = fit_gaussian(pca, min(4, pca.n_components))
         out = sample_graphs(model, seed=0, count=4)
         assert len(out) == 4
@@ -363,7 +361,7 @@ class TestGaussianModel:
     def test_k_validation(self):
         model_src = np.random.default_rng(22)
         corpus = perturbed_corpus(random_symmetric_graph(5, model_src), 4, model_src)
-        pca = graph_pca(corpus)
+        pca = graph_pca(karcher_mean(corpus))
         with pytest.raises(ValueError, match="at least 1"):
             fit_gaussian(pca, 0)
         with pytest.raises(ValueError, match="exceeds"):
@@ -387,7 +385,7 @@ class TestGaussianModel:
     def test_components_for_variance(self):
         rng = np.random.default_rng(24)
         corpus = perturbed_corpus(random_symmetric_graph(6, rng), 10, rng)
-        pca = graph_pca(corpus, MatchConfig(refinement=True))
+        pca = graph_pca(karcher_mean(corpus, MatchConfig(refinement=True)))
         k = components_for_variance(pca, 0.8)
         cums = np.cumsum(pca.explained_variance_ratio)
         assert cums[k - 1] >= 0.8 - 1e-9
@@ -401,7 +399,7 @@ class TestGaussianModel:
     def test_truncate_components_bounds(self):
         rng = np.random.default_rng(25)
         corpus = perturbed_corpus(random_symmetric_graph(5, rng), 4, rng)
-        pca = graph_pca(corpus)
+        pca = graph_pca(karcher_mean(corpus))
         cut = truncate_components(pca, 2)
         assert cut.n_components == 2 and cut.scores.shape[1] == 2
         with pytest.raises(ValueError):
