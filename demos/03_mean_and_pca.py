@@ -40,7 +40,7 @@ def main():
 
     cfg = MatchConfig(lam=1.0, refinement=True)
     mean = karcher_mean(corpus, cfg)
-    model = graph_pca(mean, cfg.lam, include_nodes=True)
+    model = graph_pca(mean, include_nodes=True)
 
     print("\n== Mean graph ==")
     print(f"  template: {describe(mean.mu)}")
@@ -72,7 +72,7 @@ def main():
              for i in range(15)]
     noisy = [letter_like(trial_rng(5, i), coord_noise=0.25, edge_noise=0.2)
              for i in range(15)]
-    both = graph_pca(karcher_mean(crisp + noisy, cfg), cfg.lam, include_nodes=True)
+    both = graph_pca(karcher_mean(crisp + noisy, cfg), include_nodes=True)
     spread = np.linalg.norm(both.scores[:, :2], axis=1)
     print(f"  mean 2-pc score norm: crisp {spread[:15].mean():.3f} "
           f"vs noisy {spread[15:].mean():.3f}")

@@ -37,7 +37,7 @@ def main():
         for i in range(40)
     ]
     cfg = MatchConfig(lam=1.0, refinement=True)
-    pca = graph_pca(karcher_mean(corpus, cfg), cfg.lam, include_nodes=True)
+    pca = graph_pca(karcher_mean(corpus, cfg), include_nodes=True)
     k = components_for_variance(pca, 0.8)
     model = fit_gaussian(pca, k, threshold=0.2)
     print(f"fitted a {k}-dimensional Gaussian over principal scores "

@@ -26,7 +26,7 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .graphs import Graph
+from .graphs import Graph, _squared_distance
 
 __all__ = ["objective_value"]
 
@@ -56,10 +56,7 @@ def objective_value(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     order (symmetric in the two graphs for the optimal permutation).
     """
     perm = np.asarray(perm)
-    diff = a1 - a2[perm[:, None], perm]
-    # Zero differences add nothing to fsum's correctly rounded exact sum.
-    diff = diff[diff != 0.0]
-    total = math.fsum((diff * diff).tolist())
+    total = _squared_distance(a1, a2[perm[:, None], perm])
     if lam != 0.0 and d is not None:
         total += lam * math.fsum(d[np.arange(len(perm)), perm].tolist())
     return total

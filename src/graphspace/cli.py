@@ -26,10 +26,9 @@ from .documents import (
     save_graph,
 )
 from .generators import FAMILIES, generate, trial_rng
-from .graphs import _PADDINGS
+from .graphs import _PADDINGS, _check_corpus
 from .matching import _SOLVERS, MatchConfig, geodesic, graph_distance
 from .pipelines import (
-    _check_corpus,
     bench_recovery,
     distance_csv,
     knn_classify,
@@ -82,7 +81,10 @@ def _cfg(args) -> MatchConfig:
 
 
 def _emit(doc: dict, out: str | None = None) -> None:
-    text = _dumps(doc)
+    try:
+        text = _dumps(doc)
+    except ValueError as exc:
+        raise ValueError(f"{out or '<stdout>'}: {exc}") from exc
     sys.stdout.write(text)
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -106,7 +108,7 @@ def _corpus(args, paths, like=None):
     """The graphs at ``paths`` and the command's config, checked as a corpus
     so that an error names the input file at fault."""
     graphs, cfg = [load_graph(p) for p in paths], _cfg(args)
-    _check_corpus(graphs, cfg, [str(p) for p in paths], like)
+    _check_corpus(graphs, cfg.lam, [str(p) for p in paths], like)
     return graphs, cfg
 
 
@@ -153,13 +155,13 @@ def _cmd_geodesic(args) -> int:
 
 
 def _karcher(args):
-    """The Karcher mean of the command's inputs, and the config it used."""
+    """The Karcher mean of the command's inputs."""
     graphs, cfg = _corpus(args, args.inputs)
-    return karcher_mean(graphs, cfg, max_outer=args.max_outer, tol=args.mean_tol), cfg
+    return karcher_mean(graphs, cfg, max_outer=args.max_outer, tol=args.mean_tol)
 
 
 def _cmd_mean(args) -> int:
-    gm, _ = _karcher(args)
+    gm = _karcher(args)
     save_graph(gm.mu, args.out)
     manifest = {
         "template_size": gm.mu.n,
@@ -182,8 +184,8 @@ def _check_components(k: int, rank: float = math.inf) -> None:
 
 def _cmd_pca(args) -> int:
     _check_components(args.components)  # before the mean is computed
-    gm, cfg = _karcher(args)
-    model = graph_pca(gm, cfg.lam, include_nodes=args.include_nodes)
+    gm = _karcher(args)
+    model = graph_pca(gm, include_nodes=args.include_nodes)
     _check_components(args.components, model.n_components)
     if args.components:
         model = truncate_components(model, args.components)

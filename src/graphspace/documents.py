@@ -9,9 +9,11 @@ rejected.  The writer is canonical (sorted edges, fixed key order, indent
 2), so save-then-load-then-save reproduces files byte for byte.
 
 Every document, and every JSON output of the CLI, is written by
-``_dumps``, whose bytes are exactly those of ``json.dumps(obj, indent=2)``
-but which writes whole lists of numbers and of number records at once
-instead of value by value.  The reader runs every schema check per node
+``_dumps``, whose bytes are exactly those of ``json.dumps(obj, indent=2,
+allow_nan=False)`` but which writes whole lists of numbers and of number
+records at once instead of value by value.  Like that call it refuses NaN
+and infinities, which the reader rejects, so no file is written that
+cannot be read back.  The reader runs every schema check per node
 and per edge, in document order, so the first violation is the one
 reported; it formats an error message only when a check fails.
 """
@@ -201,7 +203,8 @@ def graph_to_document(g: Graph) -> dict:
 
 
 def _dumps(obj) -> str:
-    """``json.dumps(obj, indent=2) + "\\n"``, for the documents' value types.
+    """``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``, for the
+    documents' value types; a NaN or infinity raises ValueError.
 
     The one writer of every document and CLI output.  ``json.dumps`` turns
     off its C encoder whenever ``indent`` is set; this one joins whole lists
@@ -227,12 +230,8 @@ def _encode(obj, pad: str) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     if isinstance(obj, float):
-        if obj != obj:
-            return "NaN"
-        if obj == math.inf:
-            return "Infinity"
-        if obj == -math.inf:
-            return "-Infinity"
+        if not math.isfinite(obj):
+            raise ValueError(f"cannot write the non-finite number {obj!r} as JSON")
         return float.__repr__(obj)
     inner = pad + "  "
     if isinstance(obj, (list, tuple)):
@@ -290,7 +289,11 @@ def dumps_graph(g: Graph) -> str:
 
 
 def save_graph(g: Graph, path) -> None:
-    Path(path).write_text(dumps_graph(g), encoding="utf-8")
+    try:
+        text = dumps_graph(g)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def _read_json(path):

@@ -298,6 +298,46 @@ def pad_pair(g1: Graph, g2: Graph, mode: str = "two_way"):
     return pad_to_size(g1, m), pad_to_size(g2, m)
 
 
+def _numbered(what: str, count: int) -> list[str]:
+    return [f"{what} {i}" for i in range(count)]
+
+
+def _check_corpus(graphs, lam: float, names, like: Graph | None = None) -> None:
+    """Reject, before any matching, graphs that some pair could not match.
+
+    Every graph must share the directedness of ``like`` (default: the
+    first graph), and with ``lam > 0`` it needs node attributes.  Graphs
+    that carry attributes must agree on their dimension with ``like``'s,
+    or, when ``like`` has none, with the first attributed graph's.  The
+    error names the first graph that breaks a rule by its entry in
+    ``names``.
+    """
+    like = like or (graphs[0] if graphs else None)
+    dim = like.attr_dim if like is not None else 0
+    for g, name in zip(graphs, names):
+        if g.directed != like.directed:
+            raise ValueError(f"cannot match a directed graph against an undirected one "
+                             f"({name}): a corpus must not mix them")
+        if g.node_attrs is None:
+            if lam != 0.0:
+                raise ValueError(f"lambda = {lam} requires node attributes, but {name} has none")
+            continue
+        dim = dim or g.attr_dim
+        if g.attr_dim != dim:
+            raise ValueError(f"attribute dimension mismatch: {name} has {g.attr_dim}, "
+                             f"expected {dim}")
+
+
+def _squared_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_ij (a_ij - b_ij)^2 by math.fsum, so correctly rounded.
+
+    Zero differences are skipped: they add nothing to fsum's exact sum.
+    """
+    diff = a - b
+    diff = diff[diff != 0.0]
+    return math.fsum((diff * diff).tolist())
+
+
 def ambient_distance(g1: Graph, g2: Graph) -> float:
     """Entrywise distance sqrt(sum_ij (a1_ij - a2_ij)^2) between equal-size graphs.
 
@@ -310,8 +350,7 @@ def ambient_distance(g1: Graph, g2: Graph) -> float:
         raise ValueError(f"size mismatch: {g1.n} vs {g2.n} (pad first)")
     if g1.directed != g2.directed:
         raise ValueError("cannot compare directed with undirected graphs")
-    diff = g1.adjacency - g2.adjacency
-    return math.sqrt(math.fsum((diff * diff).ravel().tolist()))
+    return math.sqrt(_squared_distance(g1.adjacency, g2.adjacency))
 
 
 def _null_costs(x1: np.ndarray, null1: np.ndarray, x2: np.ndarray,

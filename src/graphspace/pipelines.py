@@ -17,7 +17,7 @@ import numpy as np
 
 from .assignment import BRUTE_FORCE_MAX_NODES
 from .generators import generate, trial_rng
-from .graphs import Graph, pad_pair, permute
+from .graphs import Graph, _check_corpus, _numbered, pad_pair, permute
 from .matching import MatchConfig, _faq_objectives, graph_distance
 
 __all__ = [
@@ -60,31 +60,6 @@ def symmetric_match(g1: Graph, g2: Graph, cfg: MatchConfig | None = None):
 
 def symmetric_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> float:
     return symmetric_match(g1, g2, cfg)[0]
-
-
-def _check_corpus(graphs, cfg: MatchConfig, names, like: Graph | None = None) -> None:
-    """Reject, before any matching, graphs that some pair could not match.
-
-    Every graph must share the directedness of ``like`` (default: the
-    first graph), and with ``cfg.lam > 0`` it needs node attributes of the
-    same dimension.  The error names the first graph that breaks a rule by
-    its entry in ``names``.
-    """
-    like = like or (graphs[0] if graphs else None)
-    for g, name in zip(graphs, names):
-        if g.directed != like.directed:
-            raise ValueError(f"cannot match a directed graph against an undirected one ({name})")
-        if cfg.lam == 0.0:
-            continue
-        if g.node_attrs is None:
-            raise ValueError(f"lambda = {cfg.lam} requires node attributes, but {name} has none")
-        if like.node_attrs is not None and g.attr_dim != like.attr_dim:
-            raise ValueError(f"attribute dimension mismatch: {name} has {g.attr_dim}, "
-                             f"expected {like.attr_dim}")
-
-
-def _numbered(what: str, count: int) -> list[str]:
-    return [f"{what} {i}" for i in range(count)]
 
 
 # floats in one (B, n, n) array of a stack, at most; a larger group of
@@ -134,7 +109,7 @@ def pairwise_distances(corpus, cfg: MatchConfig | None = None,
     """
     corpus = list(corpus)
     cfg = cfg or MatchConfig()
-    _check_corpus(corpus, cfg, _numbered("graph", len(corpus)))
+    _check_corpus(corpus, cfg.lam, _numbered("graph", len(corpus)))
     m = len(corpus)
     pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     values = _symmetric_distances([(corpus[i], corpus[j]) for i, j in pairs], cfg, workers)
@@ -171,8 +146,8 @@ def knn_classify(train, train_labels, test, k: int,
     if not 1 <= k <= len(train):
         raise ValueError(f"k must lie in 1..{len(train)}, got {k}")
     cfg = cfg or MatchConfig()
-    _check_corpus(train, cfg, _numbered("training graph", len(train)))
-    _check_corpus(test, cfg, _numbered("test graph", len(test)), like=train[0])
+    _check_corpus(train, cfg.lam, _numbered("training graph", len(train)))
+    _check_corpus(test, cfg.lam, _numbered("test graph", len(test)), like=train[0])
 
     flat = _symmetric_distances([(a, b) for a in test for b in train], cfg, workers)
     dists = np.array(flat).reshape(len(test), len(train))

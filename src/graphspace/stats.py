@@ -19,7 +19,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .graphs import Graph, Permutation, pad_to_size
+from .graphs import (Graph, Permutation, _check_corpus, _numbered, _squared_distance,
+                     pad_to_size)
 from .matching import MatchConfig, graph_distance
 
 __all__ = [
@@ -54,18 +55,16 @@ class GraphMean:
     ``energy_trace`` holds sum_i ||A_i* - A_mu||^2 after every outer
     iteration's averaging step; the registration-keep rule makes it
     non-increasing.  At return, ``mu``'s adjacency is exactly the
-    arithmetic mean of the registered adjacencies.
+    arithmetic mean of the registered adjacencies.  ``lam`` is the
+    attribute weight of the metric the registrations minimized; PCA at
+    this mean weights the attribute block by it.
     """
 
     mu: Graph
     registrations: tuple[Registration, ...]
     energy_trace: tuple[float, ...]
     converged: bool
-
-
-def _edge_energy(a: np.ndarray, b: np.ndarray) -> float:
-    diff = a - b
-    return math.fsum((diff * diff).ravel().tolist())
+    lam: float
 
 
 def karcher_mean(graphs, cfg: MatchConfig | None = None,
@@ -83,7 +82,8 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
     register the padded input afresh in every pass.  Node attributes,
     when every input carries them, are averaged per slot over the samples
     whose registered node is real; a slot matched only by null nodes stays
-    null.
+    null.  The corpus must pass the matching pipelines' corpus rule
+    (``graphs._check_corpus``), and the mean keeps ``cfg.lam`` for PCA.
     """
     graphs = list(graphs)
     if not graphs:
@@ -93,16 +93,9 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and nonnegative, got {tol}")
     cfg = cfg or MatchConfig()
+    _check_corpus(graphs, cfg.lam, _numbered("graph", len(graphs)))
     directed = graphs[0].directed
-    if any(g.directed != directed for g in graphs):
-        raise ValueError("cannot mix directed and undirected graphs")
     with_attrs = all(g.node_attrs is not None for g in graphs)
-    if cfg.lam > 0 and not with_attrs:
-        raise ValueError("lambda > 0 requires node attributes on every graph")
-    if with_attrs:
-        dims = {g.attr_dim for g in graphs}
-        if len(dims) > 1:
-            raise ValueError(f"attribute dimensions disagree: {sorted(dims)}")
 
     sizes = [g.n for g in graphs]
     m = max(sizes)
@@ -115,7 +108,7 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
     # against the current mu is energies[i]; the identity starts them.
     perms = [np.arange(m) for _ in padded]
     registered = list(padded)
-    energies = [_edge_energy(g.adjacency, mu.adjacency) for g in padded]
+    energies = [_squared_distance(g.adjacency, mu.adjacency) for g in padded]
     warm_cfg = replace(inner_cfg, faq_init="identity")
     trace: list[float] = []
     converged = False
@@ -136,7 +129,7 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
             # with lam = 0 the objective is the exact fsum of the same
             # squared differences, so it is the edge energy bit for bit
             new_e = (result.objective if cfg.lam == 0.0 else
-                     _edge_energy(result.g1_registered.adjacency, mu.adjacency))
+                     _squared_distance(result.g1_registered.adjacency, mu.adjacency))
             if new_e < energies[i]:
                 perms[i] = new_perm
                 registered[i] = result.g1_registered
@@ -163,7 +156,7 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
         # rows and null attributes are zero.
         mu = Graph._trusted(adj, attrs, directed, mask)
 
-        energies = [_edge_energy(r.adjacency, mu.adjacency) for r in registered]
+        energies = [_squared_distance(r.adjacency, mu.adjacency) for r in registered]
         energy = math.fsum(energies)
         trace.append(energy)
         if len(trace) >= 2 and trace[-2] - trace[-1] <= tol * max(1.0, trace[-2]):
@@ -178,7 +171,7 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
         for p, r, e in zip(perms, registered, energies)
     )
     return GraphMean(mu=mu, registrations=regs, energy_trace=tuple(trace),
-                     converged=converged)
+                     converged=converged, lam=cfg.lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,22 +238,21 @@ def _vectorize(model_like, graph: Graph) -> np.ndarray:
     return vec
 
 
-def graph_pca(mean: GraphMean, lam: float = 0.0,
-              include_nodes: bool = False) -> GraphPcaModel:
+def graph_pca(mean: GraphMean, include_nodes: bool = False) -> GraphPcaModel:
     """PCA in the tangent space at a Karcher mean.
 
     Vectorizes the registered residuals A_i* - A_mu of ``mean``'s
     registrations over the strict upper triangle (full off-diagonal when
     directed), appends sqrt(lambda)-scaled attribute residuals when
-    ``include_nodes``, centers, and takes a thin SVD.  ``lam`` scales
-    the attribute block; pass the lambda the mean was registered with.  A
-    corpus of identical graphs yields all-zero singular values.
+    ``include_nodes``, centers, and takes a thin SVD.  lambda is
+    ``mean.lam``, the weight the registrations were computed with, so the
+    attribute block is scaled as the metric scales it.  A corpus of
+    identical graphs yields all-zero singular values.
     """
     regs = mean.registrations
     if len(regs) < 2:
         raise ValueError("graph_pca requires at least two graphs")
-    if not (math.isfinite(lam) and lam >= 0):
-        raise ValueError(f"lambda must be finite and nonnegative, got {lam}")
+    lam = mean.lam
     if include_nodes and lam <= 0:
         raise ValueError("include_nodes requires lambda > 0 (attribute block scale)")
     mu = mean.mu

@@ -238,7 +238,7 @@ def test_c07_gaussian_model():
     corpus = [letter_like(trial_rng(1070, i), coord_noise=0.15, edge_noise=0.08,
                           node_drop=0.15) for i in range(30)]
     cfg = MatchConfig(lam=1.0, refinement=True)
-    pca = graph_pca(karcher_mean(corpus, cfg), cfg.lam, include_nodes=True)
+    pca = graph_pca(karcher_mean(corpus, cfg), include_nodes=True)
     k = components_for_variance(pca, 0.8)
     model = fit_gaussian(pca, k, threshold=0.1)
     scores = sample_scores(model, seed=1071, count=10000)

@@ -1,9 +1,14 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import graphspace
 from graphspace import Graph, load_graph, save_graph
 from graphspace.cli import main
 from conftest import random_symmetric_graph
@@ -369,8 +374,41 @@ class TestExitCodes:
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["mean", "pca"])
+    def test_mixed_attribute_dimensions_name_the_file_2(self, command, tmp_path, capsys):
+        # the mean averages every document's attributes, at lambda 0 too
+        for name, dim in (("a.json", 1), ("b.json", 2)):
+            save_graph(Graph([[0.0, 1.0], [1.0, 0.0]], node_attrs=np.ones((2, dim))),
+                       tmp_path / name)
+        out = tmp_path / "out.json"
+        self._assert_exit_2([command, str(tmp_path / "a.json"), str(tmp_path / "b.json"),
+                             "--out", str(out)], capsys,
+                            f"{tmp_path / 'b.json'} has 2, expected 1")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["mean", "pca"])
+    def test_non_finite_output_names_the_file_2(self, command, tmp_path, capsys):
+        # the mean attributes overflow to infinities, which no document may hold
+        big = tmp_path / "big.json"
+        big.write_text('{"directed": false, "nodes": [{"id": 0, "attr": [1e308]}, '
+                       '{"id": 1, "attr": [-1e308]}], "edges": []}')
+        out = tmp_path / "out.json"
+        self._assert_exit_2([command, str(big), str(big), "--lambda", "1", "--out", str(out)],
+                            capsys, f"{out}: cannot write the non-finite number")
+        assert not out.exists()
+
 
 class TestOneProcess:
+    def test_package_import_leaves_the_cli_out(self):
+        # the command line is loaded only by the commands, not by the library
+        code = "import sys, graphspace; print('graphspace.cli' in sys.modules)"
+        src = str(Path(graphspace.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out == "False\n"
+
     def test_commands_share_one_parser(self, tmp_path, capsys):
         # The parser is built once per process; defaults must not leak from
         # one command's arguments into the next.

@@ -185,7 +185,7 @@ class TestKarcherWarmStart:
 
         def spy(g1, g2, cfg):
             result = real(g1, g2, cfg)
-            seen.append((result.objective, stats_module._edge_energy(
+            seen.append((result.objective, stats_module._squared_distance(
                 result.g1_registered.adjacency, g2.adjacency)))
             return result
 
@@ -300,7 +300,20 @@ class TestGraphPca:
         corpus = [letter_like(rng, coord_noise=0.2, edge_noise=0.0) for _ in range(5)]
         cfg = MatchConfig(lam=1.0, refinement=True)
         gm = karcher_mean(corpus, cfg)
-        model = graph_pca(gm, cfg.lam, include_nodes=True)
+        model = graph_pca(gm, include_nodes=True)
+        for i, reg in enumerate(gm.registrations):
+            back = reconstruct(model, model.scores[i])
+            assert np.max(np.abs(back.adjacency - reg.graph.adjacency)) <= 1e-9
+            real = ~reg.graph.null_mask & ~model.mu.null_mask
+            assert np.max(np.abs(back.node_attrs[real] - reg.graph.node_attrs[real])) <= 1e-9
+
+    def test_attribute_weight_comes_from_the_mean(self):
+        # lambda != 1, so scaling the attribute block by any other weight shows
+        rng = np.random.default_rng(17)
+        corpus = [letter_like(rng, coord_noise=0.2, edge_noise=0.0) for _ in range(5)]
+        gm = karcher_mean(corpus, MatchConfig(lam=0.7, refinement=True))
+        model = graph_pca(gm, include_nodes=True)
+        assert gm.lam == model.lam == 0.7
         for i, reg in enumerate(gm.registrations):
             back = reconstruct(model, model.scores[i])
             assert np.max(np.abs(back.adjacency - reg.graph.adjacency)) <= 1e-9
