@@ -2,7 +2,10 @@
 
 Subcommands: match, dist, geodesic, mean, pca, sample, knn, pairwise,
 bench-recovery, generate.  Every command is deterministic given --seed:
-output files and stdout are byte-identical across runs.  Exit codes:
+output files and stdout are byte-identical across runs on one BLAS kernel
+at one BLAS thread count (another kernel or thread count may change the
+last bits; pairwise distances between 150-250-node graphs do at 2 BLAS
+threads against 1).  Exit codes:
 0 success, 2 validation or usage error, 3 solver non-convergence (outputs
 are still written on a best-effort basis).
 """

@@ -357,9 +357,12 @@ def _null_costs(x1: np.ndarray, null1: np.ndarray, x2: np.ndarray,
                 null2: np.ndarray) -> np.ndarray:
     """||x1_i - x2_j||^2 between the rows of ``x1`` and ``x2``, zero on every
     row of a null node of ``null1`` and every column of one of ``null2``,
-    per entry of any leading stack axes (each entry as computed alone)."""
-    diff = x1[..., :, None, :] - x2[..., None, :, :]
-    d = np.einsum("...ijk,...ijk->...ij", diff, diff)
+    per entry of any leading stack axes (each entry as computed alone).
+    Attributes near the float limit give inf without a warning; a document
+    that would carry one is refused when written."""
+    with np.errstate(over="ignore"):
+        diff = x1[..., :, None, :] - x2[..., None, :, :]
+        d = np.einsum("...ijk,...ijk->...ij", diff, diff)
     return np.where(null1[..., :, None] | null2[..., None, :], 0.0, d)
 
 

@@ -96,9 +96,11 @@ class MatchConfig:
     """Options shared by the matching solvers.
 
     ``faq_init`` picks the first Frank-Wolfe start: the barycenter (the
-    flat doubly stochastic matrix) or the identity.  ``restarts`` adds that
-    many extra Frank-Wolfe runs started from seeded random permutation
-    matrices; the best objective wins.
+    flat doubly stochastic matrix) or the identity.  ``restarts`` adds up
+    to that many extra Frank-Wolfe runs started from seeded random
+    permutation matrices; the best objective wins.  The starts stop once a
+    candidate scores J = 0: J is never negative, and a later candidate
+    wins only by scoring strictly lower.
     """
 
     lam: float = 0.0
@@ -627,6 +629,11 @@ def _best_candidates(lam: float, a1: np.ndarray, a2: np.ndarray, d: np.ndarray |
     ``refine(entries, perms, objs)`` returns ``(perm, objectives, obj)``
     for each listed entry.  Returns per entry ``(obj, perm, index,
     objectives, steps, converged, refined)``.
+
+    No more rounds are taken once every entry's best objective is 0: every
+    term of J is nonnegative and a later candidate wins only by scoring
+    strictly lower, so the result is the one all rounds give.  ``rounds``
+    is lazy, so the Frank-Wolfe runs of the rounds not taken never start.
     """
     single = a1.ndim == 2
     nb = 1 if single else len(a1)
@@ -656,6 +663,8 @@ def _best_candidates(lam: float, a1: np.ndarray, a2: np.ndarray, d: np.ndarray |
                 objectives = (score,)
             if best[e] is None or obj < best[e][0]:
                 best[e] = (obj, perm, index, objectives, steps, converged, trail)
+        if all(b is not None and b[0] == 0.0 for b in best):
+            break  # J >= 0: no later candidate scores strictly lower
     return best
 
 
@@ -672,7 +681,9 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     below ``cfg.tol`` or after ``cfg.max_iter`` steps (flagged in the trace).
     Each distinct candidate is scored by its exact objective and, with
     ``cfg.refinement``, a heuristic one is improved by greedy two-exchange;
-    the first candidate with the lowest objective wins.
+    the first candidate with the lowest objective wins.  Once one scores
+    J = 0 the remaining starts are not run: J is never negative, so no
+    later candidate could win.
 
     The returned ``d_g`` is sqrt of the minimized objective; with
     ``lam=0`` this is the quotient metric (exactly, for the brute solver;

@@ -48,10 +48,14 @@ def symmetric_match(g1: Graph, g2: Graph, cfg: MatchConfig | None = None):
     Heuristic solvers are not direction-symmetric, so the symmetrized
     distance is min(d_g(g1 -> g2), d_g(g2 -> g1)).  Returns
     ``(d_g, result, direction)`` with direction "forward" when the result
-    registers g1 onto g2.
+    registers g1 onto g2.  A tie keeps the forward result, so one whose
+    objective is 0, the least any can have, is returned without solving
+    the backward direction.
     """
     cfg = cfg or MatchConfig()
     fwd = graph_distance(g1, g2, cfg)
+    if fwd.objective == 0.0:
+        return fwd.d_g, fwd, "forward"
     bwd = graph_distance(g2, g1, cfg)
     if fwd.d_g <= bwd.d_g:
         return fwd.d_g, fwd, "forward"

@@ -140,10 +140,12 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
         attrs = None
         if with_attrs:
             counts = np.sum([~r.null_mask for r in registered], axis=0)
-            total = np.sum(
-                [np.where(r.null_mask[:, None], 0.0, r.node_attrs) for r in registered],
-                axis=0,
-            )
+            # a sum past the float limit is inf, refused when written
+            with np.errstate(over="ignore"):
+                total = np.sum(
+                    [np.where(r.null_mask[:, None], 0.0, r.node_attrs) for r in registered],
+                    axis=0,
+                )
             mask = counts == 0
             attrs = np.zeros_like(total)
             np.divide(total, counts[:, None], out=attrs, where=counts[:, None] > 0)

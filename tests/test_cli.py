@@ -386,7 +386,6 @@ class TestExitCodes:
                             f"{tmp_path / 'b.json'} has 2, expected 1")
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("command", ["mean", "pca"])
     def test_non_finite_output_names_the_file_2(self, command, tmp_path, capsys):
         # the mean attributes overflow to infinities, which no document may hold
@@ -396,6 +395,26 @@ class TestExitCodes:
         out = tmp_path / "out.json"
         self._assert_exit_2([command, str(big), str(big), "--lambda", "1", "--out", str(out)],
                             capsys, f"{out}: cannot write the non-finite number")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["mean", "pca", "match"])
+    def test_overflow_probe_writes_only_its_error(self, command, tmp_path):
+        # attributes at the float limit overflow in the node costs and the
+        # mean; numpy must not warn on stderr ahead of the one error line
+        big = tmp_path / "big.json"
+        big.write_text('{"directed": false, "nodes": [{"id": 0, "attr": [1e308]}, '
+                       '{"id": 1, "attr": [-1e308]}], "edges": []}')
+        out = tmp_path / "out.json"
+        argv = [command, str(big), str(big), "--lambda", "1"]
+        env = {**os.environ, "PYTHONPATH": str(Path(graphspace.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "graphspace.cli", *argv,
+                              *(["--out", str(out)] if command != "match" else [])],
+                             env=env, capture_output=True, text=True)
+        if command == "match":  # the non-converged descent: exit 3, no error
+            assert (run.returncode, run.stderr) == (3, "")
+            return
+        assert run.returncode == 2
+        assert run.stderr == f"error: {out}: cannot write the non-finite number inf as JSON\n"
         assert not out.exists()
 
 

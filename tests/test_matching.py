@@ -19,6 +19,8 @@ import graphspace.matching as matching
 from graphspace.assignment import _lap_raw, _objective_values, objective_value
 from graphspace.graphs import _padded_size
 from graphspace.matching import (
+    SolverTrace,
+    _faq_candidates,
     _faq_descent,
     _faq_inits,
     _faq_stack,
@@ -739,6 +741,71 @@ class TestGraphDistance:
             assert refined.n_co_optimal == plain.n_co_optimal
             assert ([t.perm.tolist() for t in refined.co_optimal]
                     == [t.perm.tolist() for t in plain.co_optimal])
+
+
+def _floor_pair(kind, directed, rng):
+    """A graph and a relabeled copy: ``planted`` as is, ``perturbed`` with
+    edge noise, ``attributed`` with node attributes, noisy in about half
+    the draws.  Edges weigh 1/4, so a start that misplaces a few of them
+    can score below 1 and still lose to a later one."""
+    n = int(rng.integers(4, 9))
+    w = 0.25 * (rng.random((n, n)) < 0.5)
+    noise = rng.normal(scale=0.1, size=(n, n)) * (kind == "perturbed")
+    if not directed:
+        w, noise = np.triu(w, 1), np.triu(noise, 1)
+        w, noise = w + w.T, noise + noise.T
+    np.fill_diagonal(w, 0.0)
+    np.fill_diagonal(noise, 0.0)
+    attrs = attrs2 = None
+    if kind == "attributed":
+        attrs = rng.normal(size=(n, 2))
+        attrs2 = attrs + rng.normal(scale=0.1, size=(n, 2)) * int(rng.integers(2))
+    g2 = Graph(w + noise, node_attrs=attrs2, directed=directed)
+    return Graph(w, node_attrs=attrs, directed=directed), permute(g2, rng.permutation(n))
+
+
+class TestFloorRule:
+    """No permutation scores J < 0, so the Frank-Wolfe starts stop once a
+    candidate scores J = 0, with the result of running them all."""
+
+    def test_one_run_when_the_first_start_scores_zero(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _faq_descent(*args)
+
+        monkeypatch.setattr(matching, "_faq_descent", counted)
+        rng = np.random.default_rng(31)
+        g = random_symmetric_graph(7, rng)
+        res = graph_distance(g, permute(g, rng.permutation(7)),
+                             MatchConfig(restarts=5, refinement=True))
+        assert (res.objective, res.solver_trace.restart_index) == (0.0, 0)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    @pytest.mark.parametrize("kind", ["planted", "perturbed", "attributed"])
+    def test_matches_running_every_start(self, kind, directed):
+        rng = np.random.default_rng(32)
+        lam = 0.7 if kind == "attributed" else 0.0
+        cfg = MatchConfig(lam=lam, restarts=5, refinement=True, seed=4)
+        for _ in range(8):
+            g1, g2 = _floor_pair(kind, directed, rng)
+            g1p, g2p = pad_pair(g1, g2, cfg.padding)
+            d = node_distance_matrix(g1p, g2p) if lam else None
+            a1, a2 = g1p.adjacency, g2p.adjacency
+            best = None
+            for index, (perm, objectives, steps, converged) in enumerate(
+                    list(_faq_candidates(cfg, g1, g2, d, g1p.n))):
+                score = objective_value(a1, a2, d, lam, perm)
+                perm, trail, obj = greedy_two_exchange(a1, a2, d, lam, perm, score, directed)
+                if best is None or obj < best[0]:
+                    best = (obj, perm, SolverTrace("faq", len(steps), objectives, steps,
+                                                   converged, index, trail))
+            res = graph_distance(g1, g2, cfg)
+            assert res.p.perm.tolist() == best[1].tolist()
+            assert res.objective == best[0]
+            assert res.solver_trace == best[2]
 
 
 class TestGeodesic:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import graphspace.matching as matching
+import graphspace.pipelines as pipelines
 from conftest import oracle, random_directed_graph, random_symmetric_graph
 from graphspace import (
     Graph,
@@ -10,9 +12,11 @@ from graphspace import (
     distance_csv,
     full_heavy_tailed,
     generate,
+    graph_distance,
     knn_classify,
     letter_like,
     pairwise_distances,
+    permute,
     symmetric_distance,
     symmetric_match,
     trial_rng,
@@ -66,6 +70,27 @@ class TestDistances:
         g = random_symmetric_graph(5, rng)
         d, res, direction = symmetric_match(g, g)
         assert d == 0.0 and direction == "forward"
+
+    @pytest.mark.parametrize("isomorphic", [True, False])
+    def test_symmetric_match_skips_the_backward_solve_at_zero(self, isomorphic, monkeypatch):
+        rng = np.random.default_rng(5)
+        g = random_symmetric_graph(6, rng)
+        h = permute(g, rng.permutation(6)) if isomorphic else random_symmetric_graph(6, rng)
+        cfg = MatchConfig(restarts=5, refinement=True)
+        fwd, bwd = graph_distance(g, h, cfg), graph_distance(h, g, cfg)
+        want = (fwd.d_g, fwd, "forward") if fwd.d_g <= bwd.d_g else (bwd.d_g, bwd, "backward")
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return graph_distance(*args)
+
+        monkeypatch.setattr(pipelines, "graph_distance", counted)
+        d, res, direction = symmetric_match(g, h, cfg)
+        assert len(calls) == (1 if isomorphic else 2)
+        assert (d, direction) == (want[0], want[2])
+        assert res.p.perm.tolist() == want[1].p.perm.tolist()
+        assert (res.objective, res.solver_trace) == (want[1].objective, want[1].solver_trace)
 
     def test_pairwise_duplicated_corpus(self):
         rng = np.random.default_rng(1)
@@ -140,6 +165,27 @@ class TestStackedBatches:
     def test_restarts(self, padding):
         cfg = MatchConfig(lam=0.5, padding=padding, restarts=2, refinement=True, seed=3)
         _assert_matches_pair_by_pair(_letters(23, 10), cfg)
+
+    def test_restarts_stop_on_duplicates(self, monkeypatch):
+        # the only 7-node graphs are a graph and a relabeled copy, whose
+        # stack of both directions scores 0 at the first start
+        rng = np.random.default_rng(34)
+        w = np.triu(rng.random((7, 7)), 1)
+        g = Graph(w + w.T, node_attrs=rng.normal(size=(7, 2)))
+        letters = _letters(33, 8)
+        corpus = [*letters, letters[2], g, permute(g, rng.permutation(7))]
+        cfg = MatchConfig(lam=0.5, restarts=2, refinement=True, seed=3)
+        _assert_matches_pair_by_pair(corpus, cfg)
+        runs, faq_stack = [], matching._faq_stack
+
+        def counted(a1, a2, d, lam, p0, *rest):
+            runs.append(p0.shape)
+            return faq_stack(a1, a2, d, lam, p0, *rest)
+
+        monkeypatch.setattr(matching, "_faq_stack", counted)
+        pairwise_distances(corpus, cfg)
+        assert runs.count((2, 7, 7)) == 1
+        assert all(runs.count(shape) == 3 for shape in set(runs) - {(2, 7, 7)})
 
     @pytest.mark.parametrize("solver", ["umeyama", "brute"])
     def test_other_solvers(self, solver):
