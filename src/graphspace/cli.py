@@ -17,6 +17,7 @@ import csv
 import functools
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .documents import (
@@ -74,13 +75,10 @@ def _matching_options(padding: bool = True, workers: bool = True) -> argparse.Ar
     return p
 
 
-_CFG_FIELDS = ("lam", "padding", "solver", "refinement", "restarts", "max_iter", "tol", "seed")
-
-
 def _cfg(args) -> MatchConfig:
     """The command's matching flags; MatchConfig's defaults fill the rest."""
     given = vars(args)
-    return MatchConfig(**{f: given[f] for f in _CFG_FIELDS if f in given})
+    return MatchConfig(**{f.name: given[f.name] for f in fields(MatchConfig) if f.name in given})
 
 
 def _emit(doc: dict, out: str | None = None) -> None:
@@ -197,7 +195,11 @@ def _cmd_pca(args) -> int:
 
 
 def _cmd_sample(args) -> int:
-    pca = pca_model_from_document(_read_json(args.model))
+    doc = _read_json(args.model)
+    try:
+        pca = pca_model_from_document(doc)
+    except ValidationError as exc:
+        raise ValidationError(f"{args.model}: {exc}") from exc
     if pca.n_components == 0 or float(pca.singular_values.max(initial=0.0)) == 0.0:
         raise ValidationError("model has no variance to sample from")
     _check_components(args.components, pca.n_components)
@@ -303,6 +305,11 @@ def build_parser() -> argparse.ArgumentParser:
     pair = _matching_options(workers=False)
     corpus = _matching_options(padding=False)
     batch = _matching_options()
+    karcher = argparse.ArgumentParser(add_help=False)
+    karcher.add_argument("inputs", nargs="+")
+    karcher.add_argument("--out", required=True)
+    karcher.add_argument("--max-outer", type=int, default=30)
+    karcher.add_argument("--mean-tol", type=float, default=1e-9)
     parser = argparse.ArgumentParser(
         prog="graphspace",
         description="Quotient-space graph statistics: matching, distances, "
@@ -332,24 +339,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_geodesic)
 
-    p = sub.add_parser("mean", parents=[corpus],
+    p = sub.add_parser("mean", parents=[corpus, karcher],
                        help="Karcher mean of a graph corpus")
-    p.add_argument("inputs", nargs="+")
-    p.add_argument("--out", required=True)
     p.add_argument("--manifest")
-    p.add_argument("--max-outer", type=int, default=30)
-    p.add_argument("--mean-tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_mean)
 
-    p = sub.add_parser("pca", parents=[corpus],
+    p = sub.add_parser("pca", parents=[corpus, karcher],
                        help="principal component analysis of a graph corpus")
-    p.add_argument("inputs", nargs="+")
     p.add_argument("--components", type=int, default=0,
                    help="components to keep (default: all)")
     p.add_argument("--include-nodes", action="store_true")
-    p.add_argument("--out", required=True)
-    p.add_argument("--max-outer", type=int, default=30)
-    p.add_argument("--mean-tol", type=float, default=1e-9)
     p.set_defaults(func=_cmd_pca)
 
     p = sub.add_parser("sample",

@@ -302,19 +302,31 @@ def _numbered(what: str, count: int) -> list[str]:
     return [f"{what} {i}" for i in range(count)]
 
 
+# the most the squared edge weights of one corpus graph may sum to: the
+# edge term of a pair's objective is at most 2 (sum w1^2 + sum w2^2), so
+# it stays finite between any two accepted graphs
+_MAX_SQUARED_WEIGHT = np.finfo(float).max / 4
+
+
 def _check_corpus(graphs, lam: float, names, like: Graph | None = None) -> None:
     """Reject, before any matching, graphs that some pair could not match.
 
     Every graph must share the directedness of ``like`` (default: the
-    first graph), and with ``lam > 0`` it needs node attributes.  Graphs
-    that carry attributes must agree on their dimension with ``like``'s,
-    or, when ``like`` has none, with the first attributed graph's.  The
-    error names the first graph that breaks a rule by its entry in
-    ``names``.
+    first graph), its squared edge weights must sum to at most
+    ``_MAX_SQUARED_WEIGHT``, and with ``lam > 0`` it needs node
+    attributes.  Graphs that carry attributes must agree on their
+    dimension with ``like``'s, or, when ``like`` has none, with the first
+    attributed graph's.  The error names the first graph that breaks a
+    rule by its entry in ``names``.
     """
     like = like or (graphs[0] if graphs else None)
     dim = like.attr_dim if like is not None else 0
     for g, name in zip(graphs, names):
+        with np.errstate(over="ignore"):  # a sum past the float limit is inf
+            squares = float(np.sum(g.adjacency * g.adjacency))
+        if squares > _MAX_SQUARED_WEIGHT:
+            raise ValueError(f"edge weights of {name} are too large: their squares must "
+                             f"sum to at most {_MAX_SQUARED_WEIGHT:.4g}")
         if g.directed != like.directed:
             raise ValueError(f"cannot match a directed graph against an undirected one "
                              f"({name}): a corpus must not mix them")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -183,17 +183,9 @@ class RecoveryReport:
     wall_time_stats: dict
 
     def to_document(self, include_timing: bool = False) -> dict:
-        doc = {
-            "graph_family": self.graph_family,
-            "size_range": list(self.size_range),
-            "trials": self.trials,
-            "fraction_exact_registration": self.fraction_exact_registration,
-            "mean_objective_gap_vs_oracle": self.mean_objective_gap_vs_oracle,
-            "max_objective_gap_vs_oracle": self.max_objective_gap_vs_oracle,
-            "n_gap_trials": self.n_gap_trials,
-        }
-        if include_timing:
-            doc["wall_time_stats"] = self.wall_time_stats
+        doc = asdict(self)
+        if not include_timing:
+            del doc["wall_time_stats"]
         return doc
 
 

@@ -55,9 +55,10 @@ class GraphMean:
     ``energy_trace`` holds sum_i ||A_i* - A_mu||^2 after every outer
     iteration's averaging step; the registration-keep rule makes it
     non-increasing.  At return, ``mu``'s adjacency is exactly the
-    arithmetic mean of the registered adjacencies.  ``lam`` is the
-    attribute weight of the metric the registrations minimized; PCA at
-    this mean weights the attribute block by it.
+    arithmetic mean of the registered adjacencies, and each registration
+    holds its edge energy against ``mu``.  ``lam`` is the attribute weight
+    of the metric the registrations minimized; PCA at this mean weights
+    the attribute block by it.
     """
 
     mu: Graph
@@ -82,7 +83,9 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
     register the padded input afresh in every pass.  Node attributes,
     when every input carries them, are averaged per slot over the samples
     whose registered node is real; a slot matched only by null nodes stays
-    null.  The corpus must pass the matching pipelines' corpus rule
+    null.  The loop's per-sample state is the ``Registration`` it returns,
+    replaced only by one of strictly lower edge energy against the current
+    template.  The corpus must pass the matching pipelines' corpus rule
     (``graphs._check_corpus``), and the mean keeps ``cfg.lam`` for PCA.
     """
     graphs = list(graphs)
@@ -104,62 +107,58 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
     mu = padded[template_idx]
     inner_cfg = replace(cfg, padding="none")
 
-    # perms[i] registers padded[i] as registered[i], whose edge energy
-    # against the current mu is energies[i]; the identity starts them.
-    perms = [np.arange(m) for _ in padded]
-    registered = list(padded)
-    energies = [_squared_distance(g.adjacency, mu.adjacency) for g in padded]
+    # regs[i] registers padded[i]; its edge energy is against the current
+    # mu.  The identity starts them.
+    regs = [Registration(Permutation._trusted(np.arange(m)), g,
+                         _squared_distance(g.adjacency, mu.adjacency)) for g in padded]
     warm_cfg = replace(inner_cfg, faq_init="identity")
     trace: list[float] = []
     converged = False
     for outer in range(max_outer):
         # Register every sample to the current template, keeping the old
-        # permutation whenever the new one does not strictly improve the
+        # registration whenever the new one does not strictly improve the
         # edge discrepancy (monotonicity guard for heuristic solvers).
-        # A warm start registers registered[i] = permute(padded[i], perms[i]),
-        # so its permutation composes with perms[i] to act on padded[i].
+        # A warm start registers regs[i].graph, so its permutation composes
+        # with regs[i].permutation to act on padded[i].
         warm = outer > 0 and cfg.solver == "faq"
         for i, g in enumerate(padded):
             if warm:
-                result = graph_distance(registered[i], mu, warm_cfg)
-                new_perm = result.p.perm[perms[i]]
+                result = graph_distance(regs[i].graph, mu, warm_cfg)
+                perm = Permutation._trusted(result.p.perm[regs[i].permutation.perm])
             else:
                 result = graph_distance(g, mu, inner_cfg)
-                new_perm = result.p.perm
+                perm = result.p
             # with lam = 0 the objective is the exact fsum of the same
             # squared differences, so it is the edge energy bit for bit
             new_e = (result.objective if cfg.lam == 0.0 else
                      _squared_distance(result.g1_registered.adjacency, mu.adjacency))
-            if new_e < energies[i]:
-                perms[i] = new_perm
-                registered[i] = result.g1_registered
+            if new_e < regs[i].edge_energy:
+                regs[i] = Registration(perm, result.g1_registered, new_e)
 
         # Averaging step: arithmetic mean of adjacencies minimizes the sum
         # of squared discrepancies; attributes averaged over real matches.
-        adj = np.mean([r.adjacency for r in registered], axis=0)
+        # A slot null in every registered graph has zero rows and columns
+        # in each, so its mean is already zero.
+        adj = np.mean([r.graph.adjacency for r in regs], axis=0)
+        mask = np.all([r.graph.null_mask for r in regs], axis=0)
         attrs = None
         if with_attrs:
-            counts = np.sum([~r.null_mask for r in registered], axis=0)
+            counts = np.sum([~r.graph.null_mask for r in regs], axis=0)
             # a sum past the float limit is inf, refused when written
             with np.errstate(over="ignore"):
-                total = np.sum(
-                    [np.where(r.null_mask[:, None], 0.0, r.node_attrs) for r in registered],
-                    axis=0,
-                )
-            mask = counts == 0
+                total = np.sum([np.where(r.graph.null_mask[:, None], 0.0, r.graph.node_attrs)
+                                for r in regs], axis=0)
             attrs = np.zeros_like(total)
             np.divide(total, counts[:, None], out=attrs, where=counts[:, None] > 0)
-        else:
-            mask = np.all([r.null_mask for r in registered], axis=0)
-        adj[mask, :] = 0.0
-        adj[:, mask] = 0.0
         # Fresh arrays, valid by construction: elementwise means of exactly
         # symmetric matrices are exactly symmetric, and the diagonal, null
         # rows and null attributes are zero.
         mu = Graph._trusted(adj, attrs, directed, mask)
 
-        energies = [_squared_distance(r.adjacency, mu.adjacency) for r in registered]
-        energy = math.fsum(energies)
+        regs = [Registration(r.permutation, r.graph,
+                             _squared_distance(r.graph.adjacency, mu.adjacency))
+                for r in regs]
+        energy = math.fsum(r.edge_energy for r in regs)
         trace.append(energy)
         if len(trace) >= 2 and trace[-2] - trace[-1] <= tol * max(1.0, trace[-2]):
             converged = True
@@ -168,11 +167,7 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
             converged = True
             break
 
-    regs = tuple(
-        Registration(Permutation._trusted(p), r, e)
-        for p, r, e in zip(perms, registered, energies)
-    )
-    return GraphMean(mu=mu, registrations=regs, energy_trace=tuple(trace),
+    return GraphMean(mu=mu, registrations=tuple(regs), energy_trace=tuple(trace),
                      converged=converged, lam=cfg.lam)
 
 
@@ -228,16 +223,6 @@ def _edge_indices(m: int, directed: bool):
         mask = ~np.eye(m, dtype=bool)
         return np.where(mask)
     return np.triu_indices(m, k=1)
-
-
-def _vectorize(model_like, graph: Graph) -> np.ndarray:
-    """Residual-space coordinates of a registered graph (not centered)."""
-    rows, cols = _edge_indices(model_like.size, model_like.directed)
-    vec = graph.adjacency[rows, cols]
-    if model_like.include_nodes:
-        attrs = np.where(graph.null_mask[:, None], 0.0, graph.node_attrs)
-        vec = np.concatenate([vec, math.sqrt(model_like.lam) * attrs.ravel()])
-    return vec
 
 
 def graph_pca(mean: GraphMean, include_nodes: bool = False) -> GraphPcaModel:
@@ -335,7 +320,12 @@ def reconstruct(model: GraphPcaModel, scores, threshold: float = 0.0) -> Graph:
             f"got shape {scores.shape}"
         )
     _check_threshold(threshold)
-    vec = _vectorize(model, model.mu) + model.center
+    mu = model.mu
+    vec = mu.adjacency[_edge_indices(model.size, model.directed)]
+    if model.include_nodes:
+        attrs = np.where(mu.null_mask[:, None], 0.0, mu.node_attrs)
+        vec = np.concatenate([vec, math.sqrt(model.lam) * attrs.ravel()])
+    vec = vec + model.center
     if scores.size:
         vec = vec + scores @ model.basis[: scores.shape[0]]
     return _unvectorize(model, vec, threshold)

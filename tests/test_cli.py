@@ -228,7 +228,19 @@ class TestExitCodes:
         doc["size"] = None
         model.write_text(json.dumps(doc))
         self._assert_exit_2(["sample", "--model", str(model), "--count", "1",
-                             "--out-dir", str(tmp_path / "s")], capsys, "'size'")
+                             "--out-dir", str(tmp_path / "s")], capsys,
+                            f"{model}: PCA model 'size'")
+
+    def test_model_null_basis_names_the_file_2(self, corpus_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["pca", *graphs_in(corpus_dir), "--out", str(model)]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["basis"] = [[None]]
+        model.write_text(json.dumps(doc))
+        self._assert_exit_2(["sample", "--model", str(model), "--count", "1",
+                             "--out-dir", str(tmp_path / "s")], capsys,
+                            f"{model}: PCA model 'basis' must hold finite numbers")
 
     def test_infinite_lambda_is_2(self, tmp_path, capsys):
         a = tmp_path / "a.json"
@@ -359,7 +371,8 @@ class TestExitCodes:
             node.pop("attr", None)
         model.write_text(json.dumps(doc))
         self._assert_exit_2(["sample", "--model", str(model), "--count", "1",
-                             "--out-dir", str(tmp_path / "s")], capsys, "'mean_graph'")
+                             "--out-dir", str(tmp_path / "s")], capsys,
+                            f"{model}: PCA model 'mean_graph'")
 
     @pytest.mark.parametrize("argv", [
         pytest.param(["generate", "--family", "binomial", "--count", "1", "--solver", "brute"],
@@ -416,6 +429,31 @@ class TestExitCodes:
         assert run.returncode == 2
         assert run.stderr == f"error: {out}: cannot write the non-finite number inf as JSON\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["match", "dist", "mean", "pca", "pairwise", "knn"])
+    def test_overflowing_edge_weights_name_the_file_2(self, command, tmp_path):
+        # squared weights past the float limit would make objectives infinite;
+        # the corpus rule refuses the graph before numpy can warn
+        edge = ('{"directed": false, "nodes": [{"id": 0}, {"id": 1}], '
+                '"edges": [{"i": 0, "j": 1, "w": %s}]}')
+        small, big = tmp_path / "small.json", tmp_path / "big.json"
+        small.write_text(edge % "1.0")
+        big.write_text(edge % "1e200")
+        if command == "knn":
+            (tmp_path / "train.csv").write_text("small.json,a\nbig.json,b\n")
+            (tmp_path / "test.csv").write_text("small.json\n")
+            argv = ["knn", "--train", str(tmp_path / "train.csv"),
+                    "--test", str(tmp_path / "test.csv")]
+        else:
+            argv = [command, str(small), str(big)]
+            if command in ("mean", "pca"):
+                argv += ["--out", str(tmp_path / "out.json")]
+        env = {**os.environ, "PYTHONPATH": str(Path(graphspace.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "graphspace.cli", *argv],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert run.stderr == (f"error: edge weights of {big} are too large: their squares "
+                              f"must sum to at most 4.494e+307\n")
 
 
 class TestOneProcess:

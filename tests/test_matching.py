@@ -696,6 +696,19 @@ class TestGraphDistance:
             with pytest.raises(ValueError, match="directed graph against an undirected"):
                 graph_distance(g1, g2, cfg)
 
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("solver", ["faq", "brute"])
+    @pytest.mark.parametrize("padding, per_lam", [
+        ("two_way", 0.0),  # every real node parks on a null slot
+        ("one_way", 30_000.0),  # equal sizes: no null slot to park on
+        ("none", 30_000.0),
+    ])
+    def test_real_nodes_park_on_null_slots_only_two_way(self, padding, per_lam, solver, lam):
+        g1 = Graph(np.zeros((3, 3)), node_attrs=np.zeros((3, 1)))
+        g2 = Graph(np.zeros((3, 3)), node_attrs=np.full((3, 1), 100.0))
+        res = graph_distance(g1, g2, MatchConfig(lam=lam, solver=solver, padding=padding))
+        assert res.objective == lam * per_lam
+
     def test_lambda_requires_attributes(self):
         g = Graph(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="attributes"):
