@@ -6,8 +6,9 @@ output files and stdout are byte-identical across runs on one BLAS kernel
 at one BLAS thread count (another kernel or thread count may change the
 last bits; pairwise distances between 150-250-node graphs do at 2 BLAS
 threads against 1).  Exit codes:
-0 success, 2 validation or usage error, 3 solver non-convergence (outputs
-are still written on a best-effort basis).
+0 success, 2 validation or usage error (or a request too large for
+memory), 3 solver non-convergence (outputs are still written on a
+best-effort basis).
 """
 
 from __future__ import annotations
@@ -198,10 +199,10 @@ def _cmd_sample(args) -> int:
     doc = _read_json(args.model)
     try:
         pca = pca_model_from_document(doc)
+        if pca.n_components == 0 or float(pca.singular_values.max(initial=0.0)) == 0.0:
+            raise ValidationError("model has no variance to sample from")
     except ValidationError as exc:
         raise ValidationError(f"{args.model}: {exc}") from exc
-    if pca.n_components == 0 or float(pca.singular_values.max(initial=0.0)) == 0.0:
-        raise ValidationError("model has no variance to sample from")
     _check_components(args.components, pca.n_components)
     k = args.components or components_for_variance(pca, 0.8)
     gauss = fit_gaussian(pca, k, threshold=args.threshold)
@@ -417,6 +418,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 
 

@@ -308,6 +308,16 @@ def _numbered(what: str, count: int) -> list[str]:
 _MAX_SQUARED_WEIGHT = np.finfo(float).max / 4
 
 
+def _check_weights(g: Graph, name: str) -> None:
+    """Refuse ``g``, by ``name``, if its squared edge weights sum past
+    ``_MAX_SQUARED_WEIGHT``."""
+    with np.errstate(over="ignore"):  # a sum past the float limit is inf
+        squares = float(np.sum(g.adjacency * g.adjacency))
+    if squares > _MAX_SQUARED_WEIGHT:
+        raise ValueError(f"edge weights of {name} are too large: their squares must "
+                         f"sum to at most {_MAX_SQUARED_WEIGHT:.4g}")
+
+
 def _check_corpus(graphs, lam: float, names, like: Graph | None = None) -> None:
     """Reject, before any matching, graphs that some pair could not match.
 
@@ -322,11 +332,7 @@ def _check_corpus(graphs, lam: float, names, like: Graph | None = None) -> None:
     like = like or (graphs[0] if graphs else None)
     dim = like.attr_dim if like is not None else 0
     for g, name in zip(graphs, names):
-        with np.errstate(over="ignore"):  # a sum past the float limit is inf
-            squares = float(np.sum(g.adjacency * g.adjacency))
-        if squares > _MAX_SQUARED_WEIGHT:
-            raise ValueError(f"edge weights of {name} are too large: their squares must "
-                             f"sum to at most {_MAX_SQUARED_WEIGHT:.4g}")
+        _check_weights(g, name)
         if g.directed != like.directed:
             raise ValueError(f"cannot match a directed graph against an undirected one "
                              f"({name}): a corpus must not mix them")

@@ -46,11 +46,12 @@ Around the LAPs, the vertex step (``_vertices``), the lift of the final
 projection to padded permutations (``_lifts``) and the exact scoring of a
 round of candidates (``assignment._objective_values``) are array work over
 the whole stack.  Every pair keeps its own line search and stopping test,
-so it runs exactly as it would alone.  ``_faq_objectives`` scores a stack
-of pairs as ``graph_distance`` scores one; ``pipelines`` groups the pairs
-of a batch by shape.  A single pair is a stack of one: ``_faq_descent``
-and ``greedy_two_exchange`` are its 2-D entry points into the same loops,
-and it takes the per-pair ``_vertex``, ``_lift`` and ``objective_value``.
+so it runs exactly as it would alone, and leaves the stack through the
+one drop step ``_drop``.  ``_best_candidates`` scores and refines a stack
+of pairs as it does one pair; ``pipelines`` groups a batch by shape.  A
+single pair is a stack of one: ``_faq_descent`` and ``greedy_two_exchange``
+are its 2-D entry points into the same loops, and it takes the per-pair
+``_vertex``, ``_lift`` and ``objective_value``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,7 @@ from .graphs import (
     _PADDINGS,
     Graph,
     Permutation,
+    _check_weights,
     _null_costs,
     _padded_size,
     node_distance_matrix,
@@ -227,6 +229,15 @@ def _swap_deltas(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     return deltas
 
 
+def _drop(ids: list, done: list, *arrays):
+    """Drop the finished rows ``done`` of a shrinking stack: the surviving
+    entry ids, then each of ``arrays`` without those rows (None stays None)."""
+    keep = np.ones(len(ids), dtype=bool)
+    keep[done] = False
+    return ([e for e, kept in zip(ids, keep.tolist()) if kept],
+            *(None if x is None else x[keep] for x in arrays))
+
+
 def _two_exchange_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
                         lam: float, perms, objs, directed: bool):
     """Greedy two-exchange on a stack of equal-size padded pairs.
@@ -236,7 +247,7 @@ def _two_exchange_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     objectives.  One ``_swap_deltas`` sweep scores every swap of every
     unfinished entry; each entry then takes its best swap, re-verified
     against its exactly recomputed objective, and finishes when that swap
-    does not improve.  The stack shrinks only when entries finish.
+    does not improve.  ``_drop`` shrinks the stack only when entries finish.
     Returns ``(perm, objectives, obj)`` per entry, as
     ``greedy_two_exchange`` does for one pair.
     """
@@ -273,11 +284,7 @@ def _two_exchange_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
         if len(done) == len(ids):
             return [(p, tuple(t), o) for p, t, o in zip(final, trails, objs)]
         if done:
-            keep = np.ones(len(ids), dtype=bool)
-            keep[done] = False
-            ids = [e for e, kept in zip(ids, keep.tolist()) if kept]
-            cur, a1, a2 = cur[keep], a1[keep], a2[keep]
-            d = None if d is None else d[keep]
+            ids, cur, a1, a2, d = _drop(ids, done, cur, a1, a2, d)
 
 
 def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
@@ -466,9 +473,10 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     the vertices' gathered products and sums are taken over groups of
     equal vertex size k, so no entry's arithmetic is padded.  The final
     projection is one LAP per entry too, lifted to padded permutations by
-    ``_lifts`` for the whole stack.  The arrays shrink only when entries
-    stop.  A 2-D pair takes ``_vertex`` and ``_lift`` instead, and copies
-    nothing per iteration.
+    ``_lifts`` for the whole stack.  An entry's state is ``objectives[e]``
+    (the last item is the current relaxed objective), ``steps[e]``,
+    ``converged[e]`` and, once it stops, row ``e`` of ``final``.  A 2-D
+    pair takes ``_vertex`` and ``_lift`` instead, and copies nothing.
 
     The loop keeps M = A2 P A1^T and N = A2^T P A1 current along its steps:
     the gradient is -(M + N) + lam D^T and the line search's slope is
@@ -484,14 +492,13 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     c_t = (np.ascontiguousarray(lam * d.swapaxes(-1, -2))
            if (d is not None and lam != 0.0) else None)
     p = p0.copy()
+    final = None if at is None else np.empty_like(p)  # each entry's last iterate
     m_p = a2 @ p @ a1.swapaxes(-1, -2)
     n_p = a2.swapaxes(-1, -2) @ p @ a1 if directed else m_p
-    f = _relaxed(m_p, p, c_t)
-    objectives = [[v] for v in f]
+    objectives = [[v] for v in _relaxed(m_p, p, c_t)]
     steps = [[] for _ in range(nb)]
     converged = [False] * nb
     ids = list(range(nb))
-    stopped, iterates = [], []  # entries that stopped early, and their P
     for _ in range(max_iter):
         grad = -(m_p + n_p) if directed else -2.0 * m_p
         if c_t is not None:
@@ -521,38 +528,30 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
             p[pairs] += step if len(eta) == 1 else step[lead[0], 0, 0]
         m_p = m_p + step * m_r
         n_p = n_p + step * (n_q - n_p) if directed else m_p
-        f_new = _relaxed(m_p, p, c_t)
         done = []
-        for j, (e, s, old, new) in enumerate(zip(ids, eta, f, f_new)):
+        for j, (e, s, new) in enumerate(zip(ids, eta, _relaxed(m_p, p, c_t))):
+            old = objectives[e][-1]  # the current objective of a running entry
             if s != 0.0:
                 objectives[e].append(new)
                 steps[e].append(s)
             if s == 0.0 or abs(new - old) <= tol * max(1.0, abs(old)):
                 converged[e] = True
                 done.append(j)
-        f = f_new
         if len(done) == len(ids):
             break
         if done:
-            stopped += [ids[j] for j in done]
-            iterates.append(p[done])
-            keep = np.ones(len(ids), dtype=bool)
-            keep[done] = False
-            ids = [e for e, kept in zip(ids, keep.tolist()) if kept]
-            f = [v for v, kept in zip(f, keep.tolist()) if kept]
-            p, m_p, n_p, a1, a2 = p[keep], m_p[keep], n_p[keep], a1[keep], a2[keep]
-            c_t = None if c_t is None else c_t[keep]
+            final[[ids[j] for j in done]] = p[done]
+            ids, p, m_p, n_p, a1, a2, c_t = _drop(ids, done, p, m_p, n_p, a1, a2, c_t)
             at = at[:len(ids)]
     # project each doubly stochastic iterate back to a permutation
-    weights = -_null_average(np.concatenate([*iterates, p]) if iterates else p, size)
     if at is None:
-        perms = [_lift(*_vertex(weights.T, partial), n1, n2, size)]
+        perms = [_lift(*_vertex(-_null_average(p, size).T, partial), n1, n2, size)]
     else:
-        perms = _lifts(*_vertices(weights.swapaxes(-1, -2), partial), n1, n2, size)
-    out = [None] * nb
-    for e, perm in zip(stopped + ids, perms):
-        out[e] = (perm, tuple(objectives[e]), tuple(steps[e]), converged[e])
-    return out
+        final[ids] = p
+        perms = _lifts(*_vertices(-_null_average(final, size).swapaxes(-1, -2), partial),
+                       n1, n2, size)
+    return [(perm, tuple(objectives[e]), tuple(steps[e]), converged[e])
+            for e, perm in enumerate(perms)]
 
 
 def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
@@ -616,19 +615,19 @@ def _umeyama_candidates(cfg: MatchConfig, g1p: Graph, g2p: Graph, d: np.ndarray 
 
 
 def _best_candidates(lam: float, a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
-                     rounds, refine):
+                     rounds, refine: bool, directed: bool):
     """The first candidate of least exact objective, per entry of a stack
     of padded pairs.
 
     ``a1``, ``a2`` and ``d`` are (B, n, n) stacks, or 2-D for a single
     pair, and ``rounds`` yields per start one ``(perm, objectives, steps,
     converged)`` candidate for each entry.  Each distinct candidate of an
-    entry is scored by its exact objective, ``objective_value`` for a
-    single pair and ``_objective_values`` over a round's fresh entries of
-    a stack, and, given ``refine``, improved by greedy two-exchange:
-    ``refine(entries, perms, objs)`` returns ``(perm, objectives, obj)``
-    for each listed entry.  Returns per entry ``(obj, perm, index,
-    objectives, steps, converged, refined)``.
+    entry is scored by its exact objective and, given ``refine``, improved
+    by greedy two-exchange (``directed`` says whether the adjacencies may
+    be asymmetric): a single pair through ``objective_value`` and
+    ``greedy_two_exchange``, a stack through ``_objective_values`` and
+    ``_two_exchange_stack`` over a round's fresh entries.  Returns per
+    entry ``(obj, perm, index, objectives, steps, converged, refined)``.
 
     No more rounds are taken once every entry's best objective is 0: every
     term of J is nonnegative and a later candidate wins only by scoring
@@ -651,12 +650,16 @@ def _best_candidates(lam: float, a1: np.ndarray, a2: np.ndarray, d: np.ndarray |
         perms = [cands[e][0] for e in fresh]
         if single:
             scores = [objective_value(a1, a2, d, lam, perms[0])]
+            if refine:
+                out = [greedy_two_exchange(a1, a2, d, lam, perms[0], scores[0], directed)]
         else:
-            scores = _objective_values(a1[fresh], a2[fresh], None if d is None else d[fresh],
-                                       lam, np.array(perms))
+            sub = (a1[fresh], a2[fresh], None if d is None else d[fresh])
+            scores = _objective_values(*sub, lam, np.array(perms))
+            if refine:
+                out = _two_exchange_stack(*sub, lam, perms, scores, directed)
         objs, refined = scores, [()] * len(fresh)
-        if refine is not None:
-            perms, refined, objs = zip(*refine(fresh, perms, scores))
+        if refine:
+            perms, refined, objs = zip(*out)
         for e, perm, obj, score, trail in zip(fresh, perms, objs, scores, refined):
             _, objectives, steps, converged = cands[e]
             if objectives is None:  # no relaxation: trace the exact objective
@@ -670,6 +673,10 @@ def _best_candidates(lam: float, a1: np.ndarray, a2: np.ndarray, d: np.ndarray |
 
 def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResult:
     """Register ``g1`` to ``g2`` with the configured solver.
+
+    The squared edge weights of each graph must sum to at most
+    ``graphs._MAX_SQUARED_WEIGHT``, which keeps every objective finite;
+    a ``ValueError`` names the argument that breaks this.
 
     Pads the pair as ``cfg.padding`` says.  ``brute`` proposes the
     branch-and-bound optimum, searched against an incumbent (the first
@@ -692,6 +699,8 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     when a symmetric value is required.
     """
     cfg = cfg or MatchConfig()
+    _check_weights(g1, "g1")
+    _check_weights(g2, "g2")
     g1p, g2p = pad_pair(g1, g2, cfg.padding)
     if cfg.solver == "umeyama" and g1.directed:
         raise ValueError(
@@ -715,13 +724,9 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
         candidates = _umeyama_candidates(cfg, g1p, g2p, d)
     else:
         candidates = _faq_candidates(cfg, g1, g2, d, g1p.n)
-
-    refine = None
-    if cfg.refinement and cfg.solver != "brute":
-        def refine(entries, perms, objs):
-            return [greedy_two_exchange(a1, a2, d, cfg.lam, perms[0], objs[0], g1.directed)]
     obj, perm, index, objectives, steps, converged, refined = _best_candidates(
-        cfg.lam, a1, a2, d, ([c] for c in candidates), refine)[0]
+        cfg.lam, a1, a2, d, ([c] for c in candidates),
+        cfg.refinement and cfg.solver != "brute", g1.directed)[0]
     trace = SolverTrace(
         solver=cfg.solver,
         iterations=len(steps),
@@ -734,24 +739,19 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     return build_match_result(g1p, g2p, perm, cfg.lam, obj, trace, co_optimal, n_co_optimal)
 
 
-def _zero_padded(stack: np.ndarray, size: int) -> np.ndarray:
-    """A (B, n, n) stack padded with zero rows and columns to (B, size, size)."""
-    n = stack.shape[1]
-    if n == size:
-        return stack
-    out = np.zeros((len(stack), size, size))
-    out[:, :n, :n] = stack
+def _padded(stack: np.ndarray, shape, fill=0.0) -> np.ndarray:
+    """A (B, ...) stack padded at the end of each entry axis with ``fill``
+    to (B, *shape): what ``np.pad`` returns, without its per-call cost."""
+    out = np.full((len(stack), *shape), fill, dtype=stack.dtype)
+    out[(slice(None), *map(slice, stack.shape[1:]))] = stack
     return out
 
 
 def _node_costs(g1s, g2s, size: int) -> np.ndarray:
     """``node_distance_matrix`` of every pair padded to ``size``."""
     def padded(graphs):
-        x = np.zeros((len(graphs), size, graphs[0].attr_dim))
-        x[:, :graphs[0].n] = np.stack([g.node_attrs for g in graphs])
-        null = np.ones((len(graphs), size), dtype=bool)
-        null[:, :graphs[0].n] = np.stack([g.null_mask for g in graphs])
-        return x, null
+        return (_padded(np.stack([g.node_attrs for g in graphs]), (size, graphs[0].attr_dim)),
+                _padded(np.stack([g.null_mask for g in graphs]), (size,), True))
 
     return _null_costs(*padded(g1s), *padded(g2s))
 
@@ -762,28 +762,23 @@ def _faq_objectives(cfg: MatchConfig, pairs) -> list[float]:
 
     The solver must be ``faq``, and all pairs must share the directedness
     and the sizes n1 and n2; with ``cfg.lam > 0`` every graph needs node
-    attributes of one dimension.  Each start is one ``_faq_stack`` run over
-    all pairs, and each round of refinements one ``_two_exchange_stack``.
+    attributes of one dimension.  Each start is one ``_faq_stack`` run
+    over all pairs, which ``_best_candidates`` scores and refines.
     """
     g1s, g2s = [g for g, _ in pairs], [g for _, g in pairs]
     n1, n2, directed = g1s[0].n, g2s[0].n, g1s[0].directed
     size = _padded_size(cfg.padding, n1, n2)
     adj1 = np.stack([g.adjacency for g in g1s])
     adj2 = np.stack([g.adjacency for g in g2s])
-    a1, a2 = _zero_padded(adj1, size), _zero_padded(adj2, size)
+    a1, a2 = _padded(adj1, (size, size)), _padded(adj2, (size, size))
     d = None if cfg.lam == 0.0 else _node_costs(g1s, g2s, size)
     d_real = None if d is None else d[:, :n1, :n2]
     rounds = (_faq_stack(adj1, adj2, d_real, cfg.lam,
                          np.broadcast_to(p0[:n2, :n1], (len(pairs), n2, n1)),
                          cfg.max_iter, cfg.tol, size, directed)
               for p0 in _faq_inits(cfg, size))
-    refine = None
-    if cfg.refinement:
-        def refine(entries, perms, objs):
-            return _two_exchange_stack(a1[entries], a2[entries],
-                                       None if d is None else d[entries], cfg.lam,
-                                       perms, objs, directed)
-    return [best[0] for best in _best_candidates(cfg.lam, a1, a2, d, rounds, refine)]
+    return [best[0] for best in _best_candidates(cfg.lam, a1, a2, d, rounds,
+                                                 cfg.refinement, directed)]
 
 
 def geodesic(m: MatchResult, t: float) -> Graph:

@@ -79,8 +79,8 @@ def _symmetric_distances(pairs, cfg: MatchConfig, workers: int) -> list[float]:
     ``_faq_objectives`` as one stack, split into chunks that bound its
     memory and, with ``workers > 1``, spread over the thread pool.  Every
     entry of a stack is solved as it would be alone, so the values equal
-    those of ``symmetric_distance`` pair by pair.  Other solvers match
-    pair by pair.
+    those of ``symmetric_distance`` pair by pair (``np.sqrt`` rounds
+    correctly, as ``math.sqrt`` does).  Other solvers match pair by pair.
     """
     if cfg.solver != "faq":
         return _run_indexed(
@@ -96,12 +96,10 @@ def _symmetric_distances(pairs, cfg: MatchConfig, workers: int) -> list[float]:
         chunks.extend(c.tolist() for c in np.array_split(members, parts))
     values = _run_indexed(
         [lambda c=c: _faq_objectives(cfg, [ordered[k] for k in c]) for c in chunks], workers)
-    objective = [0.0] * len(ordered)
-    for c, objs in zip(chunks, values):
-        for k, obj in zip(c, objs):
-            objective[k] = obj
-    d_g = [math.sqrt(obj) for obj in objective]
-    return [min(d_g[2 * i], d_g[2 * i + 1]) for i in range(len(pairs))]
+    objective = np.empty(len(ordered))
+    if chunks:
+        objective[np.concatenate(chunks)] = np.concatenate(values)
+    return np.sqrt(objective).reshape(-1, 2).min(axis=1).tolist()
 
 
 def pairwise_distances(corpus, cfg: MatchConfig | None = None,

@@ -242,6 +242,30 @@ class TestExitCodes:
                              "--out-dir", str(tmp_path / "s")], capsys,
                             f"{model}: PCA model 'basis' must hold finite numbers")
 
+    def test_model_without_variance_names_the_file_2(self, tmp_path, capsys):
+        a, model = tmp_path / "a.json", tmp_path / "model.json"
+        save_graph(random_symmetric_graph(4, np.random.default_rng(3)), a)
+        assert main(["pca", str(a), str(a), "--out", str(model)]) == 0
+        capsys.readouterr()
+        self._assert_exit_2(["sample", "--model", str(model), "--count", "1",
+                             "--out-dir", str(tmp_path / "s")], capsys,
+                            f"{model}: model has no variance to sample from")
+
+    def test_out_of_memory_is_2(self, monkeypatch, tmp_path, capsys):
+        # stands in for generate --sizes 100000 100000, which would ask numpy
+        # for a 74.5 GiB adjacency
+        message = ("Unable to allocate 74.5 GiB for an array with shape (100000, 100000) "
+                   "and data type float64")
+
+        def too_large(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr("graphspace.cli.generate", too_large)
+        rc = main(["generate", "--family", "binomial", "--count", "1",
+                   "--out-dir", str(tmp_path / "g")])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: out of memory: {message}\n"
+
     def test_infinite_lambda_is_2(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         save_graph(random_symmetric_graph(4, np.random.default_rng(2)), a)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -708,6 +709,17 @@ class TestGraphDistance:
         g2 = Graph(np.zeros((3, 3)), node_attrs=np.full((3, 1), 100.0))
         res = graph_distance(g1, g2, MatchConfig(lam=lam, solver=solver, padding=padding))
         assert res.objective == lam * per_lam
+
+    @pytest.mark.parametrize("name", ["g1", "g2"])
+    def test_overflowing_edge_weights_name_the_argument(self, name):
+        # squared weights past the float limit would make the objective
+        # infinite; the pair is refused before numpy can warn
+        big, small = Graph([[0.0, 1e200], [1e200, 0.0]]), Graph([[0.0, 1.0], [1.0, 0.0]])
+        pair = (big, small) if name == "g1" else (small, big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"edge weights of {name} are too large"):
+                graph_distance(*pair)
 
     def test_lambda_requires_attributes(self):
         g = Graph(np.zeros((2, 2)))
