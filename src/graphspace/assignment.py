@@ -13,10 +13,11 @@ completions from below, and a prefix that already costs more than a known
 permutation is pruned; all n! permutations are scored only in the worst
 case, when nothing can be pruned.  The known permutation, the incumbent,
 is the pair's first Frank-Wolfe candidate refined by greedy two-exchange
-(``graph_distance`` computes it); it only prunes, so the result does not
-depend on it.  The search yields the surviving leaves in blocks of at most
-``_BLOCK``, and each block is scored and merged into the running minimum
-as it is yielded.  It refuses instances above 10 nodes.
+(``graph_distance`` computes it), or in the recovery benchmark the planted
+permutation; it only prunes, so the result does not depend on it.  The
+search yields the surviving leaves in blocks of at most ``_BLOCK``, and
+each block is scored and merged into the running minimum as it is
+yielded.  It refuses instances above 10 nodes.
 """
 
 from __future__ import annotations

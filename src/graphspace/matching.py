@@ -750,8 +750,8 @@ def _padded(stack: np.ndarray, shape, fill=0.0) -> np.ndarray:
 def _node_costs(g1s, g2s, size: int) -> np.ndarray:
     """``node_distance_matrix`` of every pair padded to ``size``."""
     def padded(graphs):
-        return (_padded(np.stack([g.node_attrs for g in graphs]), (size, graphs[0].attr_dim)),
-                _padded(np.stack([g.null_mask for g in graphs]), (size,), True))
+        return (_padded(np.array([g.node_attrs for g in graphs]), (size, graphs[0].attr_dim)),
+                _padded(np.array([g.null_mask for g in graphs]), (size,), True))
 
     return _null_costs(*padded(g1s), *padded(g2s))
 
@@ -768,8 +768,8 @@ def _faq_objectives(cfg: MatchConfig, pairs) -> list[float]:
     g1s, g2s = [g for g, _ in pairs], [g for _, g in pairs]
     n1, n2, directed = g1s[0].n, g2s[0].n, g1s[0].directed
     size = _padded_size(cfg.padding, n1, n2)
-    adj1 = np.stack([g.adjacency for g in g1s])
-    adj2 = np.stack([g.adjacency for g in g2s])
+    adj1 = np.array([g.adjacency for g in g1s])
+    adj2 = np.array([g.adjacency for g in g2s])
     a1, a2 = _padded(adj1, (size, size)), _padded(adj2, (size, size))
     d = None if cfg.lam == 0.0 else _node_costs(g1s, g2s, size)
     d_real = None if d is None else d[:, :n1, :n2]

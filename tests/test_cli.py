@@ -320,6 +320,17 @@ class TestExitCodes:
                              "--trials", "1", "--oracle-max-n", "-3"], capsys,
                             "oracle_max_n must be between 0 and 10, got -3")
 
+    @pytest.mark.parametrize("sizes", [("5", "6"), ("3", "7")])
+    def test_brute_sizes_past_the_limit_are_2(self, sizes, capsys):
+        rc = main(["bench-recovery", "--family", "binomial", "--sizes", *sizes,
+                   "--trials", "2", "--solver", "brute"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: solver 'brute' cannot run size range [{sizes[0]}, {sizes[1]}]: each trial "
+            f"pads two-way to 2n nodes, and 2 * {sizes[1]} > 10"]
+
     def test_negative_workers_is_2(self, corpus_dir, capsys):
         self._assert_exit_2(["pairwise", *graphs_in(corpus_dir), "--workers", "-3"],
                             capsys, "workers must be at least 1")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from graphspace import (
     graph_distance,
     knn_classify,
     letter_like,
+    pad_pair,
     pairwise_distances,
     permute,
     symmetric_distance,
@@ -314,3 +317,55 @@ class TestBenchRecovery:
     def test_oracle_max_n_validated(self, oracle_max_n):
         with pytest.raises(ValueError, match="oracle_max_n must be between 0 and 10"):
             bench_recovery("binomial", (4, 5), 1, oracle_max_n=oracle_max_n)
+
+    @pytest.mark.parametrize("sizes", [(5, 6), (3, 7)])
+    def test_brute_sizes_past_the_limit_refused_before_any_trial(self, sizes, monkeypatch):
+        def no_trial(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(pipelines, "_recovery_trial", no_trial)
+        with pytest.raises(ValueError, match=rf"size range \[{sizes[0]}, {sizes[1]}\].*"
+                                             r"pads two-way to 2n nodes"):
+            bench_recovery("binomial", sizes, 2, MatchConfig(solver="brute"))
+
+    def test_brute_runs_up_to_half_the_limit(self):
+        rep = bench_recovery("binomial", (3, 5), 4, MatchConfig(solver="brute"), seed=2)
+        assert rep.n_gap_trials == 4
+        # letter_like ignores the size range: its graphs have five nodes
+        rep = bench_recovery("letter_like", (3, 9), 2, MatchConfig(solver="brute"))
+        assert rep.n_gap_trials == 2
+
+    @pytest.mark.parametrize("family, size_range, cfg", [
+        ("binomial", (1, 9), MatchConfig()),
+        ("binomial", (6, 9), MatchConfig(restarts=5, refinement=True)),
+        ("full_heavy_tailed", (1, 9), MatchConfig()),
+        ("full_heavy_tailed", (6, 9), MatchConfig(restarts=5, refinement=True)),
+        ("letter_like", (5, 5), MatchConfig(lam=1.0)),
+        ("letter_like", (5, 5), MatchConfig(lam=1.0, restarts=5, refinement=True)),
+        ("binomial", (4, 9), MatchConfig(solver="umeyama")),
+    ])
+    def test_gap_equals_the_unpadded_brute_registration(self, family, size_range, cfg):
+        """Each trial's gap is the solver objective minus that of
+        ``graph_distance`` under ``brute`` on the unpadded pair at lam 0."""
+        for index in range(8):
+            rng = trial_rng(4, index)
+            g = generate(family, size_range, rng)
+            g2 = permute(g, rng.permutation(g.n))
+            res = graph_distance(*pad_pair(g, g2, "two_way"), replace(cfg, padding="none"))
+            reference = res.objective - oracle(g, g2).objective
+            _, gap, _ = pipelines._recovery_trial(family, size_range, cfg, 4, index, 0.5, 9)
+            assert gap == reference
+
+    def test_oracle_runs_no_frank_wolfe(self, monkeypatch):
+        """The oracle prunes against the planted permutation: a trial runs
+        only the solver's own Frank-Wolfe start."""
+        calls, faq_descent = [], matching._faq_descent
+
+        def counted(*args):
+            calls.append(1)
+            return faq_descent(*args)
+
+        monkeypatch.setattr(matching, "_faq_descent", counted)
+        _, gap, _ = pipelines._recovery_trial("binomial", (7, 7), MatchConfig(), 0, 0, 0.5, 8)
+        assert gap is not None
+        assert len(calls) == 1
