@@ -52,6 +52,7 @@ from .stats import (
 EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NO_CONVERGENCE = 3
+MAX_GEODESIC_STEPS = 1000
 
 
 def _matching_options(padding: bool = True, workers: bool = True) -> argparse.ArgumentParser:
@@ -146,8 +147,8 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
-    if args.steps < 2:
-        raise ValidationError("--steps must be at least 2 (the two endpoints)")
+    if not 2 <= args.steps <= MAX_GEODESIC_STEPS:
+        raise ValidationError(f"--steps must lie in 2..{MAX_GEODESIC_STEPS}, got {args.steps}")
     res = graph_distance(*_pair(args))
     times = [k / (args.steps - 1) for k in range(args.steps)]
     files = _save_graphs(args.out_dir, "step", (geodesic(res, t) for t in times))
@@ -336,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the geodesic between two graphs as documents")
     p.add_argument("graph1")
     p.add_argument("graph2")
-    p.add_argument("--steps", type=int, default=5)
+    p.add_argument("--steps", type=int, default=5, help=f"path points: 2 to {MAX_GEODESIC_STEPS}")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_geodesic)
 

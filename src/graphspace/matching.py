@@ -694,9 +694,8 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
 
     The returned ``d_g`` is sqrt of the minimized objective; with
     ``lam=0`` this is the quotient metric (exactly, for the brute solver;
-    an upper bound for the heuristics).  Heuristic results need not be
-    symmetric in the argument order; take the minimum over both directions
-    when a symmetric value is required.
+    an upper bound for the heuristics).  A heuristic may break ties apart
+    in the two argument orders; ``symmetric_match`` fixes one per pair.
     """
     cfg = cfg or MatchConfig()
     _check_weights(g1, "g1")

@@ -20,7 +20,7 @@ import numpy as np
 
 from .assignment import BRUTE_FORCE_MAX_NODES, brute_force_match, objective_value
 from .generators import LETTER_A_COORDS, generate, trial_rng
-from .graphs import Graph, _check_corpus, _numbered, pad_pair, permute
+from .graphs import Graph, _check_corpus, _check_weights, _numbered, pad_pair, permute
 from .matching import MatchConfig, _faq_objectives, graph_distance
 
 __all__ = [
@@ -45,24 +45,27 @@ def _run_indexed(tasks, workers: int):
         return [f.result() for f in futures]
 
 
-def symmetric_match(g1: Graph, g2: Graph, cfg: MatchConfig | None = None):
-    """Best registration over both directions.
+def _solve_order(g: Graph):
+    """Sort key of a pair's fixed orientation: the smaller graph goes first,
+    and at equal size the one whose ``(adjacency, null_mask, node_attrs)``
+    bytes compare lower.  Equal keys mean the same problem."""
+    return (g.n, g.adjacency.tobytes(), g.null_mask.tobytes(),
+            b"" if g.node_attrs is None else g.node_attrs.tobytes())
 
-    Heuristic solvers are not direction-symmetric, so the symmetrized
-    distance is min(d_g(g1 -> g2), d_g(g2 -> g1)).  Returns
-    ``(d_g, result, direction)`` with direction "forward" when the result
-    registers g1 onto g2.  A tie keeps the forward result, so one whose
-    objective is 0, the least any can have, is returned without solving
-    the backward direction.
+
+def symmetric_match(g1: Graph, g2: Graph, cfg: MatchConfig | None = None):
+    """The pair registered in its fixed orientation (``_solve_order``).
+
+    J(P) for (g1, g2) is J(P^T) for (g2, g1), so one solve serves both
+    argument orders and the value ignores their order, bit for bit.
+    Returns ``(d_g, result, direction)`` with direction "forward" when the
+    result registers g1 onto g2, "backward" when it registers g2 onto g1.
     """
-    cfg = cfg or MatchConfig()
-    fwd = graph_distance(g1, g2, cfg)
-    if fwd.objective == 0.0:
-        return fwd.d_g, fwd, "forward"
-    bwd = graph_distance(g2, g1, cfg)
-    if fwd.d_g <= bwd.d_g:
-        return fwd.d_g, fwd, "forward"
-    return bwd.d_g, bwd, "backward"
+    _check_weights(g1, "g1")  # named as the caller passed them
+    _check_weights(g2, "g2")
+    a, b = sorted((g1, g2), key=_solve_order)
+    res = graph_distance(a, b, cfg)
+    return res.d_g, res, "forward" if a is g1 else "backward"
 
 
 def symmetric_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> float:
@@ -75,22 +78,22 @@ _STACK_FLOATS = 1 << 18
 
 
 def _symmetric_distances(pairs, cfg: MatchConfig, workers: int) -> list[float]:
-    """``symmetric_distance`` of every pair, both directions in same-shape stacks.
+    """``symmetric_distance`` of every pair, one solve per pair.
 
-    Under ``faq`` the ordered pairs of both directions are grouped by
-    their exact sizes (n1, n2), and each group runs through
-    ``_faq_objectives`` as one stack, split into chunks that bound its
-    memory and, with ``workers > 1``, spread over the thread pool.  Every
-    entry of a stack is solved as it would be alone, so the values equal
-    those of ``symmetric_distance`` pair by pair (``np.sqrt`` rounds
-    correctly, as ``math.sqrt`` does).  Other solvers match pair by pair.
+    Under ``faq`` the oriented pairs are grouped by their exact sizes
+    (n1, n2), n1 <= n2, and each group runs through ``_faq_objectives`` as
+    one stack, split into chunks that bound its memory and, with
+    ``workers > 1``, spread over the thread pool.  Every entry of a stack
+    is solved as it would be alone, so the values equal those of
+    ``symmetric_distance`` pair by pair (``np.sqrt`` rounds correctly, as
+    ``math.sqrt`` does).  Other solvers match pair by pair.
     """
+    oriented = [sorted(pair, key=_solve_order) for pair in pairs]
     if cfg.solver != "faq":
         return _run_indexed(
-            [lambda a=a, b=b: symmetric_distance(a, b, cfg) for a, b in pairs], workers)
-    ordered = [o for a, b in pairs for o in ((a, b), (b, a))]
+            [lambda a=a, b=b: graph_distance(a, b, cfg).d_g for a, b in oriented], workers)
     groups: dict[tuple[int, int], list[int]] = {}
-    for k, (a, b) in enumerate(ordered):
+    for k, (a, b) in enumerate(oriented):
         groups.setdefault((a.n, b.n), []).append(k)
     chunks = []
     for (n1, n2), members in groups.items():
@@ -98,11 +101,11 @@ def _symmetric_distances(pairs, cfg: MatchConfig, workers: int) -> list[float]:
         parts = max(-(-len(members) // cap), min(workers, len(members)))
         chunks.extend(c.tolist() for c in np.array_split(members, parts))
     values = _run_indexed(
-        [lambda c=c: _faq_objectives(cfg, [ordered[k] for k in c]) for c in chunks], workers)
-    objective = np.empty(len(ordered))
-    if chunks:
-        objective[np.concatenate(chunks)] = np.concatenate(values)
-    return np.sqrt(objective).reshape(-1, 2).min(axis=1).tolist()
+        [lambda c=c: _faq_objectives(cfg, [oriented[k] for k in c]) for c in chunks], workers)
+    objective = np.empty(len(oriented))
+    for c, v in zip(chunks, values):
+        objective[c] = v
+    return np.sqrt(objective).tolist()
 
 
 def pairwise_distances(corpus, cfg: MatchConfig | None = None,
@@ -163,10 +166,8 @@ def knn_classify(train, train_labels, test, k: int,
         votes: dict[str, list[float]] = {}
         for idx in order:
             votes.setdefault(train_labels[idx], []).append(float(row[idx]))
-        best = max(len(v) for v in votes.values())
-        tied = [lab for lab, v in votes.items() if len(v) == best]
-        tied.sort(key=lambda lab: (float(np.mean(votes[lab])), lab))
-        predictions.append(tied[0])
+        predictions.append(min(votes, key=lambda lab: (-len(votes[lab]),
+                                                       float(np.mean(votes[lab])), lab)))
     return predictions, dists
 
 
@@ -238,22 +239,21 @@ def bench_recovery(family: str, size_range, trials: int,
         raise ValueError(
             f"oracle_max_n must be between 0 and {BRUTE_FORCE_MAX_NODES}, got {oracle_max_n}")
     # letter_like ignores the size range: its graphs have the prototype's nodes
-    hi = len(LETTER_A_COORDS) if family == "letter_like" else int(size_range[1])
+    lo, hi = ((len(LETTER_A_COORDS),) * 2 if family == "letter_like"
+              else (int(size_range[0]), int(size_range[1])))
     if cfg.solver == "brute" and 2 * hi > BRUTE_FORCE_MAX_NODES:
         raise ValueError(
-            f"solver 'brute' cannot run size range [{size_range[0]}, {size_range[1]}]: "
+            f"solver 'brute' cannot run size range [{lo}, {hi}]: "
             f"each trial pads two-way to 2n nodes, and 2 * {hi} > {BRUTE_FORCE_MAX_NODES}")
-    tasks = [
-        lambda t=t: _recovery_trial(family, size_range, cfg, seed, t, p, oracle_max_n)
-        for t in range(trials)
-    ]
+    tasks = [lambda t=t: _recovery_trial(family, size_range, cfg, seed, t, p, oracle_max_n)
+             for t in range(trials)]
     results = _run_indexed(tasks, workers)
     frac = sum(1 for ok, _, _ in results if ok) / trials
     gaps = [g for _, g, _ in results if g is not None]
     times = [t for _, _, t in results]
     return RecoveryReport(
         graph_family=family,
-        size_range=(int(size_range[0]), int(size_range[1])),
+        size_range=(lo, hi),
         trials=trials,
         fraction_exact_registration=frac,
         mean_objective_gap_vs_oracle=(math.fsum(gaps) / len(gaps)) if gaps else None,

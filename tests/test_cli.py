@@ -10,7 +10,7 @@ import pytest
 
 import graphspace
 from graphspace import Graph, load_graph, save_graph
-from graphspace.cli import main
+from graphspace.cli import MAX_GEODESIC_STEPS, main
 from conftest import random_symmetric_graph
 
 
@@ -194,6 +194,23 @@ class TestExitCodes:
         rc = main(["geodesic", str(a), str(a), "--steps", "1",
                    "--out-dir", str(tmp_path / "geo")])
         assert rc == 2
+
+    def test_steps_past_the_cap_is_2(self, tmp_path, capsys, monkeypatch):
+        # refused before the pair is read, the times are listed or the
+        # output directory is made
+        a, geo = tmp_path / "a.json", tmp_path / "geo"
+        save_graph(random_symmetric_graph(4, np.random.default_rng(1)), a)
+        steps = MAX_GEODESIC_STEPS + 1
+        rc = main(["geodesic", str(a), str(a), "--steps", str(steps), "--out-dir", str(geo)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: --steps must lie in 2..{MAX_GEODESIC_STEPS}, got {steps}"]
+        assert not geo.exists()
+        monkeypatch.setenv("COLUMNS", "200")  # the help on one line per option
+        with pytest.raises(SystemExit):
+            main(["geodesic", "--help"])
+        assert f"2 to {MAX_GEODESIC_STEPS}" in capsys.readouterr().out
 
 
     def _assert_exit_2(self, argv, capsys, needle):

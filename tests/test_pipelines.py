@@ -76,24 +76,70 @@ class TestDistances:
 
     @pytest.mark.parametrize("isomorphic", [True, False])
     def test_symmetric_match_skips_the_backward_solve_at_zero(self, isomorphic, monkeypatch):
+        # one solve per pair, isomorphic or not, in its fixed orientation
         rng = np.random.default_rng(5)
         g = random_symmetric_graph(6, rng)
         h = permute(g, rng.permutation(6)) if isomorphic else random_symmetric_graph(6, rng)
         cfg = MatchConfig(restarts=5, refinement=True)
-        fwd, bwd = graph_distance(g, h, cfg), graph_distance(h, g, cfg)
-        want = (fwd.d_g, fwd, "forward") if fwd.d_g <= bwd.d_g else (bwd.d_g, bwd, "backward")
+        first, second = sorted((g, h), key=pipelines._solve_order)
+        want = graph_distance(first, second, cfg)
         calls = []
 
         def counted(*args):
-            calls.append(1)
+            calls.append(args[:2])
             return graph_distance(*args)
 
         monkeypatch.setattr(pipelines, "graph_distance", counted)
-        d, res, direction = symmetric_match(g, h, cfg)
-        assert len(calls) == (1 if isomorphic else 2)
-        assert (d, direction) == (want[0], want[2])
-        assert res.p.perm.tolist() == want[1].p.perm.tolist()
-        assert (res.objective, res.solver_trace) == (want[1].objective, want[1].solver_trace)
+        for a, b in ((g, h), (h, g)):
+            d, res, direction = symmetric_match(a, b, cfg)
+            assert (d, direction) == (want.d_g, "forward" if a is first else "backward")
+            assert res.p.perm.tolist() == want.p.perm.tolist()
+            assert (res.objective, res.solver_trace) == (want.objective, want.solver_trace)
+        assert len(calls) == 2 and all(a is first and b is second for a, b in calls)
+
+    def test_oversized_weights_keep_the_callers_name(self):
+        # the 2-node graph is solved first, yet the error names it as passed
+        big = Graph([[0.0, 1e200], [1e200, 0.0]])
+        small = random_symmetric_graph(3, np.random.default_rng(6))
+        assert pipelines._solve_order(big) < pipelines._solve_order(small)
+        with pytest.raises(ValueError, match="edge weights of g2 are too large"):
+            symmetric_match(small, big)
+
+    @pytest.mark.parametrize("family, lam", [
+        ("full_heavy_tailed", 0.0), ("letter_like", 0.0), ("letter_like", 1.0)])
+    def test_argument_order_does_not_change_the_match(self, family, lam):
+        cfg = MatchConfig(lam=lam, refinement=True)
+        for k in range(16):
+            rng = trial_rng(40, k)
+            g, h = (generate(family, (4, 6), rng, node_drop=0.2) for _ in range(2))
+            if k % 4 == 0:  # an equal-size pair: a relabeled copy
+                h = permute(g, rng.permutation(g.n))
+            if np.array_equal(g.adjacency, h.adjacency):
+                continue  # an identical pair is forward in both orders
+            d1, r1, dir1 = symmetric_match(g, h, cfg)
+            d2, r2, dir2 = symmetric_match(h, g, cfg)
+            assert (d1, r1.objective) == (d2, r2.objective)
+            assert r1.p.perm.tolist() == r2.p.perm.tolist()
+            assert {dir1, dir2} == {"forward", "backward"}
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_brute_objective_ignores_argument_order(self, lam):
+        rng = np.random.default_rng(41)
+        corpus = _letters(41, 4) + [
+            Graph(random_symmetric_graph(n, rng).adjacency, node_attrs=rng.normal(size=(n, 2)))
+            for n in (2, 3, 4, 4, 5)]
+        cfg = MatchConfig(lam=lam, solver="brute")
+        for i, g in enumerate(corpus):
+            for h in corpus[i + 1:]:
+                assert graph_distance(g, h, cfg).objective == graph_distance(h, g, cfg).objective
+
+    @pytest.mark.parametrize("family, lam, refinement", [
+        ("binomial", 0.0, True), ("letter_like", 0.0, False), ("letter_like", 1.0, True)])
+    def test_reversed_corpus_gives_the_reversed_matrix(self, family, lam, refinement):
+        corpus = [generate(family, (6, 9), trial_rng(42, k), node_drop=0.2) for k in range(12)]
+        cfg = MatchConfig(lam=lam, refinement=refinement)
+        m = pairwise_distances(corpus, cfg)
+        assert pairwise_distances(corpus[::-1], cfg).tobytes() == m[::-1, ::-1].tobytes()
 
     def test_pairwise_duplicated_corpus(self):
         rng = np.random.default_rng(1)
@@ -171,7 +217,7 @@ class TestStackedBatches:
 
     def test_restarts_stop_on_duplicates(self, monkeypatch):
         # the only 7-node graphs are a graph and a relabeled copy, whose
-        # stack of both directions scores 0 at the first start
+        # one-pair stack, solved in one orientation, scores 0 at the first start
         rng = np.random.default_rng(34)
         w = np.triu(rng.random((7, 7)), 1)
         g = Graph(w + w.T, node_attrs=rng.normal(size=(7, 2)))
@@ -187,8 +233,8 @@ class TestStackedBatches:
 
         monkeypatch.setattr(matching, "_faq_stack", counted)
         pairwise_distances(corpus, cfg)
-        assert runs.count((2, 7, 7)) == 1
-        assert all(runs.count(shape) == 3 for shape in set(runs) - {(2, 7, 7)})
+        assert runs.count((1, 7, 7)) == 1
+        assert all(runs.count(shape) == 3 for shape in set(runs) - {(1, 7, 7)})
 
     @pytest.mark.parametrize("solver", ["umeyama", "brute"])
     def test_other_solvers(self, solver):
@@ -334,6 +380,7 @@ class TestBenchRecovery:
         # letter_like ignores the size range: its graphs have five nodes
         rep = bench_recovery("letter_like", (3, 9), 2, MatchConfig(solver="brute"))
         assert rep.n_gap_trials == 2
+        assert rep.size_range == (5, 5)
 
     @pytest.mark.parametrize("family, size_range, cfg", [
         ("binomial", (1, 9), MatchConfig()),
