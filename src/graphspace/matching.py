@@ -37,6 +37,14 @@ both adjacencies are symmetric.  The vertex Q pairs real nodes ``rows``
 with slots ``cols``, so A2^T Q A1 = A2[cols]^T A1[rows] is a single
 product, and the step to X + eta (Q - X) moves M by eta (A2 Q A1^T - M).
 
+Frank-Wolfe can zig-zag between two vertices with ever shorter steps and
+never meet its stopping test.  So a run whose new vertex repeats the one
+before last, but not the last, steps instead to the exact minimizer of
+the relaxed objective over the triangle of the iterate and those two
+vertices (Holloway's simplicial decomposition): a quadratic in two
+weights, whose coefficients the tracked products of the two vertices
+give by dot products and gathers alone.
+
 The Frank-Wolfe loop (``_faq_stack``) and the two-exchange loop
 (``_two_exchange_stack``) run on a stack of same-shape pairs, the shape a
 batch of many tiny matches needs: each iteration or sweep takes the dense
@@ -102,7 +110,11 @@ class MatchConfig:
     to that many extra Frank-Wolfe runs started from seeded random
     permutation matrices; the best objective wins.  The starts stop once a
     candidate scores J = 0: J is never negative, and a later candidate
-    wins only by scoring strictly lower.
+    wins only by scoring strictly lower.  A Frank-Wolfe run stops when the
+    relative change of its relaxed objective is at most ``tol``, or
+    unconverged after ``max_iter`` steps; a run that returns to the vertex
+    before last steps exactly over the face of its last two vertices,
+    which ends the two-vertex zig-zag that would otherwise use them all.
     """
 
     lam: float = 0.0
@@ -140,7 +152,8 @@ class SolverTrace:
 
     For the Frank-Wolfe solver, ``objectives`` holds the relaxed objective
     before the first step and after every accepted step (length
-    ``iterations + 1``) and ``step_sizes`` the exact line-search steps.
+    ``iterations + 1``) and ``step_sizes`` the exact line-search steps (a
+    step over a face records its total weight).
     ``refinement_objectives`` records the exact objective after each
     applied two-exchange swap.
     """
@@ -452,6 +465,89 @@ def _relaxed(m_p: np.ndarray, p: np.ndarray, c_t: np.ndarray | None) -> list[flo
     return [c - v for v, c in zip(_dots(m_p, p), _dots(c_t, p))]
 
 
+def _line_min(a: float, b: float) -> float:
+    """The t in [0, 1] minimizing b t + a t^2; where that is concave or flat,
+    the end t = 1, which is no worse when b <= 0, as on a Frank-Wolfe segment."""
+    return min(1.0, max(0.0, -b / (2.0 * a))) if a > 0.0 else 1.0
+
+
+def _face_weights(b1: float, b2: float, a11: float, a12: float, a22: float):
+    """The weights (alpha, beta) minimizing
+
+        phi = b1 alpha + b2 beta + a11 alpha^2 + a12 alpha beta + a22 beta^2
+
+    over alpha, beta >= 0, alpha + beta <= 1.  A positive definite phi has
+    one stationary point, its minimum where it is feasible.  Otherwise the
+    minimum lies on the boundary, at a vertex or at an edge's clamped 1-D
+    minimum.  Every candidate is scored by phi, and of those within
+    rounding of the least, the first of least total weight wins: on a
+    degenerate triangle, one whose corners are collinear, many weights give
+    one point, and this keeps the choice, and so the step taken, from
+    resting on rounding.  Where the iterate sits on the previous vertex,
+    that choice is the line search toward the current one.
+    """
+    cands = []
+    det = 4.0 * a11 * a22 - a12 * a12
+    if a11 > 0.0 and det > 0.0:
+        alpha = (a12 * b2 - 2.0 * a22 * b1) / det
+        beta = (a12 * b1 - 2.0 * a11 * b2) / det
+        if alpha >= 0.0 and beta >= 0.0 and alpha + beta <= 1.0:
+            cands.append((alpha, beta))
+    # on the edge alpha + beta = 1, beta = s: phi(1, 0) + s c + s^2 q; with
+    # 1 - alpha exact, the two weights sum to exactly 1
+    alpha = 1.0 - _line_min(a11 + a22 - a12, b2 - b1 + a12 - 2.0 * a11)
+    cands += [(0.0, _line_min(a22, b2)), (_line_min(a11, b1), 0.0), (alpha, 1.0 - alpha),
+              (0.0, 0.0), (0.0, 1.0), (1.0, 0.0)]
+    phi = [w * (b1 + a11 * w + a12 * v) + v * (b2 + a22 * v) for w, v in cands]
+    cut = min(phi) + 1e-12 * (abs(b1) + abs(b2) + abs(a11) + abs(a12) + abs(a22))
+    return min((c for c, value in zip(cands, phi) if value <= cut), key=sum)
+
+
+def _slot_pairs(slots: np.ndarray):
+    """The (rows, cols) pairs of a vertex given as the slot of every real
+    node, -1 for a node left unmatched; rows ascend, as ``_lap_raw``'s do."""
+    rows = np.flatnonzero(slots >= 0)
+    return rows, slots[rows]
+
+
+def _face_step(p, grad, m_p, n_p, m_r, n_q, m_1, n_1, q1, q2, a22: float, b2: float,
+               gp: float, directed: bool) -> float:
+    """Move one entry in place to the minimizer of the relaxed objective
+    over the triangle hull{P, Q1, Q2}; returns the total weight it moved.
+
+    Q1 is the entry's previous vertex, with tracked products ``m_1`` =
+    A2 Q1 A1^T and ``n_1`` = A2^T Q1 A1 (None when undirected), and Q2 its
+    current vertex, whose line search along R2 = Q2 - P has quadratic
+    coefficient ``a22``, slope ``b2``, ``m_r`` = M(R2) and ``n_q`` =
+    A2^T Q2 A1; ``gp`` is <grad, P>.  ``q1`` and ``q2`` are the vertices'
+    (rows, cols) pairs.  With R1 = Q1 - P,
+
+        f(P + alpha R1 + beta R2) = f(P) + b1 alpha + b2 beta
+                                    + a11 alpha^2 + a12 alpha beta + a22 beta^2,
+
+    b1 = <grad, R1>, a11 = -<M(R1), R1> and a12 = -<M(R1) + N(R1), R2>,
+    so the step costs dot products and gathers, and no dense product.
+    """
+    (r1, c1), (r2, c2) = q1, q2
+    m_r1 = m_1 - m_p
+    d1 = float(np.vdot(m_r1, p))
+    cross = float(m_r1[c2, r2].sum()) - d1
+    if directed:
+        n_r1 = n_1 - n_p
+        cross += float(n_r1[c2, r2].sum()) - float(np.vdot(n_r1, p))
+    else:
+        cross *= 2.0
+    alpha, beta = _face_weights(float(grad[c1, r1].sum()) - gp, b2,
+                                d1 - float(m_r1[c1, r1].sum()), -cross, a22)
+    p *= 1.0 - (alpha + beta)
+    p[c1, r1] += alpha
+    p[c2, r2] += beta
+    if directed:
+        n_p += alpha * n_r1 + beta * (n_q - n_p)
+    m_p += alpha * m_r1 + beta * m_r
+    return alpha + beta
+
+
 def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
                p0: np.ndarray, max_iter: int, tol: float, size: int, directed: bool):
     """Frank-Wolfe over the doubly stochastic polytope with exact line search,
@@ -475,8 +571,21 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     projection is one LAP per entry too, lifted to padded permutations by
     ``_lifts`` for the whole stack.  An entry's state is ``objectives[e]``
     (the last item is the current relaxed objective), ``steps[e]``,
-    ``converged[e]`` and, once it stops, row ``e`` of ``final``.  A 2-D
-    pair takes ``_vertex`` and ``_lift`` instead, and copies nothing.
+    ``converged[e]``, once it stops row ``e`` of ``final``, and, as rows
+    of arrays that ``_drop`` shrinks with the iterates, its last two
+    vertices ``prev`` and ``older`` and the products ``m_prev`` =
+    A2 Q A1^T and (directed) ``n_prev`` = A2^T Q A1 of ``prev``.  A stack
+    keeps a vertex as the slot of every real node (-1 for none), so that
+    one array comparison finds the entries whose vertex repeats ``older``
+    but not ``prev``.  A 2-D pair keeps a vertex as the bytes of its
+    pairs, takes ``_vertex`` and ``_lift`` instead, and copies nothing.
+
+    An entry steps by an exact line search toward its vertex Q, or, when
+    Q repeats ``older`` but not ``prev``, to the minimizer over the
+    triangle hull{P, ``prev``, Q} (``_face_step``), whose total weight is
+    its step size.  It stops on a zero step, when the relative change of
+    its relaxed objective is at most ``tol``, or after ``max_iter`` steps
+    unconverged.
 
     The loop keeps M = A2 P A1^T and N = A2^T P A1 current along its steps:
     the gradient is -(M + N) + lam D^T and the line search's slope is
@@ -499,35 +608,60 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     steps = [[] for _ in range(nb)]
     converged = [False] * nb
     ids = list(range(nb))
+    prev = older = m_prev = n_prev = None
     for _ in range(max_iter):
         grad = -(m_p + n_p) if directed else -2.0 * m_p
         if c_t is not None:
             grad += c_t
-        # vertex minimizing <grad, Q> over (partial) permutation matrices
+        # vertex minimizing <grad, Q> over (partial) permutation matrices,
+        # and the entries whose vertex is the one before last but not the last
         if at is None:
             rows, cols = _vertex(grad.T, partial)
             groups = [((), rows, cols, (cols[None], rows[None]))]
+            vertex = rows.tobytes() + cols.tobytes()
+            faces = [0] if vertex == older and vertex != prev else []
         else:
-            groups = _groups(at, *_vertices(grad.swapaxes(-1, -2), partial))
+            rows, cols, keep = _vertices(grad.swapaxes(-1, -2), partial)
+            groups = _groups(at, rows, cols, keep)
+            # the slot of every real node; rows is arange(n1) unless n1 > n2
+            vertex = cols if keep is None else np.where(keep, cols, -1)
+            if n1 > n2:
+                slots = np.full((len(ids), n1), -1)
+                slots[at, rows] = vertex
+                vertex = slots
+            faces = [] if older is None else np.flatnonzero(
+                (vertex == older).all(axis=1) & (vertex != prev).any(axis=1)).tolist()
         n_q = _vertex_products(a2, a1, groups)
         m_q = (_vertex_products(a2.swapaxes(-1, -2), a1.swapaxes(-1, -2), groups)
                if directed else n_q)
         m_r = m_q - m_p
-        # f(P + eta R) = f + eta b + eta^2 a with R = Q - P; a concave or
-        # flat segment steps to its vertex end, which is no worse
-        eta = []
-        for mp, mq, gq, gp in zip(_dots(m_r, p), _vertex_sums(m_r, groups),
-                                  _vertex_sums(grad, groups), _dots(grad, p)):
-            a_coef, b_coef = mp - mq, gq - gp
-            eta.append(min(1.0, max(0.0, -b_coef / (2.0 * a_coef))) if a_coef > 0.0 else 1.0)
+        # f(P + eta R) = f + eta b + eta^2 a with R = Q - P
+        lines = [(mp - mq, gq - gp, gp) for mp, mq, gq, gp in zip(
+            _dots(m_r, p), _vertex_sums(m_r, groups), _vertex_sums(grad, groups), _dots(grad, p))]
+        eta = [_line_min(a_coef, b_coef) for a_coef, b_coef, _ in lines]
+        # an entry on a face steps over it in place, and no further below
+        along = eta
+        if faces:
+            along = eta.copy()
+            for j in faces:
+                if at is None:
+                    q1, q2 = np.frombuffer(prev, dtype=rows.dtype).reshape(2, -1), (rows, cols)
+                    blocks = (p, grad, m_p, n_p, m_r, n_q, m_prev, n_prev)
+                else:
+                    q1, q2 = _slot_pairs(prev[j]), _slot_pairs(vertex[j])
+                    blocks = (None if x is None else x[j]
+                              for x in (p, grad, m_p, n_p, m_r, n_q, m_prev, n_prev))
+                eta[j] = _face_step(*blocks, q1, q2, *lines[j], directed)
+                along[j] = 0.0
         # a zero step leaves its entry unchanged, and the entry stops below;
         # a stack of one steps by a float
-        step = eta[0] if len(eta) == 1 else np.array(eta)[:, None, None]
+        step = along[0] if len(along) == 1 else np.array(along)[:, None, None]
         p *= 1.0 - step
         for lead, _, _, pairs in groups:
-            p[pairs] += step if len(eta) == 1 else step[lead[0], 0, 0]
+            p[pairs] += step if len(along) == 1 else step[lead[0], 0, 0]
         m_p = m_p + step * m_r
         n_p = n_p + step * (n_q - n_p) if directed else m_p
+        older, prev, m_prev, n_prev = prev, vertex, m_q, n_q if directed else None
         done = []
         for j, (e, s, new) in enumerate(zip(ids, eta, _relaxed(m_p, p, c_t))):
             old = objectives[e][-1]  # the current objective of a running entry
@@ -541,7 +675,8 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
             break
         if done:
             final[[ids[j] for j in done]] = p[done]
-            ids, p, m_p, n_p, a1, a2, c_t = _drop(ids, done, p, m_p, n_p, a1, a2, c_t)
+            ids, p, m_p, n_p, a1, a2, c_t, prev, older, m_prev, n_prev = _drop(
+                ids, done, p, m_p, n_p, a1, a2, c_t, prev, older, m_prev, n_prev)
             at = at[:len(ids)]
     # project each doubly stochastic iterate back to a permutation
     if at is None:
@@ -684,8 +819,10 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     co-optimal permutation; the incumbent only prunes.  ``umeyama``
     proposes one spectral assignment, ``faq`` one Frank-Wolfe run per
     start (the ``cfg.faq_init`` start, then ``cfg.restarts`` random ones),
-    each stopping when the relative change of the relaxed objective drops
-    below ``cfg.tol`` or after ``cfg.max_iter`` steps (flagged in the trace).
+    each stepping over the face of its last two vertices when it returns
+    to the one before last, and stopping when the relative change of the
+    relaxed objective drops below ``cfg.tol`` or after ``cfg.max_iter``
+    steps (flagged in the trace).
     Each distinct candidate is scored by its exact objective and, with
     ``cfg.refinement``, a heuristic one is improved by greedy two-exchange;
     the first candidate with the lowest objective wins.  Once one scores

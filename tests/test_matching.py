@@ -18,12 +18,14 @@ from graphspace import (
 )
 import graphspace.matching as matching
 from graphspace.assignment import _lap_raw, _objective_values, objective_value
+from graphspace.generators import generate, trial_rng
 from graphspace.graphs import _padded_size
 from graphspace.matching import (
     SolverTrace,
     _faq_candidates,
     _faq_descent,
     _faq_inits,
+    _face_weights,
     _faq_stack,
     _groups,
     _lift,
@@ -40,45 +42,71 @@ from graphspace.matching import (
 def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
     """Frank-Wolfe recomputing every product from the iterate (the descent
     ``_faq_descent`` must agree with): four dense products per iteration,
-    two for the gradient and two for the search direction.
+    two for the gradient and two for the search direction, and one more on
+    a step over a face.
 
     It steps toward the vertices ``(rows, cols)`` drawn from ``vertices``,
     the ones the loop under test chose, after checking that each minimizes
-    the linear cost of the recomputed gradient.  Following them keeps both
-    runs on one path through exact vertex ties, which Frank-Wolfe makes
-    itself: after an interior line-search step from a vertex, the gradient
-    scores both ends of that segment equally.
+    the linear cost of the recomputed gradient, and projects onto the last
+    one drawn, after checking that it is a nearest permutation.  Following
+    them keeps both runs on one path through exact vertex ties, which
+    Frank-Wolfe makes itself: after an interior line-search step from a
+    vertex, the gradient scores both ends of that segment equally, and a
+    step over a face can end halfway between two vertices that a
+    symmetric pair scores alike.  A vertex that repeats the one before
+    last, but not the last, takes the exact step over the triangle of the
+    iterate and those two vertices, with the quadratic's coefficients
+    recomputed from dense products.
     """
     n1, n2 = a1.shape[0], a2.shape[0]
     partial = size >= n1 + n2
     d_t = d.T if (d is not None and lam != 0.0) else None
 
+    def follow(c):
+        """The next vertex drawn, checked to minimize the cost ``c``."""
+        rows, cols = _vertex(c, partial)
+        best = c[rows, cols].sum()
+        rows, cols = next(vertices)
+        assert math.isclose(c[rows, cols].sum(), best, rel_tol=1e-9, abs_tol=1e-12)
+        return rows, cols
+
     def node_term(m):
         return lam * float((m * d_t).sum()) if d_t is not None else 0.0
 
+    def matrix(rows, cols):
+        q = np.zeros((n2, n1))
+        q[list(cols), list(rows)] = 1.0
+        return q
+
     p = p0.copy()
     f = -float(((a2 @ p @ a1.T) * p).sum()) + node_term(p)
-    objectives, steps, converged = [f], [], False
+    objectives, steps, converged, seen = [f], [], False, [None, None]
     for _ in range(max_iter):
         m_p = a2 @ p @ a1.T
         grad = -m_p - a2.T @ p @ a1
         if d_t is not None:
             grad = grad + lam * d_t
-        rows, cols = _vertex(grad.T, partial)
-        best = grad.T[rows, cols].sum()
-        rows, cols = next(vertices)
-        assert math.isclose(grad.T[rows, cols].sum(), best, rel_tol=1e-9, abs_tol=1e-12)
-        q = np.zeros((n2, n1))
-        q[cols, rows] = 1.0
-        r = q - p
+        rows, cols = follow(grad.T)
+        r = matrix(rows, cols) - p
         m_r = a2 @ r @ a1.T
         a_coef = -float((m_r * r).sum())
         b_coef = -float((m_r * p).sum()) - float((m_p * r).sum()) + node_term(r)
-        eta = min(1.0, max(0.0, -b_coef / (2.0 * a_coef))) if a_coef > 0.0 else 1.0
+        vertex = (tuple(rows.tolist()), tuple(cols.tolist()))
+        if vertex == seen[-2] and vertex != seen[-1]:
+            r1 = matrix(*seen[-1]) - p
+            m_r1 = a2 @ r1 @ a1.T
+            alpha, beta = _face_weights(
+                float((grad * r1).sum()), b_coef, -float((m_r1 * r1).sum()),
+                -float((m_r1 * r).sum()) - float((m_r * r1).sum()), a_coef)
+            eta, move = alpha + beta, alpha * r1 + beta * r
+        else:
+            eta = min(1.0, max(0.0, -b_coef / (2.0 * a_coef))) if a_coef > 0.0 else 1.0
+            move = eta * r
+        seen.append(vertex)
         if eta == 0.0:
             converged = True
             break
-        p = p + eta * r
+        p = p + move
         f_new = -float(((a2 @ p @ a1.T) * p).sum()) + node_term(p)
         objectives.append(f_new)
         steps.append(eta)
@@ -86,8 +114,7 @@ def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
             converged = True
             break
         f = f_new
-    rows, cols = _vertex(-_null_average(p, size).T, partial)
-    return _lift(rows, cols, n1, n2, size), objectives, steps, converged
+    return _lift(*follow(-_null_average(p, size).T), n1, n2, size), objectives, steps, converged
 
 
 class TestMatchConfig:
@@ -471,7 +498,7 @@ class TestTrackedProducts:
                 perm, objectives, steps, converged = _faq_descent(*args, directed)
             # the last call projects the final iterate back to a permutation
             ref_perm, ref_objectives, ref_steps, ref_converged = (
-                four_product_faq_descent(*args, iter(chosen[:-1])))
+                four_product_faq_descent(*args, iter(chosen)))
             got = _settled(objectives, steps, cfg.tol)
             want = _settled(ref_objectives, ref_steps, cfg.tol)
             assert [len(v) for v in got] == [len(v) for v in want]
@@ -580,6 +607,102 @@ class TestStacks:
                                         perms[e], objs[e], directed)
             assert np.array_equal(perm, alone[0])
             assert (objectives, obj) == alone[1:]
+
+
+_COEFFICIENTS = st.one_of(st.floats(-10.0, 10.0), st.sampled_from([0.0, 1e-300, -1e-300, 1e-12]))
+
+
+@st.composite
+def _face_quadratics(draw):
+    """(b1, b2, a11, a12, a22) of a quadratic over the weights of a triangle:
+    free coefficients (indefinite, flat or definite), or those of a
+    degenerate triangle, whose directions R2 = -c R1 are collinear."""
+    b1, b2 = draw(_COEFFICIENTS), draw(_COEFFICIENTS)
+    if draw(st.booleans()):
+        return b1, b2, draw(_COEFFICIENTS), draw(_COEFFICIENTS), draw(_COEFFICIENTS)
+    a, c = draw(_COEFFICIENTS), draw(st.floats(0.0, 10.0))
+    return b1, -c * b1 if draw(st.booleans()) else b2, a, -2.0 * c * a, c * c * a
+
+
+class TestFaceSteps:
+    """The exact step over the face a Frank-Wolfe run zig-zags on."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_face_quadratics())
+    def test_face_weights_minimize_over_the_triangle(self, coefs):
+        b1, b2, a11, a12, a22 = coefs
+
+        def phi(w, v):
+            return b1 * w + b2 * v + a11 * w * w + a12 * w * v + a22 * v * v
+
+        alpha, beta = _face_weights(*coefs)
+        assert alpha >= 0.0 and beta >= 0.0 and alpha + beta <= 1.0
+        best = phi(alpha, beta)
+        slack = 1e-9 * (1.0 + sum(abs(c) for c in coefs))
+        grid = [(i / 20, j / 20) for i in range(21) for j in range(21 - i)]
+        for w, v in [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), *grid]:
+            assert best <= phi(w, v) + slack
+
+    @pytest.mark.parametrize("kind", ["undirected", "directed", "attributed"])
+    def test_zigzag_pairs_converge(self, monkeypatch, kind):
+        # each pair runs all max_iter steps, unconverged, without face steps
+        g1, g2, lam = _zigzag_pair(kind)
+        faces, face_step = [], matching._face_step
+        monkeypatch.setattr(matching, "_face_step",
+                            lambda *args: faces.append(1) or face_step(*args))
+        cfg = MatchConfig(lam=lam)
+        trace = graph_distance(g1, g2, cfg).solver_trace
+        assert faces and trace.converged and trace.iterations < cfg.max_iter
+
+    @pytest.mark.parametrize("kind", ["undirected", "directed", "attributed"])
+    def test_zigzag_entry_of_a_stack_runs_as_alone(self, kind):
+        g1, g2, lam = _zigzag_pair(kind)
+        rng = np.random.default_rng(12)
+        pairs = [(g1, g2)] + [(_like(g1, rng), _like(g2, rng)) for _ in range(3)]
+        size = g1.n + g2.n
+        a1 = np.stack([a.adjacency for a, _ in pairs])
+        a2 = np.stack([b.adjacency for _, b in pairs])
+        d = np.stack([node_distance_matrix(*pad_pair(a, b, "two_way"))[:g1.n, :g2.n]
+                      for a, b in pairs]) if lam else None
+        p0 = np.full((len(pairs), g2.n, g1.n), 1.0 / size)
+        got = _faq_stack(a1, a2, d, lam, p0, 100, 1e-8, size, g1.directed)
+        assert got[0][3] and len(got[0][2]) < 100
+        for e in range(len(pairs)):
+            alone = _faq_descent(a1[e], a2[e], None if d is None else d[e], lam, p0[e],
+                                 100, 1e-8, size, g1.directed)
+            assert np.array_equal(got[e][0], alone[0]) and got[e][1:] == alone[1:]
+
+
+def _zigzag_pair(kind):
+    """A pair whose barycenter Frank-Wolfe run, under the default config,
+    alternates between two vertices until max_iter unless it steps over
+    their face: graphs 0 and 18 of ``graphspace generate --family binomial
+    --sizes 10 16 --count 30 --seed 0``; graphs 0 and 5 with each edge
+    given a seeded direction; graphs 0 and 20 with seeded normal
+    attributes, at lambda 0.1."""
+    graphs = {i: generate("binomial", (10, 16), trial_rng(0, i)) for i in (0, 5, 18, 20)}
+    if kind == "undirected":
+        return graphs[0], graphs[18], 0.0
+    if kind == "directed":
+        def oriented(i):
+            a = np.triu(graphs[i].adjacency, 1)
+            up = np.random.default_rng(i).random(a.shape) < 0.5
+            return Graph(np.where(up, a, 0.0) + np.where(up, 0.0, a).T, directed=True)
+        return oriented(0), oriented(5), 0.0
+    def attributed(i):
+        g = graphs[i]
+        return Graph(g.adjacency, node_attrs=trial_rng(100, i).normal(size=(g.n, 2)))
+    return attributed(0), attributed(20), 0.1
+
+
+def _like(g, rng):
+    """A random graph of ``g``'s size, directedness and attribute dimension."""
+    w = (rng.random((g.n, g.n)) < 0.5).astype(float)
+    np.fill_diagonal(w, 0.0)
+    if not g.directed:
+        w = np.triu(w, 1) + np.triu(w, 1).T
+    attrs = None if g.node_attrs is None else rng.normal(size=g.node_attrs.shape)
+    return Graph(w, node_attrs=attrs, directed=g.directed)
 
 
 @st.composite
