@@ -37,6 +37,16 @@ both adjacencies are symmetric.  The vertex Q pairs real nodes ``rows``
 with slots ``cols``, so A2^T Q A1 = A2[cols]^T A1[rows] is a single
 product, and the step to X + eta (Q - X) moves M by eta (A2 Q A1^T - M).
 
+On a flat start X = c 1 1^T, such as the barycenter, M = c r2 r1^T and
+N = c s2 s1^T are outer products of the row sums r and the column sums
+s, so the run starts without a dense product.  On an undirected pair
+without node costs the first gradient, -2 c r2 r1^T, is then of rank
+one, and its vertex is a sort (``_rank_one_vertex``, by the
+rearrangement inequality) instead of a LAP: positive sums pair with the
+largest positive sums, negative with the most negative.  Its ties are
+broken by one round of colour refinement: both sides are ordered by
+(r, A r, node index).
+
 Frank-Wolfe can zig-zag between two vertices with ever shorter steps and
 never meet its stopping test.  So a run whose new vertex repeats the one
 before last, but not the last, steps instead to the exact minimizer of
@@ -106,7 +116,10 @@ class MatchConfig:
     """Options shared by the matching solvers.
 
     ``faq_init`` picks the first Frank-Wolfe start: the barycenter (the
-    flat doubly stochastic matrix) or the identity.  ``restarts`` adds up
+    flat doubly stochastic matrix) or the identity.  From the barycenter,
+    an undirected pair at ``lam`` = 0 takes its first vertex in closed form,
+    by sorting nodes on their degree (weighted row sum), then on the sum of
+    their neighbours' degrees, then on their index.  ``restarts`` adds up
     to that many extra Frank-Wolfe runs started from seeded random
     permutation matrices; the best objective wins.  The starts stop once a
     candidate scores J = 0: J is never negative, and a later candidate
@@ -347,6 +360,56 @@ def _vertices(c: np.ndarray, partial: bool):
     return rows, cols, keep
 
 
+def _rank_one_vertex(r1: np.ndarray, r2: np.ndarray, t1: np.ndarray, t2: np.ndarray,
+                     partial: bool):
+    """``_vertex`` of the rank-one cost c_ij = -k r1_i r2_j, k > 0, in closed
+    form: the LAP of a flat start's first Frank-Wolfe step on an undirected
+    pair without node costs, where r1 and r2 are the row sums.
+
+    By the rearrangement inequality a node of positive sum pairs with the
+    largest sums of the other side, and one of negative sum with the most
+    negative.  Under ``partial`` only pairs of one sign are kept, the
+    largest positive sums of both sides in order and likewise the most
+    negative; otherwise every node of the smaller side is matched, its
+    positive nodes to the other side's largest sums, the rest to its
+    smallest.  Of the co-optimal vertices this takes the one that orders
+    both sides by the key (r, t, node index), where t = A r sums the
+    neighbours' sums, one round of colour refinement.  ``r1`` and ``t1``
+    are (n1,) and ``r2`` and ``t2`` (n2,), giving ``(rows, cols)`` as
+    ``_vertex`` does, or (B, n) stacks, giving ``(rows, cols, keep)`` as
+    ``_vertices`` does; rows ascend.
+    """
+    single = r1.ndim == 1
+    if single:
+        r1, r2, t1, t2 = r1[None], r2[None], t1[None], t2[None]
+    swap = r1.shape[1] > r2.shape[1]
+    (rs, ts), (rl, tl) = ((r2, t2), (r1, t1)) if swap else ((r1, t1), (r2, t2))
+    # each side's nodes in ascending key order, the smaller side first;
+    # lexsort is stable, so the node index breaks the remaining ties
+    small, large = np.lexsort((ts, rs), axis=-1), np.lexsort((tl, rl), axis=-1)
+    (b, ns), nl = small.shape, large.shape[1]
+    top = (rs > 0.0).sum(axis=1)
+    if partial:
+        top = np.minimum(top, (rl > 0.0).sum(axis=1))
+    # the i-th smallest node of the smaller side pairs with the i-th smallest
+    # of the larger one, or, among its top nodes, with the same rank from the top
+    i, at = np.arange(ns), np.arange(b)[:, None]
+    upper = i >= (ns - top)[:, None]
+    picked = large[at, i + (nl - ns) * upper]
+    keep = None
+    if partial:
+        bottom = np.minimum((rs < 0.0).sum(axis=1), (rl < 0.0).sum(axis=1))
+        keep = upper | (i < bottom[:, None])
+    rows, cols = (picked, small) if swap else (small, picked)
+    order = np.argsort(rows, axis=1)
+    rows, cols = rows[at, order], cols[at, order]
+    if keep is not None:
+        keep = keep[at, order]
+    if not single:
+        return rows, cols, keep
+    return (rows[0], cols[0]) if keep is None else (rows[0][keep[0]], cols[0][keep[0]])
+
+
 def _null_average(x: np.ndarray, size: int) -> np.ndarray:
     """Real block of the padded iterate averaged over null relabelings.
 
@@ -458,6 +521,18 @@ def _vertex_sums(x: np.ndarray, groups) -> list[float]:
     return out.tolist()
 
 
+def _start_product(x2: np.ndarray, x1: np.ndarray, p: np.ndarray, flat: np.ndarray,
+                   c: np.ndarray) -> np.ndarray:
+    """X2 P X1^T of every entry; on an entry whose start P = c 1 1^T is
+    ``flat``, the outer product c (X2 1)(X1 1)^T of the row sums."""
+    if not flat.any():
+        return x2 @ p @ x1.swapaxes(-1, -2)
+    outer = c * x2.sum(axis=-1)[..., :, None] * x1.sum(axis=-1)[..., None, :]
+    if flat.all():
+        return outer
+    return np.where(flat[:, None, None], outer, x2 @ p @ x1.swapaxes(-1, -2))
+
+
 def _relaxed(m_p: np.ndarray, p: np.ndarray, c_t: np.ndarray | None) -> list[float]:
     """The relaxed objective -<M, P> + <lam D^T, P> of every entry."""
     if c_t is None:
@@ -565,7 +640,8 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     Every entry has its own line search and stopping test, and runs
     exactly as it would alone: dense products and inner products are taken
     per entry, each entry's vertex is one LAP (``_vertices`` over the
-    stack, which clips and filters the whole stack's costs at once), and
+    stack, which clips and filters the whole stack's costs at once) or a
+    flat start's first vertex in closed form (below), and
     the vertices' gathered products and sums are taken over groups of
     equal vertex size k, so no entry's arithmetic is padded.  The final
     projection is one LAP per entry too, lifted to padded permutations by
@@ -593,6 +669,13 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     so A2^T Q A1 = A2[cols]^T A1[rows] is one product, as is A2 Q A1^T.
     Undirected adjacencies are exactly symmetric, so there N = M and an
     iteration costs one dense product; a directed pair costs two.
+
+    An entry's start is flat when all its entries equal one c > 0.  Its M
+    and N then start as the outer products of ``_start_product``, and on
+    an undirected stack without node costs its first vertex is
+    ``_rank_one_vertex``'s, one sort for the whole stack.  Every other
+    vertex, including the first of an entry whose start is not flat, is a
+    LAP.
     """
     n2, n1 = p0.shape[-2:]
     nb = len(p0) if p0.ndim == 3 else 1
@@ -602,8 +685,19 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
            if (d is not None and lam != 0.0) else None)
     p = p0.copy()
     final = None if at is None else np.empty_like(p)  # each entry's last iterate
-    m_p = a2 @ p @ a1.swapaxes(-1, -2)
-    n_p = a2.swapaxes(-1, -2) @ p @ a1 if directed else m_p
+    c = p0[..., :1, :1]
+    flat = ((p0 == c) & (c > 0.0)).all(axis=(-2, -1))
+    m_p = _start_product(a2, a1, p, flat, c)
+    n_p = _start_product(a2.swapaxes(-1, -2), a1.swapaxes(-1, -2), p, flat, c) if directed else m_p
+    first = None
+    if not directed and c_t is None and flat.any():
+        r1, r2 = a1.sum(axis=-1), a2.sum(axis=-1)
+        first = _rank_one_vertex(r1, r2, (a1 * r1[..., None, :]).sum(axis=-1),
+                                 (a2 * r2[..., None, :]).sum(axis=-1), partial)
+        if not flat.all():  # the other entries of a mixed stack take the LAP
+            for x, y in zip(first, _vertices(-2.0 * m_p[~flat].swapaxes(-1, -2), partial)):
+                if x is not None:
+                    x[~flat] = y
     objectives = [[v] for v in _relaxed(m_p, p, c_t)]
     steps = [[] for _ in range(nb)]
     converged = [False] * nb
@@ -616,12 +710,13 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
         # vertex minimizing <grad, Q> over (partial) permutation matrices,
         # and the entries whose vertex is the one before last but not the last
         if at is None:
-            rows, cols = _vertex(grad.T, partial)
+            rows, cols = _vertex(grad.T, partial) if first is None else first
             groups = [((), rows, cols, (cols[None], rows[None]))]
             vertex = rows.tobytes() + cols.tobytes()
             faces = [0] if vertex == older and vertex != prev else []
         else:
-            rows, cols, keep = _vertices(grad.swapaxes(-1, -2), partial)
+            rows, cols, keep = (_vertices(grad.swapaxes(-1, -2), partial) if first is None
+                                else first)
             groups = _groups(at, rows, cols, keep)
             # the slot of every real node; rows is arange(n1) unless n1 > n2
             vertex = cols if keep is None else np.where(keep, cols, -1)
@@ -631,6 +726,7 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
                 vertex = slots
             faces = [] if older is None else np.flatnonzero(
                 (vertex == older).all(axis=1) & (vertex != prev).any(axis=1)).tolist()
+        first = None
         n_q = _vertex_products(a2, a1, groups)
         m_q = (_vertex_products(a2.swapaxes(-1, -2), a1.swapaxes(-1, -2), groups)
                if directed else n_q)
@@ -819,6 +915,9 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     co-optimal permutation; the incumbent only prunes.  ``umeyama``
     proposes one spectral assignment, ``faq`` one Frank-Wolfe run per
     start (the ``cfg.faq_init`` start, then ``cfg.restarts`` random ones),
+    the barycenter's first vertex taken in closed form on an undirected
+    pair at ``lam`` = 0 (a sort on degree, then neighbours' degrees, then
+    node index, in place of the LAP),
     each stepping over the face of its last two vertices when it returns
     to the one before last, and stopping when the relative change of the
     relaxed objective drops below ``cfg.tol`` or after ``cfg.max_iter``

@@ -88,7 +88,10 @@ def _symmetric_distances(pairs, cfg: MatchConfig, workers: int) -> list[float]:
     ``symmetric_distance`` pair by pair (``np.sqrt`` rounds correctly, as
     ``math.sqrt`` does).  Other solvers match pair by pair.
     """
-    oriented = [sorted(pair, key=_solve_order) for pair in pairs]
+    # each graph's orientation key, built once however many pairs hold it
+    graphs = {id(g): g for pair in pairs for g in pair}
+    keys = {k: _solve_order(g) for k, g in graphs.items()}
+    oriented = [sorted(pair, key=lambda g: keys[id(g)]) for pair in pairs]
     if cfg.solver != "faq":
         return _run_indexed(
             [lambda a=a, b=b: graph_distance(a, b, cfg).d_g for a, b in oriented], workers)

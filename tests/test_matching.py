@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from conftest import oracle, random_directed_graph, random_symmetric_graph
 from graphspace import (
@@ -31,12 +32,14 @@ from graphspace.matching import (
     _lift,
     _lifts,
     _null_average,
+    _rank_one_vertex,
     _swap_deltas,
     _two_exchange_stack,
     _vertex,
     _vertices,
     greedy_two_exchange,
 )
+from graphspace.pipelines import symmetric_match
 
 
 def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
@@ -489,12 +492,16 @@ class TestTrackedProducts:
                     cfg.tol, size)
             chosen = []
 
-            def spy(c, partial):
-                chosen.append(_vertex(c, partial))
-                return chosen[-1]
+            def spy(vertex):
+                def chosen_vertex(*args):
+                    chosen.append(vertex(*args))
+                    return chosen[-1]
+                return chosen_vertex
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(matching, "_vertex", spy)
+                # a flat start's first vertex comes in closed form
+                mp.setattr(matching, "_vertex", spy(_vertex))
+                mp.setattr(matching, "_rank_one_vertex", spy(_rank_one_vertex))
                 perm, objectives, steps, converged = _faq_descent(*args, directed)
             # the last call projects the final iterate back to a permutation
             ref_perm, ref_objectives, ref_steps, ref_converged = (
@@ -676,19 +683,19 @@ class TestFaceSteps:
 def _zigzag_pair(kind):
     """A pair whose barycenter Frank-Wolfe run, under the default config,
     alternates between two vertices until max_iter unless it steps over
-    their face: graphs 0 and 18 of ``graphspace generate --family binomial
-    --sizes 10 16 --count 30 --seed 0``; graphs 0 and 5 with each edge
+    their face: graphs 0 and 25 of ``graphspace generate --family binomial
+    --sizes 10 16 --count 30 --seed 0``; graphs 0 and 6 with each edge
     given a seeded direction; graphs 0 and 20 with seeded normal
     attributes, at lambda 0.1."""
-    graphs = {i: generate("binomial", (10, 16), trial_rng(0, i)) for i in (0, 5, 18, 20)}
+    graphs = {i: generate("binomial", (10, 16), trial_rng(0, i)) for i in (0, 6, 20, 25)}
     if kind == "undirected":
-        return graphs[0], graphs[18], 0.0
+        return graphs[0], graphs[25], 0.0
     if kind == "directed":
         def oriented(i):
             a = np.triu(graphs[i].adjacency, 1)
             up = np.random.default_rng(i).random(a.shape) < 0.5
             return Graph(np.where(up, a, 0.0) + np.where(up, 0.0, a).T, directed=True)
-        return oriented(0), oriented(5), 0.0
+        return oriented(0), oriented(6), 0.0
     def attributed(i):
         g = graphs[i]
         return Graph(g.adjacency, node_attrs=trial_rng(100, i).normal(size=(g.n, 2)))
@@ -703,6 +710,74 @@ def _like(g, rng):
         w = np.triu(w, 1) + np.triu(w, 1).T
     attrs = None if g.node_attrs is None else rng.normal(size=g.node_attrs.shape)
     return Graph(w, node_attrs=attrs, directed=g.directed)
+
+
+@st.composite
+def _row_sums(draw):
+    """(r1, r2, t1, t2): signed integer row sums (many ties) or real ones,
+    0-7 nodes per side, with tie keys on a grid of 3 values."""
+    n1, n2 = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    values = (st.integers(-3, 3).map(float) if draw(st.booleans()) else
+              st.floats(-5.0, 5.0).filter(lambda x: x == 0.0 or abs(x) > 1e-6))
+    keys = st.integers(0, 2).map(float)
+
+    def vector(n, elements):
+        return np.array(draw(st.lists(elements, min_size=n, max_size=n)), dtype=float)
+
+    return vector(n1, values), vector(n2, values), vector(n1, keys), vector(n2, keys)
+
+
+class TestFlatStart:
+    """The closed-form first vertex of a flat Frank-Wolfe start."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(_row_sums(), st.booleans())
+    def test_rank_one_vertex_is_an_optimal_assignment(self, sums, partial):
+        # the cost -r1 r2^T against scipy on the same cost, zero-padded to a
+        # square under partial assignment, as two-way padding does
+        r1, r2, t1, t2 = sums
+        n1, n2 = len(r1), len(r2)
+        c = -np.outer(r1, r2)
+        rows, cols = _rank_one_vertex(r1, r2, t1, t2, partial)
+        assert np.all(np.diff(rows) > 0) and len(set(cols.tolist())) == len(cols)
+        assert np.all((0 <= cols) & (cols < n2)) and np.all((0 <= rows) & (rows < n1))
+        if partial:
+            assert np.all(c[rows, cols] < 0.0)
+            padded = np.zeros((n1 + n2, n1 + n2))
+            padded[:n1, :n2] = c
+            c_opt = padded
+        else:
+            assert len(rows) == min(n1, n2)
+            c_opt = c
+        best = c_opt[linear_sum_assignment(c_opt)].sum()
+        assert math.isclose(c[rows, cols].sum(), best, rel_tol=1e-12, abs_tol=1e-9)
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_mixed_stack_entries_run_as_alone(self, directed):
+        # flat starts take the outer-product start and, undirected, the
+        # closed-form vertex; the other entries of the stack do not
+        rng = np.random.default_rng(6)
+        make = random_directed_graph if directed else random_symmetric_graph
+        a1 = np.stack([make(6, rng).adjacency for _ in range(4)])
+        a2 = np.stack([make(8, rng).adjacency for _ in range(4)])
+        size = 14
+        p0 = np.full((4, 8, 6), 1.0 / size)
+        p0[1] = np.eye(size)[rng.permutation(size)][:8, :6]
+        p0[3] = 0.5 * (p0[3] + np.eye(size)[rng.permutation(size)][:8, :6])
+        got = _faq_stack(a1, a2, None, 0.0, p0, 100, 1e-8, size, directed)
+        for e in range(4):
+            alone = _faq_descent(a1[e], a2[e], None, 0.0, p0[e], 100, 1e-8, size, directed)
+            assert np.array_equal(got[e][0], alone[0]) and got[e][1:] == alone[1:]
+
+    def test_path_letters_register_exactly(self):
+        # two isomorphic 4-node path letters: graphs 4 and 15 of ``graphspace
+        # generate --family letter_like --count 16 --seed 201 --node-drop
+        # 0.2``, which the default config once registered at J = 4
+        g4, g15 = (generate("letter_like", (2, 5), trial_rng(201, i), node_drop=0.2)
+                   for i in (4, 15))
+        assert g4.n == g15.n == 4
+        d, res, _ = symmetric_match(g4, g15)
+        assert res.objective == 0.0 and d == 0.0
 
 
 @st.composite

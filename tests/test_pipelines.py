@@ -256,6 +256,17 @@ class TestStackedBatches:
         cfg = MatchConfig(lam=1.0, refinement=True)
         _assert_matches_pair_by_pair(corpus, cfg, workers=3)
 
+    def test_orientation_keys_built_once_per_graph(self, monkeypatch):
+        corpus = _letters(28, 6)
+        keyed, solve_order = [], pipelines._solve_order
+        monkeypatch.setattr(pipelines, "_solve_order",
+                            lambda g: keyed.append(g) or solve_order(g))
+        pairwise_distances(corpus, MatchConfig())
+        assert len(keyed) == 6 and {id(g) for g in keyed} == {id(g) for g in corpus}
+        keyed.clear()
+        knn_classify(corpus[:4], ["a"] * 4, corpus[4:], 1, MatchConfig())
+        assert len(keyed) == 6
+
     def test_padding_none_rejects_unequal_sizes(self):
         rng = np.random.default_rng(27)
         corpus = [random_symmetric_graph(n, rng) for n in (3, 3, 4)]
