@@ -302,37 +302,44 @@ def _numbered(what: str, count: int) -> list[str]:
     return [f"{what} {i}" for i in range(count)]
 
 
-# the most the squared edge weights of one corpus graph may sum to: the
-# edge term of a pair's objective is at most 2 (sum w1^2 + sum w2^2), so
-# it stays finite between any two accepted graphs
+# the most the squared edge weights of one graph, plus max(lam, 1) times its
+# squared attribute norms under lam > 0, may sum to: an edge term is at most
+# 2 (sum w1^2 + sum w2^2) and a node cost 2 (||x||^2 + ||y||^2), so node
+# costs, lam D and J stay finite between any two accepted graphs
 _MAX_SQUARED_WEIGHT = np.finfo(float).max / 4
 
 
-def _check_weights(g: Graph, name: str) -> None:
+def _check_weights(g: Graph, name: str, lam: float) -> None:
     """Refuse ``g``, by ``name``, if its squared edge weights sum past
-    ``_MAX_SQUARED_WEIGHT``."""
+    ``_MAX_SQUARED_WEIGHT``, or, with ``lam`` > 0, if they do with
+    max(lam, 1) times its squared attribute norms added."""
     with np.errstate(over="ignore"):  # a sum past the float limit is inf
         squares = float(np.sum(g.adjacency * g.adjacency))
+        if squares > _MAX_SQUARED_WEIGHT:
+            raise ValueError(f"edge weights of {name} are too large: their squares must "
+                             f"sum to at most {_MAX_SQUARED_WEIGHT:.4g}")
+        if lam != 0.0 and g.node_attrs is not None:
+            squares += max(lam, 1.0) * float(np.sum(g.node_attrs * g.node_attrs))
     if squares > _MAX_SQUARED_WEIGHT:
-        raise ValueError(f"edge weights of {name} are too large: their squares must "
-                         f"sum to at most {_MAX_SQUARED_WEIGHT:.4g}")
+        raise ValueError(f"node attributes of {name} are too large at lambda = {lam:g}: the "
+                         f"graph's squared edge weights plus max(lambda, 1) times its squared "
+                         f"attribute norms must sum to at most {_MAX_SQUARED_WEIGHT:.4g}")
 
 
 def _check_corpus(graphs, lam: float, names, like: Graph | None = None) -> None:
     """Reject, before any matching, graphs that some pair could not match.
 
     Every graph must share the directedness of ``like`` (default: the
-    first graph), its squared edge weights must sum to at most
-    ``_MAX_SQUARED_WEIGHT``, and with ``lam > 0`` it needs node
-    attributes.  Graphs that carry attributes must agree on their
-    dimension with ``like``'s, or, when ``like`` has none, with the first
-    attributed graph's.  The error names the first graph that breaks a
+    first graph), pass ``_check_weights`` at ``lam``, and with ``lam > 0``
+    carry node attributes.  Graphs that carry attributes must agree on
+    their dimension with ``like``'s, or, when ``like`` has none, with the
+    first attributed graph's.  The error names the first graph that breaks a
     rule by its entry in ``names``.
     """
     like = like or (graphs[0] if graphs else None)
     dim = like.attr_dim if like is not None else 0
     for g, name in zip(graphs, names):
-        _check_weights(g, name)
+        _check_weights(g, name, lam)
         if g.directed != like.directed:
             raise ValueError(f"cannot match a directed graph against an undirected one "
                              f"({name}): a corpus must not mix them")

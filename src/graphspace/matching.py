@@ -64,8 +64,9 @@ Around the LAPs, the vertex step (``_vertices``), the lift of the final
 projection to padded permutations (``_lifts``) and the exact scoring of a
 round of candidates (``assignment._objective_values``) are array work over
 the whole stack.  Every pair keeps its own line search and stopping test,
-so it runs exactly as it would alone, and leaves the stack through the
-one drop step ``_drop``.  ``_best_candidates`` scores and refines a stack
+and all pairs of a Frank-Wolfe stack share the round's one start, so a
+pair runs exactly as it would alone; it leaves the stack through the one
+drop step ``_drop``.  ``_best_candidates`` scores and refines a stack
 of pairs as it does one pair; ``pipelines`` groups a batch by shape.  A
 single pair is a stack of one: ``_faq_descent`` and ``greedy_two_exchange``
 are its 2-D entry points into the same loops, and it takes the per-pair
@@ -521,16 +522,12 @@ def _vertex_sums(x: np.ndarray, groups) -> list[float]:
     return out.tolist()
 
 
-def _start_product(x2: np.ndarray, x1: np.ndarray, p: np.ndarray, flat: np.ndarray,
-                   c: np.ndarray) -> np.ndarray:
-    """X2 P X1^T of every entry; on an entry whose start P = c 1 1^T is
-    ``flat``, the outer product c (X2 1)(X1 1)^T of the row sums."""
-    if not flat.any():
-        return x2 @ p @ x1.swapaxes(-1, -2)
-    outer = c * x2.sum(axis=-1)[..., :, None] * x1.sum(axis=-1)[..., None, :]
-    if flat.all():
-        return outer
-    return np.where(flat[:, None, None], outer, x2 @ p @ x1.swapaxes(-1, -2))
+def _start_product(x2: np.ndarray, x1: np.ndarray, p: np.ndarray, flat: bool, c: float):
+    """X2 P X1^T of every entry from the stack's one start; from a ``flat``
+    start P = c 1 1^T, the outer product c (X2 1)(X1 1)^T of the row sums."""
+    if flat:
+        return c * x2.sum(axis=-1)[..., :, None] * x1.sum(axis=-1)[..., None, :]
+    return x2 @ p @ x1.swapaxes(-1, -2)
 
 
 def _relaxed(m_p: np.ndarray, p: np.ndarray, c_t: np.ndarray | None) -> list[float]:
@@ -630,12 +627,12 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
 
     ``a1`` (B, n1, n1) and ``a2`` (B, n2, n2) are the unpadded adjacencies,
     ``d`` (B, n1, n2) the real blocks of the node costs (None without them),
-    weighted by ``lam``, and ``p0`` (B, n2, n1) the real blocks of the
-    padded starts; ``directed`` says whether the adjacencies may be
-    asymmetric.  A single pair may come as 2-D blocks without the stack
-    axis, which spares it the stack's indexing.  Returns per entry the
-    padded permutation with the relaxed objectives, step sizes and
-    convergence.
+    weighted by ``lam``, and ``p0`` (n2, n1) the real block of the padded
+    start that every entry shares; ``directed`` says whether the
+    adjacencies may be asymmetric.  A single pair may come as 2-D blocks
+    without the stack axis, which spares it the stack's indexing.  Returns
+    per entry the padded permutation with the relaxed objectives, step
+    sizes and convergence.
 
     Every entry has its own line search and stopping test, and runs
     exactly as it would alone: dense products and inner products are taken
@@ -670,34 +667,29 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     Undirected adjacencies are exactly symmetric, so there N = M and an
     iteration costs one dense product; a directed pair costs two.
 
-    An entry's start is flat when all its entries equal one c > 0.  Its M
-    and N then start as the outer products of ``_start_product``, and on
-    an undirected stack without node costs its first vertex is
-    ``_rank_one_vertex``'s, one sort for the whole stack.  Every other
-    vertex, including the first of an entry whose start is not flat, is a
-    LAP.
+    The start is flat when all its entries equal one c > 0, one test for
+    the whole stack.  Then every entry's M and N start as the outer
+    products of ``_start_product``, and on an undirected stack without
+    node costs every entry's first vertex is ``_rank_one_vertex``'s, one
+    sort for the whole stack.  Every other vertex is a LAP.
     """
-    n2, n1 = p0.shape[-2:]
-    nb = len(p0) if p0.ndim == 3 else 1
-    at = np.arange(nb)[:, None] if p0.ndim == 3 else None
+    n2, n1 = p0.shape
+    nb = len(a1) if a1.ndim == 3 else 1
+    at = np.arange(nb)[:, None] if a1.ndim == 3 else None
     partial = size >= n1 + n2
     c_t = (np.ascontiguousarray(lam * d.swapaxes(-1, -2))
            if (d is not None and lam != 0.0) else None)
-    p = p0.copy()
+    p = p0.copy() if at is None else np.repeat(p0[None], nb, axis=0)
     final = None if at is None else np.empty_like(p)  # each entry's last iterate
-    c = p0[..., :1, :1]
-    flat = ((p0 == c) & (c > 0.0)).all(axis=(-2, -1))
+    c = p0[0, 0] if p0.size else 1.0  # an empty start is flat for any c
+    flat = bool(c > 0.0 and (p0 == c).all())
     m_p = _start_product(a2, a1, p, flat, c)
     n_p = _start_product(a2.swapaxes(-1, -2), a1.swapaxes(-1, -2), p, flat, c) if directed else m_p
     first = None
-    if not directed and c_t is None and flat.any():
+    if flat and not directed and c_t is None:
         r1, r2 = a1.sum(axis=-1), a2.sum(axis=-1)
         first = _rank_one_vertex(r1, r2, (a1 * r1[..., None, :]).sum(axis=-1),
                                  (a2 * r2[..., None, :]).sum(axis=-1), partial)
-        if not flat.all():  # the other entries of a mixed stack take the LAP
-            for x, y in zip(first, _vertices(-2.0 * m_p[~flat].swapaxes(-1, -2), partial)):
-                if x is not None:
-                    x[~flat] = y
     objectives = [[v] for v in _relaxed(m_p, p, c_t)]
     steps = [[] for _ in range(nb)]
     converged = [False] * nb
@@ -905,9 +897,9 @@ def _best_candidates(lam: float, a1: np.ndarray, a2: np.ndarray, d: np.ndarray |
 def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> MatchResult:
     """Register ``g1`` to ``g2`` with the configured solver.
 
-    The squared edge weights of each graph must sum to at most
-    ``graphs._MAX_SQUARED_WEIGHT``, which keeps every objective finite;
-    a ``ValueError`` names the argument that breaks this.
+    Each graph must pass ``graphs._check_weights`` at ``cfg.lam``, which
+    keeps every node cost and objective finite; a ``ValueError`` names the
+    argument that breaks this.
 
     Pads the pair as ``cfg.padding`` says.  ``brute`` proposes the
     branch-and-bound optimum, searched against an incumbent (the first
@@ -934,8 +926,8 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     in the two argument orders; ``symmetric_match`` fixes one per pair.
     """
     cfg = cfg or MatchConfig()
-    _check_weights(g1, "g1")
-    _check_weights(g2, "g2")
+    _check_weights(g1, "g1", cfg.lam)
+    _check_weights(g2, "g2", cfg.lam)
     g1p, g2p = pad_pair(g1, g2, cfg.padding)
     if cfg.solver == "umeyama" and g1.directed:
         raise ValueError(
@@ -948,10 +940,8 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     if cfg.solver == "brute":
         n, ub = g1p.n, math.inf
         if 2 <= n <= BRUTE_FORCE_MAX_NODES:  # larger pairs are refused below
-            start = next(_faq_candidates(cfg, g1, g2, d, n))[0]
-            ub = greedy_two_exchange(a1, a2, d, cfg.lam, start,
-                                     objective_value(a1, a2, d, cfg.lam, start),
-                                     g1.directed)[2]
+            first = [[next(_faq_candidates(cfg, g1, g2, d, n))]]
+            ub = _best_candidates(cfg.lam, a1, a2, d, first, True, g1.directed)[0][0]
         perm, ties, n_co_optimal = brute_force_match(g1p, g2p, d, cfg.lam, ub)
         co_optimal = tuple(Permutation._trusted(t) for t in ties)
         candidates = [(perm, (), (), True)]
@@ -998,7 +988,7 @@ def _faq_objectives(cfg: MatchConfig, pairs) -> list[float]:
     The solver must be ``faq``, and all pairs must share the directedness
     and the sizes n1 and n2; with ``cfg.lam > 0`` every graph needs node
     attributes of one dimension.  Each start is one ``_faq_stack`` run
-    over all pairs, which ``_best_candidates`` scores and refines.
+    that all pairs share, which ``_best_candidates`` scores and refines.
     """
     g1s, g2s = [g for g, _ in pairs], [g for _, g in pairs]
     n1, n2, directed = g1s[0].n, g2s[0].n, g1s[0].directed
@@ -1008,9 +998,8 @@ def _faq_objectives(cfg: MatchConfig, pairs) -> list[float]:
     a1, a2 = _padded(adj1, (size, size)), _padded(adj2, (size, size))
     d = None if cfg.lam == 0.0 else _node_costs(g1s, g2s, size)
     d_real = None if d is None else d[:, :n1, :n2]
-    rounds = (_faq_stack(adj1, adj2, d_real, cfg.lam,
-                         np.broadcast_to(p0[:n2, :n1], (len(pairs), n2, n1)),
-                         cfg.max_iter, cfg.tol, size, directed)
+    rounds = (_faq_stack(adj1, adj2, d_real, cfg.lam, p0[:n2, :n1], cfg.max_iter, cfg.tol,
+                         size, directed)
               for p0 in _faq_inits(cfg, size))
     return [best[0] for best in _best_candidates(cfg.lam, a1, a2, d, rounds,
                                                  cfg.refinement, directed)]

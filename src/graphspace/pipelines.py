@@ -61,8 +61,9 @@ def symmetric_match(g1: Graph, g2: Graph, cfg: MatchConfig | None = None):
     Returns ``(d_g, result, direction)`` with direction "forward" when the
     result registers g1 onto g2, "backward" when it registers g2 onto g1.
     """
-    _check_weights(g1, "g1")  # named as the caller passed them
-    _check_weights(g2, "g2")
+    cfg = cfg or MatchConfig()
+    _check_weights(g1, "g1", cfg.lam)  # named as the caller passed them
+    _check_weights(g2, "g2", cfg.lam)
     a, b = sorted((g1, g2), key=_solve_order)
     res = graph_distance(a, b, cfg)
     return res.d_g, res, "forward" if a is g1 else "backward"

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -453,34 +454,66 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", ["mean", "pca"])
     def test_non_finite_output_names_the_file_2(self, command, tmp_path, capsys):
-        # the mean attributes overflow to infinities, which no document may hold
+        # the mean attributes overflow to infinities, which no document may
+        # hold; at lambda 0 the weight rule does not bound attributes
         big = tmp_path / "big.json"
         big.write_text('{"directed": false, "nodes": [{"id": 0, "attr": [1e308]}, '
                        '{"id": 1, "attr": [-1e308]}], "edges": []}')
         out = tmp_path / "out.json"
-        self._assert_exit_2([command, str(big), str(big), "--lambda", "1", "--out", str(out)],
+        self._assert_exit_2([command, str(big), str(big), "--out", str(out)],
                             capsys, f"{out}: cannot write the non-finite number")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["mean", "pca", "match"])
     def test_overflow_probe_writes_only_its_error(self, command, tmp_path):
-        # attributes at the float limit overflow in the node costs and the
-        # mean; numpy must not warn on stderr ahead of the one error line
+        # attributes at the float limit overflow in the mean at lambda 0 and
+        # are refused at lambda 1; numpy must not warn on stderr ahead of
+        # the one error line
         big = tmp_path / "big.json"
         big.write_text('{"directed": false, "nodes": [{"id": 0, "attr": [1e308]}, '
                        '{"id": 1, "attr": [-1e308]}], "edges": []}')
         out = tmp_path / "out.json"
-        argv = [command, str(big), str(big), "--lambda", "1"]
+        argv = [command, str(big), str(big), "--lambda", "1" if command == "match" else "0"]
         env = {**os.environ, "PYTHONPATH": str(Path(graphspace.__file__).parents[1])}
         run = subprocess.run([sys.executable, "-m", "graphspace.cli", *argv,
                               *(["--out", str(out)] if command != "match" else [])],
                              env=env, capture_output=True, text=True)
-        if command == "match":  # the non-converged descent: exit 3, no error
-            assert (run.returncode, run.stderr) == (3, "")
+        if command == "match":  # the weight rule names the file
+            assert run.returncode == 2
+            assert run.stderr.startswith(f"error: node attributes of {big} are too large")
+            assert run.stderr.count("\n") == 1
             return
         assert run.returncode == 2
         assert run.stderr == f"error: {out}: cannot write the non-finite number inf as JSON\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["match"], ["dist"], ["pairwise"], ["knn"], ["match", "--padding", "one_way"],
+        ["pairwise", "--padding", "one_way"], ["mean"]],
+        ids=["match", "dist", "pairwise", "knn", "match-one_way", "pairwise-one_way", "mean"])
+    def test_overflowing_node_costs_name_the_file_2(self, argv, tmp_path, capsys):
+        # one-node documents at the float limit: at lambda 1 their node cost
+        # would overflow (match and dist used to run 100 unconverged steps,
+        # pairwise and knn to report 0, one-way padding to fail in scipy)
+        node = '{"directed": false, "nodes": [{"id": 0, "attr": [%s]}], "edges": []}'
+        pos, neg = tmp_path / "pos.json", tmp_path / "neg.json"
+        pos.write_text(node % "1e308")
+        neg.write_text(node % "-1e308")
+        command, *flags = argv
+        if command == "knn":
+            (tmp_path / "train.csv").write_text("pos.json,a\n")
+            (tmp_path / "test.csv").write_text("neg.json\n")
+            files = ["--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv")]
+        else:
+            files = [str(pos), str(neg)]
+        out = tmp_path / "out.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, *files, *flags, "--lambda", "1", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == "" and not out.exists()
+        assert captured.err.startswith(f"error: node attributes of {pos} are too large")
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("command", ["match", "dist", "mean", "pca", "pairwise", "knn"])
     def test_overflowing_edge_weights_name_the_file_2(self, command, tmp_path):

@@ -111,6 +111,36 @@ class TestDocumentToGraph:
         with pytest.raises(ValidationError, match="zero attributes"):
             document_to_graph(doc)
 
+    @pytest.mark.parametrize("nodes, edges, fault", [
+        (None, None, "document must be a JSON object, got list"),
+        ([{"id": 0}, 1], [], "node at position 1: expected an object"),
+        ([{"id": 0, "label": "a"}], [], "node at position 0: unknown keys ['label']"),
+        ([{"id": 0, "attr": []}], [], "node 0: attr must be a non-empty list of numbers"),
+        ([{"id": 0, "attr": 1.0}], [], "node 0: attr must be a non-empty list of numbers"),
+        ([{"id": 0, "attr": [1.0]}, {"id": 1, "attr": [1.0, 2.0]}], [],
+         "node 1: attr must have 1 entries, got 2"),
+        ([{"id": 0}, {"id": 1, "null": False}], [],
+         "node 1: 'null' may only be true (omit otherwise)"),
+        ([{"id": 0}], {}, "'edges' must be a list"),
+        ([{"id": 0, "attr": [1]}, {"id": 1, "attr": ["2"]}], [],
+         "node 1 attr: expected a number, got str"),
+    ], ids=["document", "node", "node-keys", "attr-empty", "attr-scalar", "attr-length",
+            "null-false", "edges", "attr-string"])
+    def test_reader_faults_name_the_file(self, tmp_path, nodes, edges, fault):
+        doc = [] if nodes is None else {"directed": False, "nodes": nodes, "edges": edges}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            load_graph(path)
+        assert str(exc.value) == f"{path}: {fault}"
+
+    def test_integer_attributes_load_as_floats(self, tmp_path):
+        path = tmp_path / "ints.json"
+        nodes = [{"id": 0, "attr": [1, -2]}, {"id": 1, "attr": [3, 0]}]
+        path.write_text(json.dumps({"directed": False, "nodes": nodes, "edges": []}))
+        attrs = load_graph(path).node_attrs
+        assert attrs.dtype == float and attrs.tolist() == [[1.0, -2.0], [3.0, 0.0]]
+
 
 class TestRoundTrip:
     def test_graph_round_trip(self, tmp_path):
@@ -228,6 +258,23 @@ class TestPcaModelDocument:
         doc[key] = value
         with pytest.raises(ValidationError, match=message):
             pca_model_from_document(doc)
+
+    @pytest.mark.parametrize("change, fault", [
+        (lambda doc: [doc], "PCA model must be a JSON object"),
+        (lambda doc: {**doc, "size": 4}, "mean graph has 3 nodes but model declares size 4"),
+        (lambda doc: {**doc, "center": doc["center"][:-1]},
+         "center length (8,) does not match dimension 9"),
+        (lambda doc: {**doc, "scores": []}, "scores must have one column per component"),
+    ], ids=["model", "size", "center", "scores-empty"])
+    def test_model_faults_named(self, change, fault):
+        rng = np.random.default_rng(5)
+        corpus = perturbed_corpus(random_symmetric_graph(3, rng), 3, rng)
+        corpus = [Graph(g.adjacency, node_attrs=rng.normal(size=(3, 2))) for g in corpus]
+        doc = pca_model_document(
+            graph_pca(karcher_mean(corpus, MatchConfig(lam=0.5)), include_nodes=True))
+        with pytest.raises(ValidationError) as exc:
+            pca_model_from_document(change(doc))
+        assert str(exc.value) == fault
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(3)

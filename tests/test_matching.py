@@ -20,7 +20,7 @@ from graphspace import (
 import graphspace.matching as matching
 from graphspace.assignment import _lap_raw, _objective_values, objective_value
 from graphspace.generators import generate, trial_rng
-from graphspace.graphs import _padded_size
+from graphspace.graphs import _MAX_SQUARED_WEIGHT, _padded_size
 from graphspace.matching import (
     SolverTrace,
     _faq_candidates,
@@ -573,14 +573,14 @@ class TestStacks:
         b, n1, n2 = len(a1), a1.shape[1], a2.shape[1]
         rng = np.random.default_rng(seed + 1)
         if random_starts:
-            p0 = np.stack([np.eye(size)[rng.permutation(size)][:n2, :n1] for _ in range(b)])
+            p0 = np.eye(size)[rng.permutation(size)][:n2, :n1]
         else:
-            p0 = np.full((b, n2, n1), 1.0 / size)
+            p0 = np.full((n2, n1), 1.0 / size)
         d = d[:, :n1, :n2]
         got = _faq_stack(a1, a2, d, lam, p0, max_iter, 1e-8, size, directed)
         for e in range(b):
             perm, objectives, steps, converged = _faq_descent(
-                a1[e], a2[e], d[e], lam, p0[e], max_iter, 1e-8, size, directed)
+                a1[e], a2[e], d[e], lam, p0, max_iter, 1e-8, size, directed)
             assert np.array_equal(got[e][0], perm)
             assert got[e][1:] == (objectives, steps, converged)
 
@@ -590,12 +590,12 @@ class TestStacks:
         rng = np.random.default_rng(8)
         a1 = np.stack([random_symmetric_graph(5, rng).adjacency for _ in range(8)])
         a2 = np.stack([random_symmetric_graph(5, rng).adjacency for _ in range(8)])
-        p0 = np.full((8, 5, 5), 0.1)
+        p0 = np.full((5, 5), 0.1)
         got = _faq_stack(a1, a2, None, 0.0, p0, 4, 1e-8, 10, False)
         assert len({len(steps) for _, _, steps, _ in got}) > 1
         assert {converged for *_, converged in got} == {True, False}
         for e in range(8):
-            alone = _faq_descent(a1[e], a2[e], None, 0.0, p0[e], 4, 1e-8, 10, False)
+            alone = _faq_descent(a1[e], a2[e], None, 0.0, p0, 4, 1e-8, 10, False)
             assert np.array_equal(got[e][0], alone[0]) and got[e][1:] == alone[1:]
 
     @settings(max_examples=200, deadline=None)
@@ -671,11 +671,11 @@ class TestFaceSteps:
         a2 = np.stack([b.adjacency for _, b in pairs])
         d = np.stack([node_distance_matrix(*pad_pair(a, b, "two_way"))[:g1.n, :g2.n]
                       for a, b in pairs]) if lam else None
-        p0 = np.full((len(pairs), g2.n, g1.n), 1.0 / size)
+        p0 = np.full((g2.n, g1.n), 1.0 / size)
         got = _faq_stack(a1, a2, d, lam, p0, 100, 1e-8, size, g1.directed)
         assert got[0][3] and len(got[0][2]) < 100
         for e in range(len(pairs)):
-            alone = _faq_descent(a1[e], a2[e], None if d is None else d[e], lam, p0[e],
+            alone = _faq_descent(a1[e], a2[e], None if d is None else d[e], lam, p0,
                                  100, 1e-8, size, g1.directed)
             assert np.array_equal(got[e][0], alone[0]) and got[e][1:] == alone[1:]
 
@@ -751,23 +751,6 @@ class TestFlatStart:
             c_opt = c
         best = c_opt[linear_sum_assignment(c_opt)].sum()
         assert math.isclose(c[rows, cols].sum(), best, rel_tol=1e-12, abs_tol=1e-9)
-
-    @pytest.mark.parametrize("directed", [False, True])
-    def test_mixed_stack_entries_run_as_alone(self, directed):
-        # flat starts take the outer-product start and, undirected, the
-        # closed-form vertex; the other entries of the stack do not
-        rng = np.random.default_rng(6)
-        make = random_directed_graph if directed else random_symmetric_graph
-        a1 = np.stack([make(6, rng).adjacency for _ in range(4)])
-        a2 = np.stack([make(8, rng).adjacency for _ in range(4)])
-        size = 14
-        p0 = np.full((4, 8, 6), 1.0 / size)
-        p0[1] = np.eye(size)[rng.permutation(size)][:8, :6]
-        p0[3] = 0.5 * (p0[3] + np.eye(size)[rng.permutation(size)][:8, :6])
-        got = _faq_stack(a1, a2, None, 0.0, p0, 100, 1e-8, size, directed)
-        for e in range(4):
-            alone = _faq_descent(a1[e], a2[e], None, 0.0, p0[e], 100, 1e-8, size, directed)
-            assert np.array_equal(got[e][0], alone[0]) and got[e][1:] == alone[1:]
 
     def test_path_letters_register_exactly(self):
         # two isomorphic 4-node path letters: graphs 4 and 15 of ``graphspace
@@ -918,6 +901,31 @@ class TestGraphDistance:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"edge weights of {name} are too large"):
                 graph_distance(*pair)
+
+    @pytest.mark.parametrize("padding", ["two_way", "one_way"])
+    @pytest.mark.parametrize("name", ["g1", "g2"])
+    def test_overflowing_node_costs_name_the_argument(self, name, padding):
+        # one-node graphs at the float limit: their node cost overflows at
+        # lambda > 0, so the pair is refused before numpy can warn; at
+        # lambda 0 the rule does not weigh attributes
+        big, other = Graph([[0.0]], node_attrs=[[1e308]]), Graph([[0.0]], node_attrs=[[-1.0]])
+        pair = (big, other) if name == "g1" else (other, big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"node attributes of {name} are too large"):
+                graph_distance(*pair, MatchConfig(lam=1.0, padding=padding))
+            assert graph_distance(*pair, MatchConfig(padding=padding)).objective == 0.0
+
+    def test_attribute_rule_weighs_lambda_above_one(self):
+        # squared attribute norms of 0.6 times the limit pass at lambda <= 1,
+        # where the rule weighs them by 1, and the node cost stays finite
+        x = math.sqrt(0.6 * _MAX_SQUARED_WEIGHT)
+        g1, g2 = Graph([[0.0]], node_attrs=[[x]]), Graph([[0.0]], node_attrs=[[-x]])
+        for lam in (1e-3, 1.0):
+            res = graph_distance(g1, g2, MatchConfig(lam=lam, padding="none"))
+            assert math.isfinite(res.objective) and res.objective > 0.0
+        with pytest.raises(ValueError, match="node attributes of g1 are too large"):
+            graph_distance(g1, g2, MatchConfig(lam=2.0, padding="none"))
 
     def test_lambda_requires_attributes(self):
         g = Graph(np.zeros((2, 2)))

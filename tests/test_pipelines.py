@@ -105,6 +105,14 @@ class TestDistances:
         with pytest.raises(ValueError, match="edge weights of g2 are too large"):
             symmetric_match(small, big)
 
+    def test_overflowing_attributes_keep_the_callers_name(self):
+        # at lambda 1 the attribute rule names the graph as passed too
+        big = Graph([[0.0]], node_attrs=[[1e308]])
+        small = Graph(np.zeros((2, 2)), node_attrs=[[1.0], [2.0]])
+        assert pipelines._solve_order(big) < pipelines._solve_order(small)
+        with pytest.raises(ValueError, match="node attributes of g2 are too large"):
+            symmetric_match(small, big, MatchConfig(lam=1.0))
+
     @pytest.mark.parametrize("family, lam", [
         ("full_heavy_tailed", 0.0), ("letter_like", 0.0), ("letter_like", 1.0)])
     def test_argument_order_does_not_change_the_match(self, family, lam):
@@ -228,7 +236,7 @@ class TestStackedBatches:
         runs, faq_stack = [], matching._faq_stack
 
         def counted(a1, a2, d, lam, p0, *rest):
-            runs.append(p0.shape)
+            runs.append((len(a1), *p0.shape))
             return faq_stack(a1, a2, d, lam, p0, *rest)
 
         monkeypatch.setattr(matching, "_faq_stack", counted)

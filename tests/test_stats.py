@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import graphspace.stats as stats_module
-from conftest import perturbed_corpus, random_symmetric_graph
+from conftest import perturbed_corpus, random_directed_graph, random_symmetric_graph
 from graphspace import (
     Graph,
     MatchConfig,
@@ -319,6 +319,23 @@ class TestGraphPca:
             assert np.max(np.abs(back.adjacency - reg.graph.adjacency)) <= 1e-9
             real = ~reg.graph.null_mask & ~model.mu.null_mask
             assert np.max(np.abs(back.node_attrs[real] - reg.graph.node_attrs[real])) <= 1e-9
+
+    @pytest.mark.parametrize("lam, include_nodes", [(0.0, False), (0.7, True)])
+    def test_directed_round_trip(self, lam, include_nodes):
+        # directed residuals cover the full off-diagonal, not one triangle
+        rng = np.random.default_rng(19)
+        corpus = [Graph(random_directed_graph(n, rng).adjacency, directed=True,
+                        node_attrs=rng.normal(size=(n, 2)))
+                  for n in rng.integers(4, 7, size=8).tolist()]
+        gm = karcher_mean(corpus, MatchConfig(lam=lam, refinement=True))
+        model = graph_pca(gm, include_nodes=include_nodes)
+        assert model.directed
+        for i, reg in enumerate(gm.registrations):
+            back = reconstruct(model, model.scores[i])
+            assert np.max(np.abs(back.adjacency - reg.graph.adjacency)) <= 1e-12
+            if include_nodes:
+                real = ~reg.graph.null_mask & ~model.mu.null_mask
+                assert np.max(np.abs(back.node_attrs[real] - reg.graph.node_attrs[real])) <= 1e-12
 
     def test_threshold_drops_weak_edges(self):
         rng = np.random.default_rng(17)
