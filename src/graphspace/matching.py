@@ -58,8 +58,10 @@ give by dot products and gathers alone.
 The Frank-Wolfe loop (``_faq_stack``) and the two-exchange loop
 (``_two_exchange_stack``) run on a stack of same-shape pairs, the shape a
 batch of many tiny matches needs: each iteration or sweep takes the dense
-products of all unfinished pairs at once, one LAP per pair, and the
-vertices' gathered products and sums over pairs of equal vertex size.
+products of all unfinished pairs at once, one LAP per pair, and one
+gathered product and sum over the vertices of the whole stack.  A vertex
+is its LAP's pairs with the mask of the pairs it keeps, and a pair it
+does not keep adds a zero row or term, the same in a stack as alone.
 Around the LAPs, the vertex step (``_vertices``), the lift of the final
 projection to padded permutations (``_lifts``) and the exact scoring of a
 round of candidates (``assignment._objective_values``) are array work over
@@ -332,27 +334,25 @@ def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
 
 
 def _vertex(c: np.ndarray, partial: bool):
-    """Minimum-cost node->slot pairs ``(rows, cols)`` for the cost ``c``.
+    """Minimum-cost node->slot pairs for the cost ``c``: the LAP's pairs
+    ``(rows, cols)``, rows ascending, and the mask ``keep`` of the pairs
+    the vertex keeps, None when it keeps them all.
 
     ``partial`` lets nodes stay unmatched at zero cost: solving on min(c, 0)
-    and dropping the pairs whose cost is not negative attains the optimum
-    of the zero-padded square assignment.  Otherwise every node of the
-    smaller side is matched.
+    and keeping the pairs whose cost is negative attains the optimum of the
+    zero-padded square assignment.  Otherwise every node of the smaller
+    side is matched.
     """
     if not partial:
-        return _lap_raw(c)
+        return (*_lap_raw(c), None)
     rows, cols = _lap_raw(np.minimum(c, 0.0))
-    keep = c[rows, cols] < 0.0
-    return rows[keep], cols[keep]
+    return rows, cols, c[rows, cols] < 0.0
 
 
 def _vertices(c: np.ndarray, partial: bool):
-    """``_vertex`` of every entry of a (B, n1, n2) cost stack, one LAP each.
-
-    Returns (B, min(n1, n2)) ``rows`` and ``cols``, every entry's pairs on
-    ``min(c, 0)`` under ``partial``, and the (B, min(n1, n2)) mask ``keep``
-    of the pairs ``_vertex`` keeps (None when it keeps them all).
-    """
+    """``_vertex`` of every entry of a (B, n1, n2) cost stack, one LAP each:
+    (B, min(n1, n2)) ``rows``, ``cols`` and ``keep`` (None when every
+    entry keeps every pair)."""
     laps = np.empty((len(c), 2, min(c.shape[1:])), dtype=int)
     for j, x in enumerate(np.minimum(c, 0.0) if partial else c):
         laps[j] = _lap_raw(x)
@@ -376,9 +376,9 @@ def _rank_one_vertex(r1: np.ndarray, r2: np.ndarray, t1: np.ndarray, t2: np.ndar
     smallest.  Of the co-optimal vertices this takes the one that orders
     both sides by the key (r, t, node index), where t = A r sums the
     neighbours' sums, one round of colour refinement.  ``r1`` and ``t1``
-    are (n1,) and ``r2`` and ``t2`` (n2,), giving ``(rows, cols)`` as
-    ``_vertex`` does, or (B, n) stacks, giving ``(rows, cols, keep)`` as
-    ``_vertices`` does; rows ascend.
+    are (n1,) and ``r2`` and ``t2`` (n2,), giving ``(rows, cols, keep)``
+    as ``_vertex`` does, or (B, n) stacks, giving them as ``_vertices``
+    does; rows ascend.
     """
     single = r1.ndim == 1
     if single:
@@ -403,12 +403,9 @@ def _rank_one_vertex(r1: np.ndarray, r2: np.ndarray, t1: np.ndarray, t2: np.ndar
         keep = upper | (i < bottom[:, None])
     rows, cols = (picked, small) if swap else (small, picked)
     order = np.argsort(rows, axis=1)
-    rows, cols = rows[at, order], cols[at, order]
-    if keep is not None:
-        keep = keep[at, order]
-    if not single:
-        return rows, cols, keep
-    return (rows[0], cols[0]) if keep is None else (rows[0][keep[0]], cols[0][keep[0]])
+    if single:
+        at, order = 0, order[0]
+    return rows[at, order], cols[at, order], None if keep is None else keep[at, order]
 
 
 def _null_average(x: np.ndarray, size: int) -> np.ndarray:
@@ -482,44 +479,24 @@ def _dots(x: np.ndarray, y: np.ndarray) -> list[float]:
     return (x.reshape(b, 1, k) @ y.reshape(b, k, 1)).ravel().tolist()
 
 
-def _groups(at: np.ndarray, rows: np.ndarray, cols: np.ndarray, keep: np.ndarray | None):
-    """The vertices of the stack entries ``at`` (a column), from
-    ``_vertices``' output, as index groups, one per number k of kept pairs:
-    ``(lead, rows, cols, pairs)`` with (len(group), k) ``rows`` and
-    ``cols``, where ``x[(*lead, cols)]`` gathers the group's slot rows of
-    ``x`` and ``x[pairs]`` its (len(group), k) vertex entries."""
-    if keep is None:
-        return [((at,), rows, cols, (at, cols, rows))]
-    counts = keep.sum(axis=1)
-    groups = []
-    for k in np.flatnonzero(np.bincount(counts)).tolist():
-        js = np.flatnonzero(counts == k)
-        sel, mask = at[js], keep[js]
-        r, c = rows[js][mask].reshape(len(js), k), cols[js][mask].reshape(len(js), k)
-        groups.append(((sel,), r, c, (sel, c, r)))
-    return groups
+def _vertex_products(x2: np.ndarray, x1: np.ndarray, lead: tuple, rows: np.ndarray,
+                     cols: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
+    """X2[cols]^T X1[rows] for the vertex of every entry, ``lead`` being the
+    stack's index column (empty for a 2-D pair); a pair the vertex does not
+    keep adds a zero row, the same in a stack as alone."""
+    y = x2[(*lead, cols)]
+    if keep is not None:
+        y[~keep] = 0.0
+    return y.swapaxes(-1, -2) @ x1[(*lead, rows)]
 
 
-def _vertex_products(x2: np.ndarray, x1: np.ndarray, groups) -> np.ndarray:
-    """X2[cols]^T X1[rows] for the vertex of every entry, one product per
-    group, so each entry's product is the one it gets alone."""
-    if len(groups) == 1:
-        lead, rows, cols, _ = groups[0]
-        return x2[(*lead, cols)].swapaxes(-1, -2) @ x1[(*lead, rows)]
-    out = np.empty((len(x2), x2.shape[2], x1.shape[2]))
-    for (at,), rows, cols, _ in groups:
-        out[at[:, 0]] = x2[at, cols].swapaxes(-1, -2) @ x1[at, rows]
-    return out
-
-
-def _vertex_sums(x: np.ndarray, groups) -> list[float]:
-    """sum(x[cols, rows]) over the vertex of every entry, summed as alone."""
-    if len(groups) == 1:
-        return x[groups[0][3]].sum(axis=-1).tolist()
-    out = np.empty(len(x))
-    for (at,), _, _, pairs in groups:
-        out[at[:, 0]] = x[pairs].sum(axis=-1)
-    return out.tolist()
+def _vertex_sums(x: np.ndarray, pairs: tuple, keep: np.ndarray | None) -> list[float]:
+    """sum(x[cols, rows]) over the vertex of every entry, ``pairs`` indexing
+    its pairs; a pair the vertex does not keep adds a zero term."""
+    y = x[pairs]
+    if keep is not None:
+        y[~keep] = 0.0
+    return np.atleast_1d(y.sum(axis=-1)).tolist()
 
 
 def _start_product(x2: np.ndarray, x1: np.ndarray, p: np.ndarray, flat: bool, c: float):
@@ -591,8 +568,8 @@ def _face_step(p, grad, m_p, n_p, m_r, n_q, m_1, n_1, q1, q2, a22: float, b2: fl
     A2 Q1 A1^T and ``n_1`` = A2^T Q1 A1 (None when undirected), and Q2 its
     current vertex, whose line search along R2 = Q2 - P has quadratic
     coefficient ``a22``, slope ``b2``, ``m_r`` = M(R2) and ``n_q`` =
-    A2^T Q2 A1; ``gp`` is <grad, P>.  ``q1`` and ``q2`` are the vertices'
-    (rows, cols) pairs.  With R1 = Q1 - P,
+    A2^T Q2 A1; ``gp`` is <grad, P>.  ``q1`` and ``q2`` are the vertices
+    as the slot of every real node (-1 for none).  With R1 = Q1 - P,
 
         f(P + alpha R1 + beta R2) = f(P) + b1 alpha + b2 beta
                                     + a11 alpha^2 + a12 alpha beta + a22 beta^2,
@@ -600,7 +577,7 @@ def _face_step(p, grad, m_p, n_p, m_r, n_q, m_1, n_1, q1, q2, a22: float, b2: fl
     b1 = <grad, R1>, a11 = -<M(R1), R1> and a12 = -<M(R1) + N(R1), R2>,
     so the step costs dot products and gathers, and no dense product.
     """
-    (r1, c1), (r2, c2) = q1, q2
+    (r1, c1), (r2, c2) = _slot_pairs(q1), _slot_pairs(q2)
     m_r1 = m_1 - m_p
     d1 = float(np.vdot(m_r1, p))
     cross = float(m_r1[c2, r2].sum()) - d1
@@ -638,20 +615,23 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     exactly as it would alone: dense products and inner products are taken
     per entry, each entry's vertex is one LAP (``_vertices`` over the
     stack, which clips and filters the whole stack's costs at once) or a
-    flat start's first vertex in closed form (below), and
-    the vertices' gathered products and sums are taken over groups of
-    equal vertex size k, so no entry's arithmetic is padded.  The final
+    flat start's first vertex in closed form (below), and the vertices'
+    gathered products and sums are taken once for the whole stack.  A
+    vertex is its LAP's pairs ``rows`` and ``cols`` with the mask ``keep``
+    of the pairs it keeps (None when it keeps them all), and a pair it
+    does not keep adds a zero row to the products and a zero term to the
+    sums and the step, the same in a stack as alone.  The final
     projection is one LAP per entry too, lifted to padded permutations by
     ``_lifts`` for the whole stack.  An entry's state is ``objectives[e]``
     (the last item is the current relaxed objective), ``steps[e]``,
     ``converged[e]``, once it stops row ``e`` of ``final``, and, as rows
     of arrays that ``_drop`` shrinks with the iterates, its last two
     vertices ``prev`` and ``older`` and the products ``m_prev`` =
-    A2 Q A1^T and (directed) ``n_prev`` = A2^T Q A1 of ``prev``.  A stack
-    keeps a vertex as the slot of every real node (-1 for none), so that
+    A2 Q A1^T and (directed) ``n_prev`` = A2^T Q A1 of ``prev``.  These
+    keep a vertex as the slot of every real node (-1 for none), so that
     one array comparison finds the entries whose vertex repeats ``older``
-    but not ``prev``.  A 2-D pair keeps a vertex as the bytes of its
-    pairs, takes ``_vertex`` and ``_lift`` instead, and copies nothing.
+    but not ``prev``; a 2-D pair compares the slots' bytes, takes
+    ``_vertex`` and ``_lift`` instead, and copies nothing.
 
     An entry steps by an exact line search toward its vertex Q, or, when
     Q repeats ``older`` but not ``prev``, to the minimizer over the
@@ -699,54 +679,56 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
         grad = -(m_p + n_p) if directed else -2.0 * m_p
         if c_t is not None:
             grad += c_t
-        # vertex minimizing <grad, Q> over (partial) permutation matrices,
-        # and the entries whose vertex is the one before last but not the last
-        if at is None:
-            rows, cols = _vertex(grad.T, partial) if first is None else first
-            groups = [((), rows, cols, (cols[None], rows[None]))]
-            vertex = rows.tobytes() + cols.tobytes()
-            faces = [0] if vertex == older and vertex != prev else []
+        # vertex minimizing <grad, Q> over (partial) permutation matrices
+        if first is not None:
+            rows, cols, keep = first
+        elif at is None:
+            rows, cols, keep = _vertex(grad.T, partial)
         else:
-            rows, cols, keep = (_vertices(grad.swapaxes(-1, -2), partial) if first is None
-                                else first)
-            groups = _groups(at, rows, cols, keep)
-            # the slot of every real node; rows is arange(n1) unless n1 > n2
-            vertex = cols if keep is None else np.where(keep, cols, -1)
-            if n1 > n2:
-                slots = np.full((len(ids), n1), -1)
-                slots[at, rows] = vertex
-                vertex = slots
-            faces = [] if older is None else np.flatnonzero(
-                (vertex == older).all(axis=1) & (vertex != prev).any(axis=1)).tolist()
+            rows, cols, keep = _vertices(grad.swapaxes(-1, -2), partial)
         first = None
-        n_q = _vertex_products(a2, a1, groups)
-        m_q = (_vertex_products(a2.swapaxes(-1, -2), a1.swapaxes(-1, -2), groups)
+        lead = () if at is None else (at,)
+        pairs = (*lead, cols, rows)
+        # the slot of every real node; rows is arange(n1) unless n1 > n2
+        vertex = cols if keep is None else np.where(keep, cols, -1)
+        if n1 > n2:
+            slots = np.full((*vertex.shape[:-1], n1), -1)
+            slots[(*lead, rows)] = vertex
+            vertex = slots
+        # the entries whose vertex is the one before last but not the last
+        if older is None:
+            faces = []
+        elif at is None:
+            key = vertex.tobytes()
+            faces = [0] if key == older.tobytes() and key != prev.tobytes() else []
+        else:
+            faces = np.flatnonzero(
+                (vertex == older).all(axis=1) & (vertex != prev).any(axis=1)).tolist()
+        n_q = _vertex_products(a2, a1, lead, rows, cols, keep)
+        m_q = (_vertex_products(a2.swapaxes(-1, -2), a1.swapaxes(-1, -2), lead, rows, cols, keep)
                if directed else n_q)
         m_r = m_q - m_p
         # f(P + eta R) = f + eta b + eta^2 a with R = Q - P
         lines = [(mp - mq, gq - gp, gp) for mp, mq, gq, gp in zip(
-            _dots(m_r, p), _vertex_sums(m_r, groups), _vertex_sums(grad, groups), _dots(grad, p))]
+            _dots(m_r, p), _vertex_sums(m_r, pairs, keep), _vertex_sums(grad, pairs, keep),
+            _dots(grad, p))]
         eta = [_line_min(a_coef, b_coef) for a_coef, b_coef, _ in lines]
         # an entry on a face steps over it in place, and no further below
         along = eta
         if faces:
             along = eta.copy()
             for j in faces:
-                if at is None:
-                    q1, q2 = np.frombuffer(prev, dtype=rows.dtype).reshape(2, -1), (rows, cols)
-                    blocks = (p, grad, m_p, n_p, m_r, n_q, m_prev, n_prev)
-                else:
-                    q1, q2 = _slot_pairs(prev[j]), _slot_pairs(vertex[j])
-                    blocks = (None if x is None else x[j]
-                              for x in (p, grad, m_p, n_p, m_r, n_q, m_prev, n_prev))
-                eta[j] = _face_step(*blocks, q1, q2, *lines[j], directed)
+                sel = ... if at is None else j  # a view of the entry's blocks
+                blocks = (None if x is None else x[sel]
+                          for x in (p, grad, m_p, n_p, m_r, n_q, m_prev, n_prev, prev, vertex))
+                eta[j] = _face_step(*blocks, *lines[j], directed)
                 along[j] = 0.0
         # a zero step leaves its entry unchanged, and the entry stops below;
-        # a stack of one steps by a float
+        # a stack of one steps by a float, and a pair not kept by none
         step = along[0] if len(along) == 1 else np.array(along)[:, None, None]
         p *= 1.0 - step
-        for lead, _, _, pairs in groups:
-            p[pairs] += step if len(along) == 1 else step[lead[0], 0, 0]
+        add = step if len(along) == 1 else step[:, 0]
+        p[pairs] += add if keep is None else np.where(keep, add, 0.0)
         m_p = m_p + step * m_r
         n_p = n_p + step * (n_q - n_p) if directed else m_p
         older, prev, m_prev, n_prev = prev, vertex, m_q, n_q if directed else None
@@ -768,7 +750,9 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
             at = at[:len(ids)]
     # project each doubly stochastic iterate back to a permutation
     if at is None:
-        perms = [_lift(*_vertex(-_null_average(p, size).T, partial), n1, n2, size)]
+        rows, cols, keep = _vertex(-_null_average(p, size).T, partial)
+        kept = slice(None) if keep is None else keep
+        perms = [_lift(rows[kept], cols[kept], n1, n2, size)]
     else:
         final[ids] = p
         perms = _lifts(*_vertices(-_null_average(final, size).swapaxes(-1, -2), partial),

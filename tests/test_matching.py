@@ -28,7 +28,6 @@ from graphspace.matching import (
     _faq_inits,
     _face_weights,
     _faq_stack,
-    _groups,
     _lift,
     _lifts,
     _null_average,
@@ -40,6 +39,11 @@ from graphspace.matching import (
     greedy_two_exchange,
 )
 from graphspace.pipelines import symmetric_match
+
+
+def _kept(rows, cols, keep):
+    """The pairs ``(rows, cols)`` that a vertex ``(rows, cols, keep)`` keeps."""
+    return (rows, cols) if keep is None else (rows[keep], cols[keep])
 
 
 def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
@@ -67,9 +71,9 @@ def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
 
     def follow(c):
         """The next vertex drawn, checked to minimize the cost ``c``."""
-        rows, cols = _vertex(c, partial)
+        rows, cols = _kept(*_vertex(c, partial))
         best = c[rows, cols].sum()
-        rows, cols = next(vertices)
+        rows, cols = _kept(*next(vertices))
         assert math.isclose(c[rows, cols].sum(), best, rel_tol=1e-9, abs_tol=1e-12)
         return rows, cols
 
@@ -402,7 +406,7 @@ class TestRealBlock:
         padded = np.zeros((m, m))
         padded[:n1, :n2] = c
         rows, cols = _lap_raw(padded)
-        vr, vc = _vertex(c, partial=two_way)
+        vr, vc = _kept(*_vertex(c, partial=two_way))
         assert len(set(vr.tolist())) == len(vr) and len(set(vc.tolist())) == len(vc)
         if two_way:
             assert np.all(c[vr, vc] < 0.0)
@@ -738,7 +742,7 @@ class TestFlatStart:
         r1, r2, t1, t2 = sums
         n1, n2 = len(r1), len(r2)
         c = -np.outer(r1, r2)
-        rows, cols = _rank_one_vertex(r1, r2, t1, t2, partial)
+        rows, cols = _kept(*_rank_one_vertex(r1, r2, t1, t2, partial))
         assert np.all(np.diff(rows) > 0) and len(set(cols.tolist())) == len(cols)
         assert np.all((0 <= cols) & (cols < n2)) and np.all((0 <= rows) & (rows < n1))
         if partial:
@@ -795,23 +799,14 @@ class TestStackedHelpers:
 
     @settings(max_examples=200, deadline=None)
     @given(_cost_stacks(), st.booleans())
-    def test_vertices_and_groups_are_per_entry_vertices(self, c, partial):
-        at = np.arange(len(c))[:, None]
+    def test_vertices_are_per_entry_vertices(self, c, partial):
         rows, cols, keep = _vertices(c, partial)
-        got = {}
-        for (sel,), r, q, pairs in _groups(at, rows, cols, keep):
-            assert np.array_equal(pairs[0], sel)
-            assert np.array_equal(pairs[1], q) and np.array_equal(pairs[2], r)
-            for j, e in enumerate(sel[:, 0].tolist()):
-                got[e] = (r[j], q[j])
-        assert sorted(got) == list(range(len(c)))
+        assert (keep is None) == (not partial)
         for e, x in enumerate(c):
-            want_rows, want_cols = _vertex(x, partial)
-            assert np.array_equal(got[e][0], want_rows)
-            assert np.array_equal(got[e][1], want_cols)
-            kept = slice(None) if keep is None else keep[e]
-            assert np.array_equal(rows[e][kept], want_rows)
-            assert np.array_equal(cols[e][kept], want_cols)
+            want_rows, want_cols, want_keep = _vertex(x, partial)
+            assert np.array_equal(rows[e], want_rows)
+            assert np.array_equal(cols[e], want_cols)
+            assert want_keep is None if keep is None else np.array_equal(keep[e], want_keep)
 
     @settings(max_examples=200, deadline=None)
     @given(_vertex_stacks())
