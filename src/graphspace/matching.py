@@ -16,11 +16,10 @@ best and assembles the result.  The quotient distance
 between graphs is the square root of the minimized objective; with
 lambda = 0 it is exactly the ambient distance after optimal registration.
 
-The Frank-Wolfe relaxation descends f(P) = -Tr(A2 P A1^T P^T) + lambda
-Tr(P D), whose linearization at a permutation agrees with J up to an
-additive constant (the node term enters the relaxed objective with weight
-lambda rather than J's effective lambda/2; the reported objective is
-always J itself, recomputed exactly from the final permutation).
+The Frank-Wolfe relaxation descends f(P) = -Tr(A2 P A1^T P^T) + (lambda/2)
+Tr(P D), which on permutations is J/2 up to an additive constant; the
+reported objective is always J itself, recomputed exactly from the final
+permutation.
 
 Null rows and columns of a padded pair are zero and cost nothing, so f,
 its gradient and the line search depend only on the n2 x n1 block X of P
@@ -508,7 +507,7 @@ def _start_product(x2: np.ndarray, x1: np.ndarray, p: np.ndarray, flat: bool, c:
 
 
 def _relaxed(m_p: np.ndarray, p: np.ndarray, c_t: np.ndarray | None) -> list[float]:
-    """The relaxed objective -<M, P> + <lam D^T, P> of every entry."""
+    """The relaxed objective -<M, P> + <(lam/2) D^T, P> of every entry."""
     if c_t is None:
         return [-v for v in _dots(m_p, p)]
     return [c - v for v, c in zip(_dots(m_p, p), _dots(c_t, p))]
@@ -604,12 +603,12 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
 
     ``a1`` (B, n1, n1) and ``a2`` (B, n2, n2) are the unpadded adjacencies,
     ``d`` (B, n1, n2) the real blocks of the node costs (None without them),
-    weighted by ``lam``, and ``p0`` (n2, n1) the real block of the padded
-    start that every entry shares; ``directed`` says whether the
-    adjacencies may be asymmetric.  A single pair may come as 2-D blocks
-    without the stack axis, which spares it the stack's indexing.  Returns
-    per entry the padded permutation with the relaxed objectives, step
-    sizes and convergence.
+    which the relaxation weighs by ``lam``/2, and ``p0`` (n2, n1) the real
+    block of the padded start that every entry shares; ``directed`` says
+    whether the adjacencies may be asymmetric.  A single pair may come as
+    2-D blocks without the stack axis, which spares it the stack's
+    indexing.  Returns per entry the padded permutation with the relaxed
+    objectives, step sizes and convergence.
 
     Every entry has its own line search and stopping test, and runs
     exactly as it would alone: dense products and inner products are taken
@@ -641,7 +640,7 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     unconverged.
 
     The loop keeps M = A2 P A1^T and N = A2^T P A1 current along its steps:
-    the gradient is -(M + N) + lam D^T and the line search's slope is
+    the gradient is -(M + N) + (lam/2) D^T and the line search's slope is
     <grad, Q - P>.  The vertex Q pairs nodes ``rows`` with slots ``cols``,
     so A2^T Q A1 = A2[cols]^T A1[rows] is one product, as is A2 Q A1^T.
     Undirected adjacencies are exactly symmetric, so there N = M and an
@@ -657,7 +656,7 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     nb = len(a1) if a1.ndim == 3 else 1
     at = np.arange(nb)[:, None] if a1.ndim == 3 else None
     partial = size >= n1 + n2
-    c_t = (np.ascontiguousarray(lam * d.swapaxes(-1, -2))
+    c_t = (np.ascontiguousarray(0.5 * lam * d.swapaxes(-1, -2))
            if (d is not None and lam != 0.0) else None)
     p = p0.copy() if at is None else np.repeat(p0[None], nb, axis=0)
     final = None if at is None else np.empty_like(p)  # each entry's last iterate

@@ -78,7 +78,8 @@ def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
         return rows, cols
 
     def node_term(m):
-        return lam * float((m * d_t).sum()) if d_t is not None else 0.0
+        # the relaxation is J/2, so the node term weighs lam / 2
+        return 0.5 * lam * float((m * d_t).sum()) if d_t is not None else 0.0
 
     def matrix(rows, cols):
         q = np.zeros((n2, n1))
@@ -92,7 +93,7 @@ def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
         m_p = a2 @ p @ a1.T
         grad = -m_p - a2.T @ p @ a1
         if d_t is not None:
-            grad = grad + lam * d_t
+            grad = grad + 0.5 * lam * d_t
         rows, cols = follow(grad.T)
         r = matrix(rows, cols) - p
         m_r = a2 @ r @ a1.T
@@ -448,7 +449,7 @@ class TestRealBlock:
             offsets.append(avg[q, np.arange(m)].sum() - weights[q[real], real].sum())
         assert np.allclose(offsets, offsets[0], atol=1e-9)
 
-    @pytest.mark.parametrize("lam, pinned_hits", [(0.5, 41), (2.0, 58)])
+    @pytest.mark.parametrize("lam, pinned_hits", [(0.5, 50), (2.0, 60)])
     def test_attributed_two_way_oracle_gap(self, lam, pinned_hits):
         # 60 attributed pairs of 2-5 nodes per side (at most 8 padded), scored
         # against the brute-force optimum of the same two-way padded pair.
@@ -689,9 +690,9 @@ def _zigzag_pair(kind):
     alternates between two vertices until max_iter unless it steps over
     their face: graphs 0 and 25 of ``graphspace generate --family binomial
     --sizes 10 16 --count 30 --seed 0``; graphs 0 and 6 with each edge
-    given a seeded direction; graphs 0 and 20 with seeded normal
+    given a seeded direction; graphs 0 and 18 with seeded normal
     attributes, at lambda 0.1."""
-    graphs = {i: generate("binomial", (10, 16), trial_rng(0, i)) for i in (0, 6, 20, 25)}
+    graphs = {i: generate("binomial", (10, 16), trial_rng(0, i)) for i in (0, 6, 18, 25)}
     if kind == "undirected":
         return graphs[0], graphs[25], 0.0
     if kind == "directed":
@@ -703,7 +704,7 @@ def _zigzag_pair(kind):
     def attributed(i):
         g = graphs[i]
         return Graph(g.adjacency, node_attrs=trial_rng(100, i).normal(size=(g.n, 2)))
-    return attributed(0), attributed(20), 0.1
+    return attributed(0), attributed(18), 0.1
 
 
 def _like(g, rng):
