@@ -216,18 +216,20 @@ def _cmd_sample(args) -> int:
 
 def _read_labels_csv(path: str):
     base = Path(path).parent
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     items = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row_num, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            if len(row) not in (1, 2):
-                raise ValidationError(
-                    f"{path}: row {row_num + 1} must be 'path' or 'path,label'"
-                )
-            rel = row[0].strip()
-            label = row[1].strip() if len(row) == 2 else None
-            items.append((rel, base / rel, label))
+    for row_num, row in enumerate(rows):
+        if not row:
+            continue
+        if len(row) not in (1, 2):
+            raise ValidationError(f"{path}: row {row_num + 1} must be 'path' or 'path,label'")
+        rel = row[0].strip()
+        label = row[1].strip() if len(row) == 2 else None
+        items.append((rel, base / rel, label))
     if not items:
         raise ValidationError(f"{path}: no entries")
     return items

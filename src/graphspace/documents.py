@@ -297,12 +297,13 @@ def save_graph(g: Graph, path) -> None:
 
 
 def _read_json(path):
-    """Parse the JSON file at ``path``; malformed or too deeply nested JSON
-    raises ValidationError naming the file."""
+    """Parse the JSON file at ``path``; text that is not UTF-8 and malformed
+    or too deeply nested JSON raise ValidationError naming the file."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     try:
-        return json.loads(text)
+        return json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON ({exc})") from exc
     except RecursionError as exc:

@@ -221,6 +221,37 @@ class TestExitCodes:
         assert err.startswith("error: ") and needle in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["match", "pairwise", "sample", "knn"])
+    def test_non_utf8_input_names_the_file_2(self, command, corpus_dir, tmp_path, capsys):
+        ok = graphs_in(corpus_dir)[0]
+        bad = tmp_path / ("bin.csv" if command == "knn" else "bin.json")
+        bad.write_bytes(b"\xff\xfe")
+        (tmp_path / "train.csv").write_text("corpus/graph_000.json,a\n")
+        argv = {
+            "match": ["match", str(bad), ok],
+            "pairwise": ["pairwise", ok, str(bad)],
+            "sample": ["sample", "--model", str(bad), "--count", "1",
+                       "--out-dir", str(tmp_path / "s")],
+            "knn": ["knn", "--train", str(tmp_path / "train.csv"), "--test", str(bad)],
+        }[command]
+        rc = main(argv)
+        lines = capsys.readouterr().err.splitlines()
+        assert rc == 2 and len(lines) == 1
+        assert lines[0].startswith(f"error: {bad}: not UTF-8 text")
+
+    @pytest.mark.parametrize("train, needle", [
+        ("a.json,x,extra\n", "row 1 must be 'path' or 'path,label'"),
+        ("\n\n", "no entries"),
+        ("a.json,x\nb.json\n", "every training row needs a label"),
+    ], ids=["three-fields", "blank-rows", "unlabeled-row"])
+    def test_bad_labels_csv_names_the_file_2(self, train, needle, tmp_path, capsys):
+        # refused before any graph is read, so the listed files need not exist
+        (tmp_path / "train.csv").write_text(train)
+        (tmp_path / "test.csv").write_text("a.json\n")
+        self._assert_exit_2(["knn", "--train", str(tmp_path / "train.csv"),
+                             "--test", str(tmp_path / "test.csv")], capsys,
+                            f"{tmp_path / 'train.csv'}: {needle}")
+
     def test_weight_too_large_for_float_is_2(self, tmp_path, capsys):
         bad = tmp_path / "big.json"
         bad.write_text('{"directed": false, "nodes": [{"id": 0}, {"id": 1}], '

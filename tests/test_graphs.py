@@ -42,6 +42,22 @@ class TestConstruction:
         with pytest.raises(ValueError, match="one row per node"):
             Graph(np.zeros((3, 3)), node_attrs=[[1.0], [2.0]])
 
+    def test_rejects_non_square_adjacency(self):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+            Graph(np.zeros((2, 3)))
+
+    def test_rejects_attrs_without_columns(self):
+        with pytest.raises(ValueError, match="at least one column"):
+            Graph(np.zeros((2, 2)), node_attrs=np.zeros((2, 0)))
+
+    def test_rejects_nonfinite_attrs(self):
+        with pytest.raises(ValueError, match="node_attrs contains non-finite entries"):
+            Graph(np.zeros((2, 2)), node_attrs=[[1.0], [np.nan]])
+
+    def test_rejects_null_mask_of_wrong_length(self):
+        with pytest.raises(ValueError, match="null_mask must have length n=2"):
+            Graph(np.zeros((2, 2)), null_mask=[False, False, True])
+
     def test_null_nodes_must_be_isolated(self):
         adj = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(ValueError, match="null"):
@@ -96,6 +112,14 @@ class TestPermutation:
     def test_integral_entries_accepted(self, perm, expected):
         p = Permutation(perm)
         assert p.perm.tolist() == expected and p.perm.dtype == int
+
+    def test_rejects_two_dimensional_vector(self):
+        with pytest.raises(ValueError, match="1-d integer vector"):
+            Permutation([[0, 1], [1, 0]])
+
+    def test_compose_rejects_different_sizes(self):
+        with pytest.raises(ValueError, match="different sizes"):
+            Permutation.identity(2).compose(Permutation.identity(3))
 
     def test_matrix_orientation(self):
         p = Permutation([1, 2, 0])
@@ -209,6 +233,10 @@ class TestPadding:
         assert got.n == want.n
         assert np.array_equal(got.null_mask, want.null_mask)
 
+    def test_pad_to_smaller_size_rejected(self):
+        with pytest.raises(ValueError, match="cannot pad graph of size 3 down to 2"):
+            pad_to_size(Graph(np.zeros((3, 3))), 2)
+
     def test_pads_attrs_with_zero_rows(self):
         g = Graph(np.zeros((2, 2)), node_attrs=[[1.0, 2.0], [3.0, 4.0]])
         out = pad_to_size(g, 4)
@@ -252,6 +280,10 @@ class TestAmbientDistance:
     def test_size_mismatch_rejected(self):
         with pytest.raises(ValueError, match="size mismatch"):
             ambient_distance(Graph(np.zeros((2, 2))), Graph(np.zeros((3, 3))))
+
+    def test_directed_against_undirected_rejected(self):
+        with pytest.raises(ValueError, match="cannot compare directed with undirected"):
+            ambient_distance(Graph(np.zeros((2, 2)), directed=True), Graph(np.zeros((2, 2))))
 
 
 class TestNodeDistanceMatrix:
@@ -340,6 +372,10 @@ class TestLaplacian:
         g = Graph([[0.0, 1.0], [2.0, 0.0]], directed=True)
         with pytest.raises(ValueError, match="undirected"):
             to_laplacian(g)
+
+    def test_from_laplacian_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"Laplacian must be square, got shape \(2, 3\)"):
+            from_laplacian(np.zeros((2, 3)))
 
     def test_from_laplacian_rejects_asymmetric(self):
         with pytest.raises(ValueError, match="symmetric"):

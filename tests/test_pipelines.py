@@ -40,6 +40,17 @@ class TestGenerators:
         with pytest.raises(ValueError, match="probability"):
             binomial(5, trial_rng(0, 0), p=1.5)
 
+    @pytest.mark.parametrize("family", [binomial, full_heavy_tailed])
+    def test_size_must_be_positive(self, family):
+        with pytest.raises(ValueError, match="n must be positive"):
+            family(0, trial_rng(0, 0))
+
+    @pytest.mark.parametrize("kwargs", [{"coord_noise": -0.1}, {"edge_noise": 1.5},
+                                        {"node_drop": 1.0}])
+    def test_letter_like_distortions_validated(self, kwargs):
+        with pytest.raises(ValueError, match="invalid distortion parameters"):
+            letter_like(trial_rng(0, 0), **kwargs)
+
     def test_heavy_tailed_seeded_determinism(self):
         a = full_heavy_tailed(5, trial_rng(7, 3))
         b = full_heavy_tailed(5, trial_rng(7, 3))
@@ -183,6 +194,10 @@ class TestDistances:
         m = np.array([[0.0, 1.5], [1.5, 0.0]])
         text = distance_csv(m, ["a", "b"])
         assert text == "id,a,b\na,0.0,1.5\nb,1.5,0.0\n"
+
+    def test_distance_csv_rejects_a_matrix_of_the_wrong_size(self):
+        with pytest.raises(ValueError, match="matrix shape does not match number of ids"):
+            distance_csv(np.zeros((2, 2)), ["a", "b", "c"])
 
 
 def _letters(seed, count):
@@ -344,6 +359,12 @@ class TestKnn:
         train = [random_symmetric_graph(3, rng)]
         with pytest.raises(ValueError, match="k must lie"):
             knn_classify(train, ["a"], train, k=2)
+
+    def test_one_label_per_training_graph(self):
+        rng = np.random.default_rng(12)
+        train = [random_symmetric_graph(3, rng) for _ in range(2)]
+        with pytest.raises(ValueError, match="one label per training graph"):
+            knn_classify(train, ["a"], train, k=1)
 
 
 class TestBenchRecovery:

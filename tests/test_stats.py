@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -290,6 +291,14 @@ class TestGraphPca:
         with pytest.raises(ValueError, match="lambda"):
             graph_pca(karcher_mean(corpus), include_nodes=True)
 
+    def test_include_nodes_requires_attributes(self):
+        # a mean of unattributed graphs that claims a positive lambda
+        rng = np.random.default_rng(14)
+        corpus = perturbed_corpus(random_symmetric_graph(4, rng), 3, rng)
+        mean = replace(karcher_mean(corpus), lam=1.0)
+        with pytest.raises(ValueError, match="include_nodes requires node attributes"):
+            graph_pca(mean, include_nodes=True)
+
     def test_needs_two_graphs(self):
         rng = np.random.default_rng(15)
         with pytest.raises(ValueError, match="two"):
@@ -397,6 +406,22 @@ class TestGaussianModel:
         with pytest.raises(ValueError, match="exceeds"):
             fit_gaussian(pca, pca.n_components + 1)
 
+    def test_reconstruct_rejects_too_many_scores(self):
+        model = self._model(np.random.default_rng(27))
+        k = model.pca.n_components
+        with pytest.raises(ValueError, match=f"scores must be a vector of length <= {k}"):
+            reconstruct(model.pca, np.zeros(k + 1))
+
+    def test_fit_needs_two_samples(self):
+        pca = self._model(np.random.default_rng(28)).pca
+        with pytest.raises(ValueError, match="at least two samples"):
+            fit_gaussian(replace(pca, scores=pca.scores[:1]), 1)
+
+    def test_negative_count_rejected(self):
+        model = self._model(np.random.default_rng(29))
+        with pytest.raises(ValueError, match="count must be nonnegative"):
+            sample_scores(model, seed=0, count=-1)
+
     @pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
     def test_threshold_must_be_finite_and_nonnegative(self, threshold):
         model = self._model(np.random.default_rng(24))
@@ -425,6 +450,7 @@ class TestGaussianModel:
         assert cums[k_all - 1] >= 1.0 - 1e-9
         with pytest.raises(ValueError):
             components_for_variance(pca, 0.0)
+        assert components_for_variance(truncate_components(pca, 0), 0.8) == 0
 
     def test_truncate_components_bounds(self):
         rng = np.random.default_rng(25)
