@@ -335,7 +335,7 @@ def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
 def _vertex(c: np.ndarray, partial: bool):
     """Minimum-cost node->slot pairs for the cost ``c``: the LAP's pairs
     ``(rows, cols)``, rows ascending, and the mask ``keep`` of the pairs
-    the vertex keeps, None when it keeps them all.
+    the vertex keeps, None for a complete vertex.
 
     ``partial`` lets nodes stay unmatched at zero cost: solving on min(c, 0)
     and keeping the pairs whose cost is negative attains the optimum of the
@@ -350,8 +350,8 @@ def _vertex(c: np.ndarray, partial: bool):
 
 def _vertices(c: np.ndarray, partial: bool):
     """``_vertex`` of every entry of a (B, n1, n2) cost stack, one LAP each:
-    (B, min(n1, n2)) ``rows``, ``cols`` and ``keep`` (None when every
-    entry keeps every pair)."""
+    (B, min(n1, n2)) ``rows``, ``cols`` and ``keep`` (None for complete
+    vertices)."""
     laps = np.empty((len(c), 2, min(c.shape[1:])), dtype=int)
     for j, x in enumerate(np.minimum(c, 0.0) if partial else c):
         laps[j] = _lap_raw(x)
@@ -617,7 +617,7 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     flat start's first vertex in closed form (below), and the vertices'
     gathered products and sums are taken once for the whole stack.  A
     vertex is its LAP's pairs ``rows`` and ``cols`` with the mask ``keep``
-    of the pairs it keeps (None when it keeps them all), and a pair it
+    of the pairs it keeps (None for a complete vertex), and a pair it
     does not keep adds a zero row to the products and a zero term to the
     sums and the step, the same in a stack as alone.  The final
     projection is one LAP per entry too, lifted to padded permutations by
