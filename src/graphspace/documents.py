@@ -5,13 +5,12 @@ nodes are ``{"id": int, "attr": [...], "null": true}`` (attr and null
 optional) and edges are ``{"i": int, "j": int, "w": float}``.  Node ids
 must be 0..n-1 in ascending order, undirected documents list each edge
 once with i < j, weights are finite and nonzero, and duplicate edges are
-rejected.  The writer is canonical (sorted edges, fixed key order, indent
-2), so save-then-load-then-save reproduces files byte for byte.
+rejected.  The writer is canonical (sorted edges, fixed key order), so
+save-then-load-then-save reproduces files byte for byte.
 
 Every document, and every JSON output of the CLI, is written by
-``_dumps``, whose bytes are exactly those of ``json.dumps(obj, indent=2,
-allow_nan=False)`` but which writes whole lists of numbers and of number
-records at once instead of value by value.  Like that call it refuses NaN
+``_dumps``: ``json.dumps(obj, allow_nan=False)`` and a newline, compact
+JSON with the default ``", "`` and ``": "`` separators.  It refuses NaN
 and infinities, which the reader rejects, so no file is written that
 cannot be read back.  The reader runs every schema check per node
 and per edge, in document order, so the first violation is the one
@@ -22,8 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import chain
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 import numpy as np
@@ -49,10 +46,8 @@ class ValidationError(ValueError):
 _DOC_KEYS = {"directed", "nodes", "edges"}
 _NODE_KEYS = {"id", "attr", "null"}
 _EDGE_KEYS = {"i", "j", "w"}
-# Exact types: bool, numpy scalars and other subclasses take the general paths.
+# Exact type: bool, numpy scalars and other subclasses take the general path.
 _FLOAT = {float}
-_NUMBER = {int, float}
-_DICT = {dict}
 
 
 def _fail(msg: str):
@@ -203,85 +198,15 @@ def graph_to_document(g: Graph) -> dict:
 
 
 def _dumps(obj) -> str:
-    """``json.dumps(obj, indent=2, allow_nan=False) + "\\n"``, for the
-    documents' value types; a NaN or infinity raises ValueError.
-
-    The one writer of every document and CLI output.  ``json.dumps`` turns
-    off its C encoder whenever ``indent`` is set; this one joins whole lists
-    at a time instead: lists of finite numbers through ``repr``, and lists
-    of same-keyed dicts of finite numbers (edges, plain nodes) through one
-    ``%`` template per list.  Everything else takes the general path,
-    which follows ``json.dumps`` value by value (dict keys must be strings).
-    """
-    return _encode(obj, "\n") + "\n"
-
-
-def _encode(obj, pad: str) -> str:
-    """``obj`` as ``json.dumps(indent=2)`` writes it where the enclosing
-    line starts with ``pad`` (a newline and the current indent)."""
-    if isinstance(obj, str):
-        return _quote(obj)
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            raise ValueError(f"cannot write the non-finite number {obj!r} as JSON")
-        return float.__repr__(obj)
-    inner = pad + "  "
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        sep = "," + inner
-        if type(obj[0]) is dict:
-            body = _record_list(obj, inner)
-        else:
-            reprs = _finite_reprs(obj)
-            body = None if reprs is None else sep.join(reprs)
-        if body is None:
-            body = sep.join([_encode(v, inner) for v in obj])
-        return "[" + inner + body + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return "{" + inner + ("," + inner).join(
-            [_quote(k) + ": " + _encode(v, inner) for k, v in obj.items()]
-        ) + pad + "}"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _finite_reprs(values) -> list | None:
-    """``repr`` of each value if all are exact ints or finite floats, else None."""
-    if not _NUMBER.issuperset(map(type, values)):
-        return None
-    reprs = list(map(repr, values))
-    # Of the reprs of exact ints and floats, only "inf" and "nan" contain an n.
-    return None if "n" in "".join(reprs) else reprs
-
-
-def _record_list(items, pad: str) -> str | None:
-    """Body of a list of dicts that share their keys (in order) and hold
-    only ints and finite floats, each dict starting a line with ``pad``;
-    None for any other list."""
-    if not _DICT.issuperset(map(type, items)):
-        return None
-    key_orders = set(map(tuple, items))
-    if len(key_orders) != 1:
-        return None
-    (keys,) = key_orders
-    reprs = _finite_reprs(list(chain.from_iterable(map(dict.values, items))))
-    if not keys or reprs is None:
-        return None
-    inner = pad + "  "
-    record = "{" + inner + ("," + inner).join(
-        [_quote(k).replace("%", "%%") + ": %s" for k in keys]
-    ) + pad + "}"
-    return ("," + pad).join([record] * len(items)) % tuple(reprs)
+    """``json.dumps(obj, allow_nan=False) + "\\n"``: compact canonical JSON
+    from the standard library's C encoder, the one writer of every document
+    and CLI output.  A NaN or infinity raises ValueError, since the reader
+    rejects them."""
+    try:
+        # without the circular-reference check, a float is json's only ValueError
+        return json.dumps(obj, allow_nan=False, check_circular=False) + "\n"
+    except ValueError as exc:
+        raise ValueError("cannot write a non-finite number (NaN or infinity) as JSON") from exc
 
 
 def dumps_graph(g: Graph) -> str:

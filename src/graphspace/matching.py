@@ -470,7 +470,11 @@ def _dots(x: np.ndarray, y: np.ndarray) -> list[float]:
     """``np.vdot`` of every entry pair of two stacks, or of two single blocks.
 
     A (1, K) @ (K, 1) product per entry is the same BLAS dot that ``vdot``
-    calls, so an entry's value does not depend on the rest of the stack.
+    calls, so an entry's value equals its run alone on kernels whose dot
+    ignores the alignment of its operands.  OpenBLAS's Prescott ``ddot``
+    rounds by their 16-byte alignment, and entry e of a stack starts at
+    byte offset e * n2 * n1 * 8, so there an entry that sits 8 bytes off
+    may differ from its run alone in the last bit.
     """
     if x.ndim == 2 or len(x) == 1:
         return [float(np.vdot(x, y))]

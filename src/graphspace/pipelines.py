@@ -11,6 +11,8 @@ Frank-Wolfe incumbent.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -136,10 +138,12 @@ def distance_csv(matrix: np.ndarray, ids) -> str:
     ids = [str(x) for x in ids]
     if matrix.shape != (len(ids), len(ids)):
         raise ValueError("matrix shape does not match number of ids")
-    lines = ["id," + ",".join(ids)]
-    for name, row in zip(ids, matrix):
-        lines.append(name + "," + ",".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+    # ids holding a comma, a quote or a line break are quoted
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", *ids])
+    writer.writerows([name, *map(float, row)] for name, row in zip(ids, matrix))
+    return out.getvalue()
 
 
 def knn_classify(train, train_labels, test, k: int,

@@ -492,7 +492,7 @@ class TestExitCodes:
                        '{"id": 1, "attr": [-1e308]}], "edges": []}')
         out = tmp_path / "out.json"
         self._assert_exit_2([command, str(big), str(big), "--out", str(out)],
-                            capsys, f"{out}: cannot write the non-finite number")
+                            capsys, f"{out}: cannot write a non-finite number")
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["mean", "pca", "match"])
@@ -515,7 +515,8 @@ class TestExitCodes:
             assert run.stderr.count("\n") == 1
             return
         assert run.returncode == 2
-        assert run.stderr == f"error: {out}: cannot write the non-finite number inf as JSON\n"
+        assert run.stderr == (f"error: {out}: cannot write a non-finite number (NaN or infinity) "
+                              "as JSON\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -618,17 +619,9 @@ class TestGoldenOutput:
         out = capsys.readouterr().out
         assert rc == 0
         assert out == (
-            '{\n'
-            '  "permutation": [\n    0,\n    1\n  ],\n'
-            '  "objective": 8.0,\n'
-            '  "d_g": 2.8284271247461903,\n'
-            '  "lambda": 0.0,\n'
-            '  "padded_size": 2,\n'
-            '  "solver": "brute",\n'
-            '  "iterations": 0,\n'
-            '  "converged": true,\n'
-            '  "restart_index": 0\n'
-            '}\n'
+            '{"permutation": [0, 1], "objective": 8.0, "d_g": 2.8284271247461903, '
+            '"lambda": 0.0, "padded_size": 2, "solver": "brute", "iterations": 0, '
+            '"converged": true, "restart_index": 0}\n'
         )
 
 
@@ -653,24 +646,24 @@ class TestGoldenOutput:
         digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in tmp_path.rglob("*.json") if p.parent != corpus}
         assert digests == {
-            "plain.json": "e74280a74d4d765d6b7e584f9f9b0861442e661e45fd24d6beb39292ba65c2bd",
-            "nodes.json": "1f200c27c6fb6b7e6f99a192d693954c8c12d3b894c980d8cfcdaaa3cd634e76",
+            "plain.json": "19f75953cbd84b8f6158be50f614971a1e9967e9319401d318a7a50d5ab3225d",
+            "nodes.json": "c9393ba435189d6cab72c87f92684b478d1847b4e0c34edf716e480e25f78342",
             "plain/manifest.json":
-                "59557b2a667a244313cfaab401c5c7ccc83d2f23c9b089863a5900f52dbfbad9",
+                "f207347e95edcce5edb11566281a008fb6e6ee74f750d3eab3351455bbe1554b",
             "plain/sample_000.json":
-                "16b856c56ef74efdb787db98b311dc110815c00a2e95c8dff9103afa0eced15a",
+                "ca522e2906cca613c50867e9b5aaf0c03f81d87578c526398f5ffea4ad8c17a9",
             "plain/sample_001.json":
-                "0820635790a3e0f78caa31ff6dd46b76b09d3e3e6645d5b59ce41ed30927a790",
+                "ea2dd895e59c0a296dcc3c64cf3527ceb9bad663d9959172600e2f85303590b7",
             "plain/sample_002.json":
-                "62b0170f38bff2bc8614b5245ac708c45099c9deaa2d23a13002e638529546cf",
+                "9c9558275d73377348cde04758f1a5cef01f8331aaa7803ee34bee96aa7cc339",
             "nodes/manifest.json":
-                "96455ed443e6e3766823ab8780cfbc78bd195bf00e671228c14fc29827ec43b4",
+                "c9d0df204925c214dad6e875ffc438b1ed8186142d906082984ca81d1810964c",
             "nodes/sample_000.json":
-                "51990eef8de11d1b9064f89a23e9bc4c2ed5242c3084423c59af001369a755a9",
+                "94a51b646fc6bf437d06a7b053dc89892fdf9fc4bfc31fd4c5ebdd94e4e9cbb6",
             "nodes/sample_001.json":
-                "ed91e7eb8f08548289af645517382f2d22b71073e3dd1d9a5ecc1feb05bb8e53",
+                "03c9bd116798e45a373f201d548e6a7b06ac852713b73410a9fad6ff0caabb86",
             "nodes/sample_002.json":
-                "2fa193f7fe1573e5acbf9303a75547bc636462ec17ea35282df88a600385dbff",
+                "b48f7eae87cdda57dabbeced4cd1a30931eee5b4614e05c295ccf61169363a7c",
         }
 
 

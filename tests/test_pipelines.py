@@ -1,3 +1,4 @@
+import csv
 from dataclasses import replace
 
 import numpy as np
@@ -55,6 +56,16 @@ class TestGenerators:
         a = full_heavy_tailed(5, trial_rng(7, 3))
         b = full_heavy_tailed(5, trial_rng(7, 3))
         assert np.array_equal(a.adjacency, b.adjacency)
+
+    @pytest.mark.parametrize("draw", [lambda rng: binomial(6, rng),
+                                      lambda rng: full_heavy_tailed(6, rng),
+                                      lambda rng: letter_like(rng, node_drop=0.3)],
+                             ids=["binomial", "full_heavy_tailed", "letter_like"])
+    def test_integer_seed_is_a_fresh_generator(self, draw):
+        a, b = draw(11), draw(np.random.default_rng(11))
+        assert np.array_equal(a.adjacency, b.adjacency)
+        assert (a.node_attrs is None and b.node_attrs is None) or np.array_equal(
+            a.node_attrs, b.node_attrs)
 
     def test_letter_like_has_coordinates(self):
         g = letter_like(trial_rng(1, 0))
@@ -194,6 +205,15 @@ class TestDistances:
         m = np.array([[0.0, 1.5], [1.5, 0.0]])
         text = distance_csv(m, ["a", "b"])
         assert text == "id,a,b\na,0.0,1.5\nb,1.5,0.0\n"
+
+    def test_distance_csv_quotes_ids(self):
+        # a bare join would write a 5-field header over 4-field rows
+        ids = ["a,b.json", 'q"uote.json', "x.json"]
+        m = np.array([[0.0, 0.5, 1.0], [0.5, 0.0, 2.0], [1.0, 2.0, 0.0]])
+        rows = list(csv.reader(distance_csv(m, ids).splitlines()))
+        assert rows[0] == ["id", *ids]
+        assert [row[0] for row in rows[1:]] == ids
+        assert np.array_equal([[float(v) for v in row[1:]] for row in rows[1:]], m)
 
     def test_distance_csv_rejects_a_matrix_of_the_wrong_size(self):
         with pytest.raises(ValueError, match="matrix shape does not match number of ids"):

@@ -387,8 +387,9 @@ class TestGaussianModel:
         assert np.max(np.abs(emp - model.score_cov) / (scale + 1e-30)) <= 0.05
 
     def test_degenerate_covariance_sampling(self):
-        # three samples span rank 2; asking for k=2 with duplicated rows
-        # exercises the jitter ladder
+        # duplicated rows make the score covariance nearly singular, yet its
+        # first Cholesky factorization succeeds; the jitter ladder is tested
+        # in test_cholesky_jitter_ladder
         rng = np.random.default_rng(21)
         g = random_symmetric_graph(5, rng)
         corpus = perturbed_corpus(g, 3, rng) + [g, g]
@@ -396,6 +397,30 @@ class TestGaussianModel:
         model = fit_gaussian(pca, min(4, pca.n_components))
         out = sample_graphs(model, seed=0, count=4)
         assert len(out) == 4
+
+    @pytest.mark.parametrize("cov, calls", [
+        (np.ones((2, 2)), 2),
+        (np.array([[1.0, 1.0], [1.0, 1.0 - 1e-13]]), 3),
+        (np.diag([1.0, -1.0]), 4),
+    ], ids=["rank-one", "slightly-indefinite", "indefinite"])
+    def test_cholesky_jitter_ladder(self, cov, calls, monkeypatch):
+        tries = []
+        cholesky = np.linalg.cholesky
+
+        def spy(a):
+            tries.append(a)
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        if calls == 4:
+            with pytest.raises(np.linalg.LinAlgError, match="within jitter 1e-10"):
+                stats_module._cholesky_with_jitter(cov)
+        else:
+            chol = stats_module._cholesky_with_jitter(cov)
+            assert np.allclose(chol @ chol.T, cov, atol=1e-11)
+        assert len(tries) == calls
+        for a, jitter in zip(tries, (0.0, 1e-14, 1e-12, 1e-10)):
+            assert np.array_equal(a, cov + jitter * np.eye(2))
 
     def test_k_validation(self):
         model_src = np.random.default_rng(22)
