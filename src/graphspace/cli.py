@@ -21,6 +21,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .documents import (
     ValidationError,
     _dumps,
@@ -207,7 +209,14 @@ def _cmd_sample(args) -> int:
     _check_components(args.components, pca.n_components)
     k = args.components or components_for_variance(pca, 0.8)
     gauss = fit_gaussian(pca, k, threshold=args.threshold)
-    graphs = sample_graphs(gauss, seed=args.seed, count=args.count)
+    # a finite model can still map a draw past the float limit
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            graphs = sample_graphs(gauss, seed=args.seed, count=args.count)
+        except ValueError as exc:
+            if args.seed < 0 or args.count < 0:  # refused before any draw
+                raise
+            raise ValidationError(f"{args.model}: {exc}") from exc
     files = _save_graphs(args.out_dir, "sample", graphs)
     _emit({"count": args.count, "components": k, "threshold": args.threshold,
            "seed": args.seed, "files": files}, Path(args.out_dir) / "manifest.json")

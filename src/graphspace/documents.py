@@ -245,20 +245,17 @@ def load_graph(path) -> Graph:
 
 
 def pca_model_document(model) -> dict:
-    """Serializable form of a fitted PCA model: mean document plus basis,
-    singular values, and per-sample scores."""
+    """Serializable form of a fitted PCA model: ``lambda``, ``include_nodes``,
+    ``nonnegative``, ``mean_graph``, ``center``, ``basis``, ``singular_values``,
+    ``explained_variance_ratio`` and ``scores``, nothing they determine."""
     return {
-        "size": model.size,
-        "directed": model.directed,
         "lambda": model.lam,
         "include_nodes": model.include_nodes,
-        "attr_dim": model.attr_dim,
         "nonnegative": model.nonnegative,
         "mean_graph": graph_to_document(model.mu),
         "center": model.center.tolist(),
         "basis": model.basis.tolist(),
         "singular_values": model.singular_values.tolist(),
-        "component_variances": model.component_variances.tolist(),
         "explained_variance_ratio": model.explained_variance_ratio.tolist(),
         "scores": model.scores.tolist(),
     }
@@ -276,54 +273,41 @@ def _float_array(doc: dict, key: str) -> np.ndarray:
 
 
 def pca_model_from_document(doc):
-    """Rebuild a PCA model from its document."""
+    """Rebuild a PCA model from its document, ignoring other keys (older
+    writers also stored ``size``, ``directed``, ``attr_dim`` and
+    ``component_variances``).  Sampling needs two score rows or more and
+    finite variances s^2 / (rows - 1)."""
     from .stats import GraphPcaModel
 
     if not isinstance(doc, dict):
         _fail("PCA model must be a JSON object")
     required = {
-        "size", "directed", "lambda", "include_nodes", "attr_dim", "nonnegative",
-        "mean_graph", "center", "basis", "singular_values",
-        "component_variances", "explained_variance_ratio", "scores",
+        "lambda", "include_nodes", "nonnegative", "mean_graph", "center", "basis",
+        "singular_values", "explained_variance_ratio", "scores",
     }
     missing = required - set(doc)
     if missing:
         _fail(f"PCA model is missing keys: {sorted(missing)}")
-    for key in ("size", "attr_dim"):
-        if isinstance(doc[key], bool) or not isinstance(doc[key], int):
-            _fail(f"PCA model '{key}' must be an integer, got {type(doc[key]).__name__}")
-    for key in ("directed", "include_nodes", "nonnegative"):
+    for key in ("include_nodes", "nonnegative"):
         if not isinstance(doc[key], bool):
             _fail(f"PCA model '{key}' must be a boolean, got {type(doc[key]).__name__}")
     mu = document_to_graph(doc["mean_graph"])
-    size = doc["size"]
-    if mu.n != size:
-        _fail(f"mean graph has {mu.n} nodes but model declares size {size}")
-    directed = doc["directed"]
-    if mu.directed != directed:
-        _fail(f"PCA model 'directed' is {directed} but the mean graph's is {mu.directed}")
     include_nodes = doc["include_nodes"]
-    attr_dim = doc["attr_dim"]
     lam = _check_number(doc["lambda"], "PCA model 'lambda'")
     # the attribute block is scaled by sqrt(lambda) and unscaled by its inverse
     if lam < 0 or (include_nodes and lam == 0):
         _fail(f"PCA model 'lambda' must be nonnegative, and positive with "
               f"'include_nodes', got {lam}")
-    if include_nodes and (mu.attr_dim == 0 or mu.attr_dim != attr_dim):
-        _fail(f"PCA model 'mean_graph' must carry node attributes with 'attr_dim' = "
-              f"{attr_dim} columns when 'include_nodes' is set, got {mu.attr_dim}")
-    if not include_nodes and attr_dim != 0:
-        _fail(f"PCA model 'attr_dim' must be 0 without 'include_nodes', got {attr_dim}")
-    n_edges = size * (size - 1) // (1 if directed else 2)
-    dim = n_edges + (size * attr_dim if include_nodes else 0)
+    if include_nodes and mu.attr_dim == 0:
+        _fail("PCA model 'mean_graph' must carry node attributes when 'include_nodes' is set")
+    n_edges = mu.n * (mu.n - 1) // (1 if mu.directed else 2)
+    dim = n_edges + (mu.n * mu.attr_dim if include_nodes else 0)
 
-    # a model without components stores its basis and scores as []
+    # a model without components stores its basis as []
     basis = _float_array(doc, "basis")
     if basis.shape == (0,):
         basis = basis.reshape(0, dim)
     scores = _float_array(doc, "scores")
-    if scores.shape == (0,):
-        scores = scores.reshape(0, 0)
     center = _float_array(doc, "center")
     svals = _float_array(doc, "singular_values")
     if svals.ndim != 1:
@@ -335,21 +319,26 @@ def pca_model_from_document(doc):
         _fail(f"center length {center.shape} does not match dimension {dim}")
     if scores.ndim != 2 or scores.shape[1] != k:
         _fail("scores must have one column per component")
-    per_component = {key: _float_array(doc, key)
-                     for key in ("component_variances", "explained_variance_ratio")}
-    for key, values in per_component.items():
-        if values.shape != (k,):
-            _fail(f"PCA model '{key}' must hold one number per component ({k}), "
-                  f"got shape {values.shape}")
+    if len(scores) < 2:
+        _fail(f"PCA model 'scores' must hold at least two rows, got {len(scores)}")
+    evr = _float_array(doc, "explained_variance_ratio")
+    if evr.shape != (k,):
+        _fail(f"PCA model 'explained_variance_ratio' must hold one number per component "
+              f"({k}), got shape {evr.shape}")
 
-    return GraphPcaModel(
+    model = GraphPcaModel(
         mu=mu,
         basis=basis,
         singular_values=svals,
-        **per_component,
+        explained_variance_ratio=evr,
         scores=scores,
         center=center,
         lam=lam,
         include_nodes=include_nodes,
         nonnegative=doc["nonnegative"],
     )
+    with np.errstate(over="ignore"):
+        if not np.isfinite(model.component_variances).all():
+            _fail("PCA model 'singular_values' are too large: "
+                  "their variances s^2 / (rows - 1) overflow")
+    return model

@@ -143,13 +143,12 @@ def karcher_mean(graphs, cfg: MatchConfig | None = None,
         mask = np.all([r.graph.null_mask for r in regs], axis=0)
         attrs = None
         if with_attrs:
-            counts = np.sum([~r.graph.null_mask for r in regs], axis=0)
-            # a sum past the float limit is inf, refused when written
-            with np.errstate(over="ignore"):
-                total = np.sum([np.where(r.graph.null_mask[:, None], 0.0, r.graph.node_attrs)
-                                for r in regs], axis=0)
-            attrs = np.zeros_like(total)
-            np.divide(total, counts[:, None], out=attrs, where=counts[:, None] > 0)
+            # each share is divided before the sum, so attributes near the
+            # float limit do not overflow on the way; a slot no real node
+            # faces stays zero
+            counts = np.maximum(np.sum([~r.graph.null_mask for r in regs], axis=0), 1)
+            attrs = np.sum([np.where(r.graph.null_mask[:, None], 0.0, r.graph.node_attrs)
+                            / counts[:, None] for r in regs], axis=0)
         # Fresh arrays, valid by construction: elementwise means of exactly
         # symmetric matrices are exactly symmetric, and the diagonal, null
         # rows and null attributes are zero.
@@ -180,16 +179,15 @@ class GraphPcaModel:
     dimension are read off it.  ``basis`` rows are orthonormal directions
     over the residual vectorization (edge block, then sqrt(lambda)-scaled
     attribute block when ``include_nodes``); ``singular_values`` are the
-    singular values of the centered residual matrix, so sum(s^2) /
-    (n_samples - 1) is the total residual variance and
-    ``component_variances`` are the per-axis variances whose square roots
-    scale the principal-variation displays.
+    singular values s of the centered residual matrix and ``scores`` its
+    U·diag(s), one row per sample.  The scores' column means are zero and
+    their sample covariance is diag(s^2 / (n_samples - 1)) exactly, so
+    ``component_variances`` is derived from s, not stored.
     """
 
     mu: Graph
     basis: np.ndarray
     singular_values: np.ndarray
-    component_variances: np.ndarray
     explained_variance_ratio: np.ndarray
     scores: np.ndarray
     center: np.ndarray
@@ -212,6 +210,12 @@ class GraphPcaModel:
     @property
     def n_components(self) -> int:
         return self.basis.shape[0]
+
+    @property
+    def component_variances(self) -> np.ndarray:
+        """Per-axis score variances s^2 / (n_samples - 1)."""
+        s = self.singular_values
+        return (s * s) / (self.n_samples - 1)
 
     @property
     def n_samples(self) -> int:
@@ -270,7 +274,6 @@ def graph_pca(mean: GraphMean, include_nodes: bool = False) -> GraphPcaModel:
         mu=mu,
         basis=vt,
         singular_values=s,
-        component_variances=(s * s) / (len(regs) - 1),
         explained_variance_ratio=evr,
         scores=scores,
         center=center,
@@ -333,16 +336,27 @@ def reconstruct(model: GraphPcaModel, scores, threshold: float = 0.0) -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class GaussianGraphModel:
-    """Multivariate normal over the leading principal scores."""
+    """Normal N(0, diag(s^2 / (N - 1))) over the leading principal scores.
+
+    Those are exactly the scores' sample mean and covariance (Tipping and
+    Bishop's probabilistic PCA), so the model holds only ``pca``, truncated
+    to its k components, and the reconstruction ``threshold``.
+    """
 
     pca: GraphPcaModel
-    score_mean: np.ndarray
-    score_cov: np.ndarray
     threshold: float = 0.0
 
     @property
     def k(self) -> int:
-        return self.score_mean.shape[0]
+        return self.pca.n_components
+
+    @property
+    def score_mean(self) -> np.ndarray:
+        return np.zeros(self.k)
+
+    @property
+    def score_cov(self) -> np.ndarray:
+        return np.diag(self.pca.component_variances)
 
 
 def truncate_components(model: GraphPcaModel, k: int) -> GraphPcaModel:
@@ -353,47 +367,33 @@ def truncate_components(model: GraphPcaModel, k: int) -> GraphPcaModel:
         model,
         basis=model.basis[:k],
         singular_values=model.singular_values[:k],
-        component_variances=model.component_variances[:k],
         explained_variance_ratio=model.explained_variance_ratio[:k],
         scores=model.scores[:, :k],
     )
 
 
 def fit_gaussian(pca: GraphPcaModel, k: int, threshold: float = 0.0) -> GaussianGraphModel:
-    """Fit mean and covariance of the first ``k`` score columns."""
+    """The normal N(0, diag(s^2 / (N - 1))) over the first ``k`` scores;
+    nothing is estimated (see ``GaussianGraphModel``)."""
     if k < 1:
         raise ValueError("k must be at least 1")
     _check_threshold(threshold)
     if k > pca.n_components:
         raise ValueError(f"k={k} exceeds available components {pca.n_components}")
     if pca.n_samples < 2:
-        raise ValueError("covariance estimation needs at least two samples")
-    scores = pca.scores[:, :k]
-    mean = scores.mean(axis=0)
-    cov = np.atleast_2d(np.cov(scores, rowvar=False, ddof=1))
-    return GaussianGraphModel(pca=truncate_components(pca, k), score_mean=mean,
-                              score_cov=cov, threshold=threshold)
-
-
-def _cholesky_with_jitter(cov: np.ndarray) -> np.ndarray:
-    for jitter in (0.0, 1e-14, 1e-12, 1e-10):
-        try:
-            return np.linalg.cholesky(cov + jitter * np.eye(len(cov)))
-        except np.linalg.LinAlgError:
-            continue
-    raise np.linalg.LinAlgError("score covariance is not PSD within jitter 1e-10")
+        raise ValueError("score variances need at least two samples")
+    return GaussianGraphModel(pca=truncate_components(pca, k), threshold=threshold)
 
 
 def sample_scores(model: GaussianGraphModel, seed: int, count: int) -> np.ndarray:
-    """Draw ``count`` score vectors from the fitted normal."""
+    """Draw ``count`` score vectors: standard normals scaled per component
+    by sqrt(s^2 / (N - 1))."""
     if count < 0:
         raise ValueError("count must be nonnegative")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    chol = _cholesky_with_jitter(model.score_cov)
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((count, model.k))
-    return model.score_mean + z @ chol.T
+    return rng.standard_normal((count, model.k)) * np.sqrt(model.pca.component_variances)
 
 
 def sample_graphs(model: GaussianGraphModel, seed: int, count: int) -> list[Graph]:

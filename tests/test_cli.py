@@ -105,6 +105,26 @@ class TestCommands:
         model = json.loads(out.read_text())
         assert len(model["singular_values"]) == 2
 
+    def test_model_with_derived_keys_samples_the_same(self, tmp_path, capsys):
+        # a model written with the size, directed, attr_dim and
+        # component_variances keys samples to the same bytes
+        corpus, model, old = tmp_path / "corpus", tmp_path / "model.json", tmp_path / "old.json"
+        assert main(["generate", "--family", "letter_like", "--count", "6", "--seed", "4",
+                     "--node-drop", "0.2", "--out-dir", str(corpus)]) == 0
+        assert main(["pca", *graphs_in(corpus), "--lambda", "0.7", "--include-nodes",
+                     "--out", str(model)]) == 0
+        doc = json.loads(model.read_text())
+        s = np.array(doc["singular_values"])
+        old.write_text(json.dumps({
+            "size": len(doc["mean_graph"]["nodes"]), "directed": False, **doc, "attr_dim": 2,
+            "component_variances": (s * s / (len(doc["scores"]) - 1)).tolist()}))
+        for name in ("model", "old"):
+            assert main(["sample", "--model", str(tmp_path / f"{name}.json"), "--count", "3",
+                         "--seed", "5", "--out-dir", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        for f in ("manifest.json", "sample_000.json", "sample_001.json", "sample_002.json"):
+            assert (tmp_path / "old" / f).read_bytes() == (tmp_path / "model" / f).read_bytes()
+
     def test_knn(self, tmp_path, capsys):
         for seed, name in ((1, "lo"), (2, "hi")):
             rc = main([
@@ -269,16 +289,33 @@ class TestExitCodes:
         self._assert_exit_2(["sample", "--model", str(bad), "--count", "1",
                              "--out-dir", str(tmp_path / "s")], capsys, "nested too deeply")
 
-    def test_model_size_null_is_2(self, corpus_dir, tmp_path, capsys):
+    def test_model_lambda_null_is_2(self, corpus_dir, tmp_path, capsys):
         model = tmp_path / "model.json"
         assert main(["pca", *graphs_in(corpus_dir), "--out", str(model)]) == 0
         capsys.readouterr()
         doc = json.loads(model.read_text())
-        doc["size"] = None
+        doc["lambda"] = None
         model.write_text(json.dumps(doc))
         self._assert_exit_2(["sample", "--model", str(model), "--count", "1",
                              "--out-dir", str(tmp_path / "s")], capsys,
-                            f"{model}: PCA model 'size'")
+                            f"{model}: PCA model 'lambda'")
+
+    def test_one_row_model_names_the_file_2(self, tmp_path, capsys):
+        # graph_pca writes at least two score rows; the variances s^2 / (N - 1)
+        # need them
+        corpus = tmp_path / "corpus"
+        model = tmp_path / "model.json"
+        assert main(["generate", "--family", "letter_like", "--count", "6", "--seed", "3",
+                     "--out-dir", str(corpus)]) == 0
+        assert main(["pca", *graphs_in(corpus), "--out", str(model)]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["scores"] = doc["scores"][:1]
+        model.write_text(json.dumps(doc))
+        self._assert_exit_2(["sample", "--model", str(model), "--count", "1",
+                             "--out-dir", str(tmp_path / "s")], capsys,
+                            f"{model}: PCA model 'scores' must hold at least two rows, got 1")
+        assert not (tmp_path / "s").exists()
 
     def test_model_null_basis_names_the_file_2(self, corpus_dir, tmp_path, capsys):
         model = tmp_path / "model.json"
@@ -484,22 +521,23 @@ class TestExitCodes:
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["mean", "pca"])
-    def test_non_finite_output_names_the_file_2(self, command, tmp_path, capsys):
-        # the mean attributes overflow to infinities, which no document may
-        # hold; at lambda 0 the weight rule does not bound attributes
+    def test_float_limit_attributes_average_to_themselves(self, command, tmp_path, capsys):
+        # at lambda 0 the weight rule does not bound attributes; the mean
+        # divides each one by its slot count before summing, so it stays finite
         big = tmp_path / "big.json"
         big.write_text('{"directed": false, "nodes": [{"id": 0, "attr": [1e308]}, '
                        '{"id": 1, "attr": [-1e308]}], "edges": []}')
         out = tmp_path / "out.json"
-        self._assert_exit_2([command, str(big), str(big), "--out", str(out)],
-                            capsys, f"{out}: cannot write a non-finite number")
-        assert not out.exists()
+        assert main([command, str(big), str(big), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        doc = json.loads(out.read_text())
+        assert (doc if command == "mean" else doc["mean_graph"]) == json.loads(big.read_text())
 
     @pytest.mark.parametrize("command", ["mean", "pca", "match"])
     def test_overflow_probe_writes_only_its_error(self, command, tmp_path):
-        # attributes at the float limit overflow in the mean at lambda 0 and
-        # are refused at lambda 1; numpy must not warn on stderr ahead of
-        # the one error line
+        # attributes at the float limit average to themselves at lambda 0
+        # and are refused at lambda 1; numpy must not warn on stderr, ahead
+        # of the one error line or in place of none
         big = tmp_path / "big.json"
         big.write_text('{"directed": false, "nodes": [{"id": 0, "attr": [1e308]}, '
                        '{"id": 1, "attr": [-1e308]}], "edges": []}')
@@ -514,10 +552,38 @@ class TestExitCodes:
             assert run.stderr.startswith(f"error: node attributes of {big} are too large")
             assert run.stderr.count("\n") == 1
             return
+        assert run.returncode == 0
+        assert run.stderr == ""
+        doc = json.loads(out.read_text())
+        assert (doc if command == "mean" else doc["mean_graph"]) == json.loads(big.read_text())
+
+    @pytest.mark.parametrize("fault", ["variances", "draw"])
+    def test_overflowing_model_writes_only_its_error(self, fault, tmp_path, capsys):
+        # scores and singular values scaled by 1e307 square past the float
+        # limit, and a finite center on top of float-limit mean weights maps
+        # every draw past it: one error line naming the model, no warnings
+        corpus, model = tmp_path / "corpus", tmp_path / "model.json"
+        assert main(["generate", "--family", "letter_like", "--count", "6", "--seed", "3",
+                     "--out-dir", str(corpus)]) == 0
+        assert main(["pca", *graphs_in(corpus), "--out", str(model)]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        if fault == "variances":
+            doc["scores"] = (1e307 * np.array(doc["scores"])).tolist()
+            doc["singular_values"] = [1e307 * s for s in doc["singular_values"]]
+        else:
+            for edge in doc["mean_graph"]["edges"]:
+                edge["w"] = 1e308
+            doc["center"] = [1e308] * len(doc["center"])
+        model.write_text(json.dumps(doc))
+        env = {**os.environ, "PYTHONPATH": str(Path(graphspace.__file__).parents[1])}
+        run = subprocess.run([sys.executable, "-m", "graphspace.cli", "sample", "--model",
+                              str(model), "--count", "2", "--out-dir", str(tmp_path / "s")],
+                             env=env, capture_output=True, text=True)
         assert run.returncode == 2
-        assert run.stderr == (f"error: {out}: cannot write a non-finite number (NaN or infinity) "
-                              "as JSON\n")
-        assert not out.exists()
+        assert run.stderr.startswith(f"error: {model}: ")
+        assert run.stderr.count("\n") == 1
+        assert not (tmp_path / "s").exists()
 
     @pytest.mark.parametrize("argv", [
         ["match"], ["dist"], ["pairwise"], ["knn"], ["match", "--padding", "one_way"],
@@ -646,24 +712,24 @@ class TestGoldenOutput:
         digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
                    for p in tmp_path.rglob("*.json") if p.parent != corpus}
         assert digests == {
-            "plain.json": "19f75953cbd84b8f6158be50f614971a1e9967e9319401d318a7a50d5ab3225d",
-            "nodes.json": "c9393ba435189d6cab72c87f92684b478d1847b4e0c34edf716e480e25f78342",
+            "plain.json": "039c059977d08e89ef159f0a610cf48b3d4d9079732a6ed2986daffac51bda84",
+            "nodes.json": "8aa7039a7bd541af8f016981a8b0e38fab4ccf7a830cdf22556b69df9f87f319",
             "plain/manifest.json":
                 "f207347e95edcce5edb11566281a008fb6e6ee74f750d3eab3351455bbe1554b",
             "plain/sample_000.json":
-                "ca522e2906cca613c50867e9b5aaf0c03f81d87578c526398f5ffea4ad8c17a9",
+                "a388f0f1c0b76893b283b7b7e49d5155a241223a3b122a8089b7a8445145396c",
             "plain/sample_001.json":
-                "ea2dd895e59c0a296dcc3c64cf3527ceb9bad663d9959172600e2f85303590b7",
+                "b0df741ea9cf4ef086b0d37b36723e32f7bc36c430f2b76e51b36c2fb8cc006e",
             "plain/sample_002.json":
-                "9c9558275d73377348cde04758f1a5cef01f8331aaa7803ee34bee96aa7cc339",
+                "f4ee01a03608810c0c79ca6eec74c231f95e1562bb425c0a013463154fde9ac5",
             "nodes/manifest.json":
                 "c9d0df204925c214dad6e875ffc438b1ed8186142d906082984ca81d1810964c",
             "nodes/sample_000.json":
-                "94a51b646fc6bf437d06a7b053dc89892fdf9fc4bfc31fd4c5ebdd94e4e9cbb6",
+                "c821f7a66186f74b44a31729393653978ae2598efe7c550ffe49a9ceced77e8c",
             "nodes/sample_001.json":
-                "03c9bd116798e45a373f201d548e6a7b06ac852713b73410a9fad6ff0caabb86",
+                "95d12c789aabaac48d7705400c70b838c285b340bade9af3015e710a44f2a529",
             "nodes/sample_002.json":
-                "b48f7eae87cdda57dabbeced4cd1a30931eee5b4614e05c295ccf61169363a7c",
+                "eee5b2ab9414dcf9c7aefd97cc300cc7137452e4e3f1dc2ada52eafdad228dc8",
         }
 
 

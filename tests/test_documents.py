@@ -207,8 +207,6 @@ class TestPcaModelDocument:
             pca_model_from_document({"size": 3})
 
     @pytest.mark.parametrize("key,value,message", [
-        ("size", None, "'size' must be an integer"),
-        ("attr_dim", 1.0, "'attr_dim' must be an integer"),
         ("lambda", None, "'lambda': expected a number"),
         ("lambda", 10**400, "too large for a float"),
         ("basis", [[{}]], "'basis' must hold numbers"),
@@ -218,24 +216,19 @@ class TestPcaModelDocument:
         ("center", [math.nan], "'center' must hold finite numbers"),
         # fields that parse but that sampling cannot use
         ("include_nodes", "false", "'include_nodes' must be a boolean"),
-        ("directed", "false", "'directed' must be a boolean"),
         ("nonnegative", 1, "'nonnegative' must be a boolean"),
-        ("directed", True, "'directed' is True but the mean graph's is False"),
         ("lambda", -1, "'lambda' must be nonnegative"),
         ("lambda", 0, "positive with 'include_nodes'"),
         ("mean_graph", {"directed": False, "nodes": [{"id": 0}, {"id": 1}, {"id": 2}],
                         "edges": []}, "'mean_graph' must carry node attributes"),
-        ("attr_dim", 3, "'attr_dim' = 3 columns"),
         # per-component fields must match the component count
         ("explained_variance_ratio", [0.1], "'explained_variance_ratio' must hold one number"),
-        ("component_variances", [[1.0, 2.0]], "'component_variances' must hold one number"),
-        ("component_variances", [], "per component \\(3\\), got shape \\(0,\\)"),
         # a flat non-empty basis or scores names its key
         ("basis", [1.0, 2.0], "basis shape \\(2,\\) does not match 3 x 9"),
         ("scores", [1.0, 2.0], "scores must have one column per component"),
-        # without 'include_nodes' the writer stores attr_dim 0, and any other
-        # value would be dropped on load
-        ("include_nodes", False, "'attr_dim' must be 0 without 'include_nodes', got 2"),
+        # without 'include_nodes' the dimension holds no attribute block
+        ("include_nodes", False, "basis shape \\(3, 9\\) does not match 3 x 3"),
+        ("explained_variance_ratio", [], "per component \\(3\\), got shape \\(0,\\)"),
     ])
     def test_malformed_fields_rejected(self, key, value, message):
         rng = np.random.default_rng(5)
@@ -250,11 +243,14 @@ class TestPcaModelDocument:
 
     @pytest.mark.parametrize("change, fault", [
         (lambda doc: [doc], "PCA model must be a JSON object"),
-        (lambda doc: {**doc, "size": 4}, "mean graph has 3 nodes but model declares size 4"),
         (lambda doc: {**doc, "center": doc["center"][:-1]},
          "center length (8,) does not match dimension 9"),
         (lambda doc: {**doc, "scores": []}, "scores must have one column per component"),
-    ], ids=["model", "size", "center", "scores-empty"])
+        (lambda doc: {**doc, "scores": doc["scores"][:1]},
+         "PCA model 'scores' must hold at least two rows, got 1"),
+        (lambda doc: {**doc, "singular_values": [1e300] * 3},
+         "PCA model 'singular_values' are too large: their variances s^2 / (rows - 1) overflow"),
+    ], ids=["model", "center", "scores-empty", "one-row", "variance-overflow"])
     def test_model_faults_named(self, change, fault):
         rng = np.random.default_rng(5)
         corpus = perturbed_corpus(random_symmetric_graph(3, rng), 3, rng)
@@ -264,6 +260,32 @@ class TestPcaModelDocument:
         with pytest.raises(ValidationError) as exc:
             pca_model_from_document(change(doc))
         assert str(exc.value) == fault
+
+    def test_derived_keys_are_not_written(self):
+        rng = np.random.default_rng(6)
+        corpus = perturbed_corpus(random_symmetric_graph(4, rng), 3, rng)
+        doc = pca_model_document(graph_pca(karcher_mean(corpus)))
+        assert list(doc) == ["lambda", "include_nodes", "nonnegative", "mean_graph", "center",
+                             "basis", "singular_values", "explained_variance_ratio", "scores"]
+
+    @pytest.mark.parametrize("include_nodes", [False, True], ids=["plain", "nodes"])
+    def test_document_with_derived_keys_loads_the_same(self, include_nodes):
+        # models written before the derived keys were dropped still load
+        rng = np.random.default_rng(7)
+        corpus = perturbed_corpus(random_symmetric_graph(4, rng), 4, rng)
+        corpus = [Graph(g.adjacency, node_attrs=rng.normal(size=(4, 2))) for g in corpus]
+        model = graph_pca(karcher_mean(corpus, MatchConfig(lam=0.5)), include_nodes=include_nodes)
+        doc = pca_model_document(model)
+        old = {**doc, "size": model.size, "directed": model.directed,
+               "attr_dim": model.attr_dim,
+               "component_variances": model.component_variances.tolist()}
+        new, loaded = (pca_model_from_document(json.loads(json.dumps(d))) for d in (doc, old))
+        for name in ("basis", "singular_values", "component_variances",
+                     "explained_variance_ratio", "scores", "center"):
+            assert np.array_equal(getattr(loaded, name), getattr(new, name))
+        assert dumps_graph(loaded.mu) == dumps_graph(new.mu)
+        assert (loaded.lam, loaded.include_nodes, loaded.nonnegative) == \
+            (new.lam, new.include_nodes, new.nonnegative)
 
     def test_shape_mismatch_rejected(self):
         rng = np.random.default_rng(3)

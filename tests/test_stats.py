@@ -13,6 +13,7 @@ from graphspace import (
     MatchConfig,
     components_for_variance,
     fit_gaussian,
+    generate,
     graph_pca,
     karcher_mean,
     letter_like,
@@ -386,10 +387,36 @@ class TestGaussianModel:
         scale = np.sqrt(np.outer(np.diag(model.score_cov), np.diag(model.score_cov)))
         assert np.max(np.abs(emp - model.score_cov) / (scale + 1e-30)) <= 0.05
 
+    @pytest.mark.parametrize("family, lam, include_nodes", [
+        ("letter_like", 0.0, False),
+        ("letter_like", 0.7, True),
+        ("binomial", 0.0, False),
+    ], ids=["letter", "letter-nodes", "binomial"])
+    def test_closed_form_is_the_sample_estimate(self, family, lam, include_nodes):
+        # the mean and covariance np.cov would estimate from the scores are
+        # the closed form N(0, diag(s^2 / (N - 1))) the model samples from
+        rng = np.random.default_rng(30)
+        corpus = [generate(family, (5, 7), rng, node_drop=0.2) for _ in range(8)]
+        pca = graph_pca(karcher_mean(corpus, MatchConfig(lam=lam, refinement=True)),
+                        include_nodes=include_nodes)
+        model = fit_gaussian(pca, pca.n_components)
+        scores = pca.scores
+        top = float(pca.component_variances.max())
+        assert top > 0
+        assert np.array_equal(model.score_cov, np.diag(pca.component_variances))
+        assert np.max(np.abs(np.cov(scores, rowvar=False, ddof=1) - model.score_cov)) \
+            <= 1e-12 * top
+        assert np.max(np.abs(scores.mean(axis=0))) <= 1e-12 * math.sqrt(top)
+
+    def test_draws_scale_standard_normals(self):
+        model = self._model(np.random.default_rng(31))
+        z = np.random.default_rng(8).standard_normal((5, model.k))
+        assert np.array_equal(sample_scores(model, seed=8, count=5),
+                              z * np.sqrt(model.pca.component_variances))
+
     def test_degenerate_covariance_sampling(self):
-        # duplicated rows make the score covariance nearly singular, yet its
-        # first Cholesky factorization succeeds; the jitter ladder is tested
-        # in test_cholesky_jitter_ladder
+        # duplicated rows leave components of about zero variance, which
+        # still sample
         rng = np.random.default_rng(21)
         g = random_symmetric_graph(5, rng)
         corpus = perturbed_corpus(g, 3, rng) + [g, g]
@@ -397,30 +424,6 @@ class TestGaussianModel:
         model = fit_gaussian(pca, min(4, pca.n_components))
         out = sample_graphs(model, seed=0, count=4)
         assert len(out) == 4
-
-    @pytest.mark.parametrize("cov, calls", [
-        (np.ones((2, 2)), 2),
-        (np.array([[1.0, 1.0], [1.0, 1.0 - 1e-13]]), 3),
-        (np.diag([1.0, -1.0]), 4),
-    ], ids=["rank-one", "slightly-indefinite", "indefinite"])
-    def test_cholesky_jitter_ladder(self, cov, calls, monkeypatch):
-        tries = []
-        cholesky = np.linalg.cholesky
-
-        def spy(a):
-            tries.append(a)
-            return cholesky(a)
-
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
-        if calls == 4:
-            with pytest.raises(np.linalg.LinAlgError, match="within jitter 1e-10"):
-                stats_module._cholesky_with_jitter(cov)
-        else:
-            chol = stats_module._cholesky_with_jitter(cov)
-            assert np.allclose(chol @ chol.T, cov, atol=1e-11)
-        assert len(tries) == calls
-        for a, jitter in zip(tries, (0.0, 1e-14, 1e-12, 1e-10)):
-            assert np.array_equal(a, cov + jitter * np.eye(2))
 
     def test_k_validation(self):
         model_src = np.random.default_rng(22)
