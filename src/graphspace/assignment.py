@@ -16,8 +16,11 @@ is the pair's first Frank-Wolfe candidate refined by greedy two-exchange
 (``graph_distance`` computes it), or in the recovery benchmark the planted
 permutation; it only prunes, so the result does not depend on it.  The
 search yields the surviving leaves in blocks of at most ``_BLOCK``, and
-each block is scored and merged into the running minimum as it is
-yielded.  It refuses instances above 10 nodes.
+each block is scored by its exact objective (``_objective_values``) and
+merged into the running minimum as it is yielded.  An exact objective is
+an fsum of the same terms under any relabeling of either graph, so the
+minimum and its ties are relabeling-invariant.  It refuses instances
+above 10 nodes.
 """
 
 from __future__ import annotations
@@ -89,13 +92,18 @@ def _surviving_leaves(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     their partial cost: ``(a1[i, j] - a2[perm_i, perm_j])^2`` over assigned
     pairs plus ``lam * d[i, perm_i]``.  A child is pruned when its bound
     exceeds the incumbent ``ub`` (an exact objective) by more than a slack
-    that covers the rounding of the bounds and of ``_chunk_scores``, so
-    every permutation scoring the minimum survives.  Prefixes are expanded
-    ``_BLOCK`` at a time, and children keep lexicographic order.
+    that covers the rounding of the bounds, so every permutation of least
+    exact objective survives.  Prefixes are expanded ``_BLOCK`` at a time,
+    and children keep lexicographic order.  At the last depth the children
+    are the leaves: the one of least bound tightens ``ub`` by its exact
+    objective, and the survivors of that ``ub`` are yielded as a block.
     """
     n = a1.shape[0]
+    if n == 0:
+        yield np.zeros((1, 0), dtype=np.int64)
+        return
     node = lam * d if lam != 0.0 and d is not None else np.zeros((n, n))
-    # The scores round relative to |A1|^2 + |A2|^2 plus the largest node
+    # The bounds round relative to |A1|^2 + |A2|^2 plus the largest node
     # term, not to the optimum, which may be 0; the slack scales with both.
     scale = 1.0 + float(np.sum(a1 * a1) + np.sum(a2 * a2) + node.max(axis=1, initial=0.0).sum())
 
@@ -103,9 +111,6 @@ def _surviving_leaves(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     while stack:
         prefixes, costs, free = stack.pop()
         k = prefixes.shape[1]
-        if k == n:
-            yield prefixes
-            continue
         rows, slots = np.nonzero(free)
         parents = prefixes[rows]
         bound = costs[rows] + node[k, slots]
@@ -118,42 +123,23 @@ def _surviving_leaves(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
                 bound += np.einsum("ij,ij->i", out, out) + np.einsum("ij,ij->i", inn, inn)
             else:
                 bound += 2.0 * np.einsum("ij,ij->i", out, out)
-        keep = np.flatnonzero(bound <= ub + _SLACK * (scale + ub))
-        rows, slots, bound = rows[keep], slots[keep], bound[keep]
-        children = np.concatenate([parents[keep], slots[:, None]], axis=1)
-        free = free[rows]
-        free[np.arange(len(rows)), slots] = False
-        if k + 1 == n and len(bound):
+        if k + 1 == n:
             best = int(np.argmin(bound))
             if bound[best] < ub:
-                ub = min(ub, objective_value(a1, a2, d, lam, children[best]))
+                ub = min(ub, objective_value(a1, a2, d, lam, np.append(parents[best], slots[best])))
+        keep = np.flatnonzero(bound <= ub + _SLACK * (scale + ub))
+        children = np.concatenate([parents[keep], slots[keep, None]], axis=1)
+        if k + 1 == n:
+            # one child per popped prefix, so at most _BLOCK of them
+            if len(keep):
+                yield children
+            continue
+        rows, slots, bound = rows[keep], slots[keep], bound[keep]
+        free = free[rows]
+        free[np.arange(len(rows)), slots] = False
         for start in reversed(range(0, len(rows), _BLOCK)):
             stop = start + _BLOCK
             stack.append((children[start:stop], bound[start:stop], free[start:stop]))
-
-
-def _chunk_scores(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
-                  lam: float, perms: np.ndarray) -> np.ndarray:
-    # Score differing from the objective by the constant |A1|^2 + |A2|^2:
-    # -2 * sum_ij a1_ij a2[p_i, p_j]  (+ lam * node term).
-    n = a1.shape[0]
-    m = perms.shape[0]
-    a2_flat = a2.ravel()
-    acc = np.zeros(m)
-    base = perms * n
-    for i in range(n):
-        row = a1[i]
-        bi = base[:, i]
-        for j in np.flatnonzero(row):
-            acc += row[j] * a2_flat[bi + perms[:, j]]
-    score = -2.0 * acc
-    if lam != 0.0 and d is not None:
-        d_flat = d.ravel()
-        node = np.zeros(m)
-        for i in range(n):
-            node += d_flat[i * n + perms[:, i]]
-        score += lam * node
-    return score
 
 
 def brute_force_match(g1: Graph, g2: Graph, d: np.ndarray | None, lam: float, ub: float):
@@ -163,15 +149,16 @@ def brute_force_match(g1: Graph, g2: Graph, d: np.ndarray | None, lam: float, ub
     ``BRUTE_FORCE_MAX_NODES`` nodes with node cost ``d``; prefixes are
     pruned against ``ub``, the exact objective of a known permutation
     (``inf`` if none), improved by each better leaf.  Each block of
-    survivors is scored as the search yields it, in lexicographic order: a
-    lower minimum restarts the ties, an equal one extends them.  The result
-    is that of scanning all n! permutations, which happens only when
-    nothing prunes.
+    survivors is scored by its exact objective (``_objective_values``) as
+    the search yields it, in lexicographic order: a lower minimum restarts
+    the ties, an equal one extends them.  The result is that of scanning
+    all n! permutations with ``objective_value``, which happens only when
+    nothing prunes; it does not change when either graph is relabeled.
 
-    Returns ``(perm, co_optimal, n_co_optimal)``: the first minimizer, the
-    first 10000 permutation vectors attaining the minimum (ties arise with
-    discrete weights or attributes; detected by exact float equality of the
-    scores) and their count.
+    Returns ``(perm, co_optimal, n_co_optimal, objective)``: the first
+    minimizer, the first 10000 permutation vectors attaining the minimum
+    (ties arise with discrete weights or attributes: permutations whose
+    exact objectives are equal), their count and the minimum.
     """
     n = g1.n
     if n > BRUTE_FORCE_MAX_NODES:
@@ -181,7 +168,8 @@ def brute_force_match(g1: Graph, g2: Graph, d: np.ndarray | None, lam: float, ub
     a1, a2 = g1.adjacency, g2.adjacency
     best, ties, n_ties = math.inf, [], 0
     for perms in _surviving_leaves(a1, a2, d, lam, g1.directed, ub):
-        scores = _chunk_scores(a1, a2, d, lam, perms)
+        a2s, ds = (None if x is None else np.broadcast_to(x, (len(perms), n, n)) for x in (a2, d))
+        scores = np.array(_objective_values(a1, a2s, ds, lam, perms))
         low = scores.min()
         if low <= best:
             if low < best:
@@ -189,4 +177,4 @@ def brute_force_match(g1: Graph, g2: Graph, d: np.ndarray | None, lam: float, ub
             idx = np.flatnonzero(scores == low)
             ties.extend(perms[idx[: _TIE_REPORT_LIMIT - len(ties)]])
             n_ties += len(idx)
-    return ties[0], ties, n_ties
+    return ties[0], ties, n_ties, float(best)

@@ -275,8 +275,9 @@ def _float_array(doc: dict, key: str) -> np.ndarray:
 def pca_model_from_document(doc):
     """Rebuild a PCA model from its document, ignoring other keys (older
     writers also stored ``size``, ``directed``, ``attr_dim`` and
-    ``component_variances``).  Sampling needs two score rows or more and
-    finite variances s^2 / (rows - 1)."""
+    ``component_variances``).  Sampling needs two score rows or more,
+    finite variances s^2 / (rows - 1) and the ratios s^2 / T that pick its
+    default component count."""
     from .stats import GraphPcaModel
 
     if not isinstance(doc, dict):
@@ -341,4 +342,13 @@ def pca_model_from_document(doc):
         if not np.isfinite(model.component_variances).all():
             _fail("PCA model 'singular_values' are too large: "
                   "their variances s^2 / (rows - 1) overflow")
+    # ratios are s^2 / T for one T >= sum(s^2) (truncate_components keeps the
+    # fitted T), all 0 without variance; c is 1 / T for s scaled by its largest
+    q = (svals / (np.abs(svals).max(initial=0.0) or 1.0)) ** 2
+    total = evr.sum()
+    c = total / q.sum() if q.any() else 0.0
+    if not ((c > 0.0) == q.any() and total <= 1.0 + 1e-12
+            and np.allclose(evr, c * q, rtol=1e-12, atol=0.0)):
+        _fail("PCA model 'explained_variance_ratio' must be s^2 / T for the singular "
+              "values s and one total T >= sum(s^2)")
     return model

@@ -190,7 +190,9 @@ class MatchResult:
     second one, so ``permute(g1_padded, p) == g1_registered`` is aligned
     entrywise with ``g2_padded``.  ``objective`` is the exact matching
     objective of ``p`` and ``d_g`` its square root (the quotient distance
-    for an exact solver; an upper bound for heuristics).
+    for an exact solver; an upper bound for heuristics).  Under ``brute``,
+    ``co_optimal`` lists the first 10000 permutations (``p`` first) whose
+    exact objective is ``objective`` and ``n_co_optimal`` counts them.
     """
 
     p: Permutation
@@ -929,7 +931,7 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
         if 2 <= n <= BRUTE_FORCE_MAX_NODES:  # larger pairs are refused below
             first = [[next(_faq_candidates(cfg, g1, g2, d, n))]]
             ub = _best_candidates(cfg.lam, a1, a2, d, first, True, g1.directed)[0][0]
-        perm, ties, n_co_optimal = brute_force_match(g1p, g2p, d, cfg.lam, ub)
+        perm, ties, n_co_optimal, _ = brute_force_match(g1p, g2p, d, cfg.lam, ub)
         co_optimal = tuple(Permutation._trusted(t) for t in ties)
         candidates = [(perm, (), (), True)]
     elif cfg.solver == "umeyama":

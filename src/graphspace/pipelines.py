@@ -216,10 +216,8 @@ def _recovery_trial(family: str, size_range, cfg: MatchConfig, seed: int,
     if n <= oracle_max_n:
         # the exact optimum of the unpadded pair at lam = 0, searched against
         # the planted permutation's objective (0 for this copy)
-        a1, a2 = g.adjacency, g2.adjacency
-        ub = objective_value(a1, a2, None, 0.0, p_true)
-        perm = brute_force_match(g, g2, None, 0.0, ub)[0]
-        gap = res.objective - objective_value(a1, a2, None, 0.0, perm)
+        ub = objective_value(g.adjacency, g2.adjacency, None, 0.0, p_true)
+        gap = res.objective - brute_force_match(g, g2, None, 0.0, ub)[3]
     return exact, gap, elapsed
 
 

@@ -18,20 +18,20 @@ from graphspace import (
     pad_pair,
     permute,
 )
-from graphspace.assignment import _TIE_REPORT_LIMIT, _chunk_scores
+from graphspace.assignment import _TIE_REPORT_LIMIT
 
 
 def exhaustive_match(g1, g2, lam):
-    """Score every permutation in lexicographic order (the scan the oracle
-    must agree with): (best perm, objective, n_co_optimal, co_optimal)."""
+    """Score every permutation in lexicographic order by ``objective_value``
+    (the scan the oracle must agree with): (best perm, objective,
+    n_co_optimal, co_optimal)."""
     n = g1.n
     d = node_distance_matrix(g1, g2) if lam != 0.0 else None
     perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    scores = _chunk_scores(g1.adjacency, g2.adjacency, d, lam, perms)
+    scores = np.array([objective_value(g1.adjacency, g2.adjacency, d, lam, p) for p in perms])
     idx = np.flatnonzero(scores == scores.min())
     best = perms[idx[0]]
-    obj = objective_value(g1.adjacency, g2.adjacency, d, lam, best)
-    return best.tolist(), obj, len(idx), perms[idx[:_TIE_REPORT_LIMIT]].tolist()
+    return best.tolist(), float(scores.min()), len(idx), perms[idx[:_TIE_REPORT_LIMIT]].tolist()
 
 
 # Few distinct values make ties common; floats exercise rounding.
@@ -105,6 +105,14 @@ def _metric_triples(draw):
         return Graph(a, directed=directed)
 
     return graph(), graph(), graph(), draw(st.permutations(range(n)))
+
+
+# A pair whose two best permutations have exact objectives 19.481043282170695
+# and 19.4810432821707, apart only in the last bit: a score that rounds them
+# alike ties them, and d_g then depends on the labeling
+_LAST_BIT_A = Graph([[0.0, 0.0, 2.5], [0.0, 0.0, -1.0], [2.5, -1.0, 0.0]])
+_LAST_BIT_B = Graph([[0.0, 0.0, 1.175494351e-38], [0.0, 0.0, -2.868293778045987],
+                     [1.175494351e-38, -2.868293778045987, 0.0]])
 
 
 class TestObjectiveValue:
@@ -195,6 +203,16 @@ class TestBruteForceMatch:
         g = Graph(np.zeros((3, 3)))
         res = oracle(g, g)
         assert res.n_co_optimal == 6
+
+    def test_ties_are_exact_objective_ties(self):
+        # the identity and the swap of nodes 1 and 2 score 19.481043282170695
+        # and 19.4810432821707: no tie, whichever graph is relabeled
+        for g1, g2 in ((_LAST_BIT_A, _LAST_BIT_B),
+                       (permute(_LAST_BIT_A, np.array([0, 2, 1])), _LAST_BIT_B)):
+            res = oracle(g1, g2)
+            assert res.n_co_optimal == 1
+            assert res.objective == 19.481043282170695
+            assert [t.perm.tolist() for t in res.co_optimal] == [res.p.perm.tolist()]
 
     def test_size_guard(self):
         g = Graph(np.zeros((11, 11)))
@@ -296,8 +314,10 @@ class TestQuotientMetric:
 
     @settings(max_examples=80, deadline=None)
     @given(_metric_triples())
+    @example((_LAST_BIT_A, _LAST_BIT_B, Graph(np.zeros((3, 3))), [0, 2, 1]))
     def test_metric_axioms_and_relabeling_invariance(self, triple):
         a, b, c, pi = triple
+        pi = np.array(pi, dtype=int)
 
         def dist(x, y):
             return oracle(x, y).d_g
@@ -305,4 +325,5 @@ class TestQuotientMetric:
         assert dist(a, a) == 0.0
         assert dist(a, b) == dist(b, a)
         assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-9
-        assert dist(permute(a, np.array(pi, dtype=int)), b) == dist(a, b)
+        assert dist(permute(a, pi), b) == dist(a, b)
+        assert dist(a, permute(b, pi)) == dist(a, b)

@@ -317,6 +317,26 @@ class TestExitCodes:
                             f"{model}: PCA model 'scores' must hold at least two rows, got 1")
         assert not (tmp_path / "s").exists()
 
+    def test_model_ratios_not_from_singular_values_2(self, tmp_path, capsys):
+        # sample's default component count reads the ratios: [1, 0, ...] on a
+        # 6-letter model would pick 1 component in place of 2
+        corpus = tmp_path / "corpus"
+        model = tmp_path / "model.json"
+        assert main(["generate", "--family", "letter_like", "--count", "6", "--seed", "3",
+                     "--out-dir", str(corpus)]) == 0
+        assert main(["pca", *graphs_in(corpus), "--out", str(model)]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["explained_variance_ratio"] = [1.0] + [0.0] * (len(doc["singular_values"]) - 1)
+        model.write_text(json.dumps(doc))
+        rc = main(["sample", "--model", str(model), "--count", "1",
+                   "--out-dir", str(tmp_path / "s")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == (f"error: {model}: PCA model 'explained_variance_ratio' must be s^2 / T "
+                       f"for the singular values s and one total T >= sum(s^2)\n")
+        assert not (tmp_path / "s").exists()
+
     def test_model_null_basis_names_the_file_2(self, corpus_dir, tmp_path, capsys):
         model = tmp_path / "model.json"
         assert main(["pca", *graphs_in(corpus_dir), "--out", str(model)]) == 0

@@ -189,6 +189,10 @@ class TestRoundTrip:
             load_graph(path)
 
 
+_RATIO_FAULT = ("PCA model 'explained_variance_ratio' must be s^2 / T for the singular "
+                "values s and one total T >= sum(s^2)")
+
+
 class TestPcaModelDocument:
     def test_round_trip_reconstruction(self):
         rng = np.random.default_rng(2)
@@ -250,7 +254,15 @@ class TestPcaModelDocument:
          "PCA model 'scores' must hold at least two rows, got 1"),
         (lambda doc: {**doc, "singular_values": [1e300] * 3},
          "PCA model 'singular_values' are too large: their variances s^2 / (rows - 1) overflow"),
-    ], ids=["model", "center", "scores-empty", "one-row", "variance-overflow"])
+        # sample picks its default component count from the ratios
+        (lambda doc: {**doc, "explained_variance_ratio": [1.0, 0.0, 0.0]}, _RATIO_FAULT),
+        # a total T below sum(s^2)
+        (lambda doc: {**doc, "explained_variance_ratio":
+                      [2.0 * r for r in doc["explained_variance_ratio"]]}, _RATIO_FAULT),
+        # no variance leaves nothing to explain
+        (lambda doc: {**doc, "singular_values": [0.0, 0.0, 0.0]}, _RATIO_FAULT),
+    ], ids=["model", "center", "scores-empty", "one-row", "variance-overflow",
+            "ratios-not-s2", "ratios-above-one", "ratios-without-variance"])
     def test_model_faults_named(self, change, fault):
         rng = np.random.default_rng(5)
         corpus = perturbed_corpus(random_symmetric_graph(3, rng), 3, rng)
