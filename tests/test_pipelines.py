@@ -3,7 +3,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import graphspace.assignment as assignment
 import graphspace.matching as matching
 import graphspace.pipelines as pipelines
 from conftest import oracle, random_directed_graph, random_symmetric_graph
@@ -18,6 +21,8 @@ from graphspace import (
     graph_distance,
     knn_classify,
     letter_like,
+    node_distance_matrix,
+    objective_value,
     pad_pair,
     pairwise_distances,
     permute,
@@ -387,6 +392,32 @@ class TestKnn:
             knn_classify(train, ["a"], train, k=1)
 
 
+@st.composite
+def _planted_pairs(draw):
+    """(g, perm, lam): a graph of at most 7 nodes, directed or not, with
+    negative and real weights, some declared null nodes, node attributes
+    when lam > 0, and a random relabeling of it."""
+    n = draw(st.integers(0, 7))
+    directed = draw(st.booleans())
+    lam = draw(st.sampled_from([0.0, 0.5, 2.0]))
+    weights = st.one_of(st.sampled_from([0.0, 1.0, -1.0, -0.75]),
+                        st.floats(-3.0, 3.0, allow_nan=False))
+    a = np.array(draw(st.lists(weights, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if not directed:
+        a = np.triu(a, k=1)
+        a = a + a.T
+    np.fill_diagonal(a, 0.0)
+    null = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    a[null] = 0.0
+    a[:, null] = 0.0
+    attrs = None
+    if lam:
+        attrs = np.array(draw(st.lists(weights, min_size=2 * n, max_size=2 * n))).reshape(n, 2)
+        attrs[null] = 0.0
+    g = Graph(a, node_attrs=attrs, directed=directed, null_mask=null)
+    return g, np.array(draw(st.permutations(range(n))), dtype=np.int64), lam
+
+
 class TestBenchRecovery:
     def test_small_binomial_report(self):
         cfg = MatchConfig(refinement=True, restarts=5)
@@ -463,16 +494,42 @@ class TestBenchRecovery:
             _, gap, _ = pipelines._recovery_trial(family, size_range, cfg, 4, index, 0.5, 9)
             assert gap == reference
 
-    def test_oracle_runs_no_frank_wolfe(self, monkeypatch):
-        """The oracle prunes against the planted permutation: a trial runs
-        only the solver's own Frank-Wolfe start."""
-        calls, faq_descent = [], matching._faq_descent
+    def test_trial_runs_no_oracle(self, monkeypatch):
+        """A trial's gap is its solver objective, found with no branch and
+        bound: only the solver's own Frank-Wolfe start runs."""
+        def no_search(*args):
+            raise AssertionError("the oracle's branch and bound ran")
+
+        calls, results = [], []
+        faq_descent, solve = matching._faq_descent, pipelines.graph_distance
 
         def counted(*args):
             calls.append(1)
             return faq_descent(*args)
 
+        def recorded(*args):
+            results.append(solve(*args))
+            return results[-1]
+
+        monkeypatch.setattr(assignment, "_surviving_leaves", no_search)
         monkeypatch.setattr(matching, "_faq_descent", counted)
-        _, gap, _ = pipelines._recovery_trial("binomial", (7, 7), MatchConfig(), 0, 0, 0.5, 8)
-        assert gap is not None
+        monkeypatch.setattr(pipelines, "graph_distance", recorded)
+        _, gap, _ = pipelines._recovery_trial("binomial", (7, 7), MatchConfig(), 0, 0, 0.5, 9)
+        assert len(results) == 1
+        assert gap == results[0].objective
         assert len(calls) == 1
+
+    @seed(31)
+    @settings(max_examples=100, deadline=None)
+    @given(_planted_pairs())
+    def test_planted_copy_has_optimum_zero(self, case):
+        """The invariant the gap rests on: J of the planted permutation is
+        exactly 0.0 at any lam, and so is the exact oracle's optimum."""
+        g, perm, lam = case
+        g2 = permute(g, perm)
+        d = node_distance_matrix(g, g2) if g.node_attrs is not None else None
+        assert objective_value(g.adjacency, g2.adjacency, None, 0.0, perm) == 0.0
+        assert objective_value(g.adjacency, g2.adjacency, d, lam, perm) == 0.0
+        for cfg_lam in {0.0, lam}:
+            res = graph_distance(g, g2, MatchConfig(lam=cfg_lam, solver="brute", padding="none"))
+            assert res.objective == 0.0
