@@ -13,14 +13,13 @@ completions from below, and a prefix that already costs more than a known
 permutation is pruned; all n! permutations are scored only in the worst
 case, when nothing can be pruned.  The known permutation, the incumbent,
 is the pair's first Frank-Wolfe candidate refined by greedy two-exchange
-(``graph_distance`` computes it), or in the recovery benchmark the planted
-permutation; it only prunes, so the result does not depend on it.  The
-search yields the surviving leaves in blocks of at most ``_BLOCK``, and
-each block is scored by its exact objective (``_objective_values``) and
-merged into the running minimum as it is yielded.  An exact objective is
-an fsum of the same terms under any relabeling of either graph, so the
-minimum and its ties are relabeling-invariant.  It refuses instances
-above 10 nodes.
+(``graph_distance`` computes it); it only prunes, so the result does not
+depend on it.  The search scores the surviving leaves once each, in
+blocks of at most ``_BLOCK``, by their exact objective
+(``_objective_values``), and each block's minimum tightens the incumbent
+and merges into the running minimum.  An exact objective is an fsum of
+the same terms under any relabeling of either graph, so the minimum and
+its ties are relabeling-invariant.  It refuses instances above 10 nodes.
 """
 
 from __future__ import annotations
@@ -86,7 +85,8 @@ def _objective_values(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
 
 def _surviving_leaves(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
                       lam: float, directed: bool, ub: float):
-    """Yield, in lexicographic order, blocks of permutations the bound keeps.
+    """Yield, in lexicographic order, blocks ``(perms, scores)`` of the
+    leaves the bound keeps.
 
     Depth-first branch and bound over prefixes ``perm[:k]``, bounded by
     their partial cost: ``(a1[i, j] - a2[perm_i, perm_j])^2`` over assigned
@@ -95,12 +95,13 @@ def _surviving_leaves(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     that covers the rounding of the bounds, so every permutation of least
     exact objective survives.  Prefixes are expanded ``_BLOCK`` at a time,
     and children keep lexicographic order.  At the last depth the children
-    are the leaves: the one of least bound tightens ``ub`` by its exact
-    objective, and the survivors of that ``ub`` are yielded as a block.
+    are the leaves: the survivors of ``ub`` are scored by their exact
+    objective (``_objective_values``), yielded as a block ``(perms,
+    scores)``, and the least score tightens ``ub``.
     """
     n = a1.shape[0]
     if n == 0:
-        yield np.zeros((1, 0), dtype=np.int64)
+        yield np.zeros((1, 0), dtype=np.int64), np.zeros(1)
         return
     node = lam * d if lam != 0.0 and d is not None else np.zeros((n, n))
     # The bounds round relative to |A1|^2 + |A2|^2 plus the largest node
@@ -123,16 +124,16 @@ def _surviving_leaves(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
                 bound += np.einsum("ij,ij->i", out, out) + np.einsum("ij,ij->i", inn, inn)
             else:
                 bound += 2.0 * np.einsum("ij,ij->i", out, out)
-        if k + 1 == n:
-            best = int(np.argmin(bound))
-            if bound[best] < ub:
-                ub = min(ub, objective_value(a1, a2, d, lam, np.append(parents[best], slots[best])))
         keep = np.flatnonzero(bound <= ub + _SLACK * (scale + ub))
         children = np.concatenate([parents[keep], slots[keep, None]], axis=1)
         if k + 1 == n:
             # one child per popped prefix, so at most _BLOCK of them
             if len(keep):
-                yield children
+                stacks = (None if x is None else np.broadcast_to(x, (len(keep), n, n))
+                          for x in (a2, d))
+                scores = np.array(_objective_values(a1, *stacks, lam, children))
+                ub = min(ub, scores.min())
+                yield children, scores
             continue
         rows, slots, bound = rows[keep], slots[keep], bound[keep]
         free = free[rows]
@@ -148,9 +149,9 @@ def brute_force_match(g1: Graph, g2: Graph, d: np.ndarray | None, lam: float, ub
     ``g1`` and ``g2`` are an equal-size (padded) pair of at most
     ``BRUTE_FORCE_MAX_NODES`` nodes with node cost ``d``; prefixes are
     pruned against ``ub``, the exact objective of a known permutation
-    (``inf`` if none), improved by each better leaf.  Each block of
-    survivors is scored by its exact objective (``_objective_values``) as
-    the search yields it, in lexicographic order: a lower minimum restarts
+    (``inf`` if none), improved by each block of leaves.  The search scores
+    each surviving leaf once, by its exact objective (``_objective_values``),
+    and yields the blocks in lexicographic order: a lower minimum restarts
     the ties, an equal one extends them.  The result is that of scanning
     all n! permutations with ``objective_value``, which happens only when
     nothing prunes; it does not change when either graph is relabeled.
@@ -167,9 +168,7 @@ def brute_force_match(g1: Graph, g2: Graph, d: np.ndarray | None, lam: float, ub
         )
     a1, a2 = g1.adjacency, g2.adjacency
     best, ties, n_ties = math.inf, [], 0
-    for perms in _surviving_leaves(a1, a2, d, lam, g1.directed, ub):
-        a2s, ds = (None if x is None else np.broadcast_to(x, (len(perms), n, n)) for x in (a2, d))
-        scores = np.array(_objective_values(a1, a2s, ds, lam, perms))
+    for perms, scores in _surviving_leaves(a1, a2, d, lam, g1.directed, ub):
         low = scores.min()
         if low <= best:
             if low < best:

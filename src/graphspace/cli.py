@@ -82,6 +82,8 @@ def _matching_options(padding: bool = True, workers: bool = True) -> argparse.Ar
 def _cfg(args) -> MatchConfig:
     """The command's matching flags; MatchConfig's defaults fill the rest."""
     given = vars(args)
+    if given.get("workers", 1) < 1:
+        raise ValidationError(f"workers must be at least 1, got {given['workers']}")
     return MatchConfig(**{f.name: given[f.name] for f in fields(MatchConfig) if f.name in given})
 
 
@@ -314,7 +316,7 @@ def _cmd_generate(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     # match, dist and geodesic register one pair and take no --workers;
     # mean, pca and bench-recovery fix their own padding.  mean and pca
-    # accept --workers without using it.
+    # accept --workers without using it; _cfg checks it for every command.
     pair = _matching_options(workers=False)
     corpus = _matching_options(padding=False)
     batch = _matching_options()

@@ -9,11 +9,11 @@ over permutations of a padded graph pair with one of three solvers: an
 exact branch and bound (``brute``, in ``assignment``), a spectral method
 (``umeyama``: absolute eigenvector similarity scored through a linear
 assignment) and a Frank-Wolfe descent over the doubly stochastic polytope
-projected back to a permutation (``faq``).  The solvers only propose
-candidate permutations; ``graph_distance`` scores each one exactly,
-improves a heuristic one by greedy two-node exchanges if asked, keeps the
-best and assembles the result.  The quotient distance
-between graphs is the square root of the minimized objective; with
+projected back to a permutation (``faq``).  A heuristic proposes
+candidates; ``graph_distance`` scores each one exactly, improves it by
+greedy two-node exchanges if asked and keeps the best.  The exact search
+scores each leaf it keeps once and returns the ``brute`` result.  The
+quotient distance is the square root of the minimized objective; with
 lambda = 0 it is exactly the ambient distance after optimal registration.
 
 The Frank-Wolfe relaxation descends f(P) = -Tr(A2 P A1^T P^T) + (lambda/2)
@@ -796,14 +796,17 @@ def _faq_inits(cfg: MatchConfig, n: int):
         yield m
 
 
-def _faq_candidates(cfg: MatchConfig, g1: Graph, g2: Graph, d: np.ndarray | None,
-                    size: int):
-    """One Frank-Wolfe run per start, on the real block of the padded pair."""
-    n1, n2 = g1.n, g2.n
-    d_real = None if d is None else d[:n1, :n2]
+def _faq_rounds(cfg: MatchConfig, a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
+                size: int, directed: bool):
+    """One Frank-Wolfe round per start: the candidates of a pair (2-D
+    unpadded adjacencies ``a1`` and ``a2``, through ``_faq_descent``) or of
+    a (B, n, n) stack of same-shape pairs, on the real block of ``d``, the
+    node cost padded to ``size``."""
+    n1, n2 = a1.shape[-1], a2.shape[-1]
+    d_real = None if d is None else d[..., :n1, :n2]
     for p0 in _faq_inits(cfg, size):
-        yield _faq_descent(g1.adjacency, g2.adjacency, d_real, cfg.lam, p0[:n2, :n1],
-                           cfg.max_iter, cfg.tol, size, g1.directed)
+        args = (a1, a2, d_real, cfg.lam, p0[:n2, :n1], cfg.max_iter, cfg.tol, size, directed)
+        yield [_faq_descent(*args)] if a1.ndim == 2 else _faq_stack(*args)
 
 
 def _umeyama_candidates(cfg: MatchConfig, g1p: Graph, g2p: Graph, d: np.ndarray | None):
@@ -890,10 +893,11 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     keeps every node cost and objective finite; a ``ValueError`` names the
     argument that breaks this.
 
-    Pads the pair as ``cfg.padding`` says.  ``brute`` proposes the
-    branch-and-bound optimum, searched against an incumbent (the first
-    Frank-Wolfe candidate refined by greedy two-exchange), and lists every
-    co-optimal permutation; the incumbent only prunes.  ``umeyama``
+    Pads the pair as ``cfg.padding`` says.  ``brute`` returns what the
+    branch and bound returns: its first minimizer, exact minimum and
+    co-optimal permutations, with the trace ``SolverTrace("brute", 0)``.
+    It searches against an incumbent, the first Frank-Wolfe candidate
+    refined by greedy two-exchange, which only prunes.  ``umeyama``
     proposes one spectral assignment, ``faq`` one Frank-Wolfe run per
     start (the ``cfg.faq_init`` start, then ``cfg.restarts`` random ones),
     the barycenter's first vertex taken in closed form on an undirected
@@ -903,9 +907,9 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
     to the one before last, and stopping when the relative change of the
     relaxed objective drops below ``cfg.tol`` or after ``cfg.max_iter``
     steps (flagged in the trace).
-    Each distinct candidate is scored by its exact objective and, with
-    ``cfg.refinement``, a heuristic one is improved by greedy two-exchange;
-    the first candidate with the lowest objective wins.  Once one scores
+    Each distinct heuristic candidate is scored by its exact objective
+    and, with ``cfg.refinement``, improved by greedy two-exchange; the
+    first candidate with the lowest objective wins.  Once one scores
     J = 0 the remaining starts are not run: J is never negative, so no
     later candidate could win.
 
@@ -925,22 +929,19 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
         )
     d = None if cfg.lam == 0.0 else node_distance_matrix(g1p, g2p)
     a1, a2 = g1p.adjacency, g2p.adjacency
-    co_optimal, n_co_optimal = (), 0
-    if cfg.solver == "brute":
-        n, ub = g1p.n, math.inf
-        if 2 <= n <= BRUTE_FORCE_MAX_NODES:  # larger pairs are refused below
-            first = [[next(_faq_candidates(cfg, g1, g2, d, n))]]
-            ub = _best_candidates(cfg.lam, a1, a2, d, first, True, g1.directed)[0][0]
-        perm, ties, n_co_optimal, _ = brute_force_match(g1p, g2p, d, cfg.lam, ub)
-        co_optimal = tuple(Permutation._trusted(t) for t in ties)
-        candidates = [(perm, (), (), True)]
-    elif cfg.solver == "umeyama":
-        candidates = _umeyama_candidates(cfg, g1p, g2p, d)
+    if cfg.solver == "umeyama":
+        rounds = [_umeyama_candidates(cfg, g1p, g2p, d)]
     else:
-        candidates = _faq_candidates(cfg, g1, g2, d, g1p.n)
+        rounds = _faq_rounds(cfg, g1.adjacency, g2.adjacency, d, g1p.n, g1.directed)
+    if cfg.solver == "brute":
+        ub = math.inf
+        if 2 <= g1p.n <= BRUTE_FORCE_MAX_NODES:  # larger pairs are refused below
+            ub = _best_candidates(cfg.lam, a1, a2, d, [next(rounds)], True, g1.directed)[0][0]
+        perm, ties, n_co_optimal, obj = brute_force_match(g1p, g2p, d, cfg.lam, ub)
+        return build_match_result(g1p, g2p, perm, cfg.lam, obj, SolverTrace("brute", 0),
+                                  tuple(Permutation._trusted(t) for t in ties), n_co_optimal)
     obj, perm, index, objectives, steps, converged, refined = _best_candidates(
-        cfg.lam, a1, a2, d, ([c] for c in candidates),
-        cfg.refinement and cfg.solver != "brute", g1.directed)[0]
+        cfg.lam, a1, a2, d, rounds, cfg.refinement, g1.directed)[0]
     trace = SolverTrace(
         solver=cfg.solver,
         iterations=len(steps),
@@ -950,7 +951,7 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
         restart_index=index,
         refinement_objectives=refined,
     )
-    return build_match_result(g1p, g2p, perm, cfg.lam, obj, trace, co_optimal, n_co_optimal)
+    return build_match_result(g1p, g2p, perm, cfg.lam, obj, trace)
 
 
 def _padded(stack: np.ndarray, shape, fill=0.0) -> np.ndarray:
@@ -986,10 +987,7 @@ def _faq_objectives(cfg: MatchConfig, pairs) -> list[float]:
     adj2 = np.array([g.adjacency for g in g2s])
     a1, a2 = _padded(adj1, (size, size)), _padded(adj2, (size, size))
     d = None if cfg.lam == 0.0 else _node_costs(g1s, g2s, size)
-    d_real = None if d is None else d[:, :n1, :n2]
-    rounds = (_faq_stack(adj1, adj2, d_real, cfg.lam, p0[:n2, :n1], cfg.max_iter, cfg.tol,
-                         size, directed)
-              for p0 in _faq_inits(cfg, size))
+    rounds = _faq_rounds(cfg, adj1, adj2, d, size, directed)
     return [best[0] for best in _best_candidates(cfg.lam, a1, a2, d, rounds,
                                                  cfg.refinement, directed)]
 

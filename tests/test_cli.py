@@ -357,6 +357,24 @@ class TestExitCodes:
                              "--out-dir", str(tmp_path / "s")], capsys,
                             f"{model}: model has no variance to sample from")
 
+    def test_model_whose_draw_overflows_names_the_file_2(self, corpus_dir, tmp_path, capsys):
+        # every entry of the model is finite, but the mean edge plus its
+        # center offset reconstructs past the float limit
+        model = tmp_path / "big.json"
+        assert main(["pca", *graphs_in(corpus_dir), "--out", str(model)]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["center"][0] = 1.7e308
+        edges = [e for e in doc["mean_graph"]["edges"] if {e["i"], e["j"]} != {0, 1}]
+        doc["mean_graph"]["edges"] = [*edges, {"i": 0, "j": 1, "w": 1.7e308}]
+        model.write_text(json.dumps(doc))
+        rc = main(["sample", "--model", str(model), "--count", "1",
+                   "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: adjacency contains non-finite entries\n")
+        assert not (tmp_path / "s").exists()
+
     def test_out_of_memory_is_2(self, monkeypatch, tmp_path, capsys):
         # stands in for generate --sizes 100000 100000, which would ask numpy
         # for a 74.5 GiB adjacency
@@ -437,9 +455,12 @@ class TestExitCodes:
             f"error: solver 'brute' cannot run size range [{sizes[0]}, {sizes[1]}]: each trial "
             f"pads two-way to 2n nodes, and 2 * {sizes[1]} > 10"]
 
-    def test_negative_workers_is_2(self, corpus_dir, capsys):
-        self._assert_exit_2(["pairwise", *graphs_in(corpus_dir), "--workers", "-3"],
-                            capsys, "workers must be at least 1")
+    @pytest.mark.parametrize("command", ["pairwise", "mean", "pca"])
+    def test_negative_workers_is_2(self, command, corpus_dir, tmp_path, capsys):
+        out = [] if command == "pairwise" else ["--out", str(tmp_path / "out.json")]
+        self._assert_exit_2([command, *graphs_in(corpus_dir), *out, "--workers", "-3"],
+                            capsys, "workers must be at least 1, got -3")
+        assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("threshold", [
         pytest.param(["--threshold", "nan"], id="nan"),

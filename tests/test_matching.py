@@ -23,9 +23,9 @@ from graphspace.generators import generate, trial_rng
 from graphspace.graphs import _MAX_SQUARED_WEIGHT, _padded_size
 from graphspace.matching import (
     SolverTrace,
-    _faq_candidates,
     _faq_descent,
     _faq_inits,
+    _faq_rounds,
     _face_weights,
     _faq_stack,
     _lift,
@@ -943,18 +943,27 @@ class TestGraphDistance:
             assert dab == dba
             assert dab <= dac + dcb + 1e-9
 
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
     @pytest.mark.parametrize("padding", ["two_way", "one_way", "none"])
-    def test_brute_is_its_first_co_optimum_with_or_without_refinement(self, padding):
+    def test_brute_is_its_first_co_optimum_with_or_without_refinement(self, padding, directed):
+        # the result is the search's own: its first tie, its exact minimum
+        # (bit for bit that of objective_value) and the trace of no steps
         rng = np.random.default_rng(19)
         for k in range(12):
             n1 = int(rng.integers(1, 5))
             n2 = n1 if padding == "none" else int(rng.integers(1, 5))
             if k % 2:  # 0/1 weights and no attributes: many ties
-                w1, w2 = (np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
-                          for n in (n1, n2))
-                g1, g2, lam = Graph(w1 + w1.T), Graph(w2 + w2.T), 0.0
+                w1, w2 = ((rng.random((n, n)) < 0.5) * (1.0 - np.eye(n)) for n in (n1, n2))
+                if not directed:
+                    w1, w2 = (np.triu(w, 1) + np.triu(w, 1).T for w in (w1, w2))
+                g1, g2, lam = Graph(w1, directed=directed), Graph(w2, directed=directed), 0.0
             else:
                 g1, g2, lam = _attributed_graph(rng, n1), _attributed_graph(rng, n2), 0.7
+                if directed:
+                    g1, g2 = (Graph(g.adjacency + np.triu(rng.random((g.n, g.n)), 1),
+                                    node_attrs=g.node_attrs, directed=True) for g in (g1, g2))
+            g1p, g2p = pad_pair(g1, g2, padding)
+            d = node_distance_matrix(g1p, g2p) if lam else None
             plain, refined = (
                 graph_distance(g1, g2, MatchConfig(lam=lam, solver="brute", padding=padding,
                                                    refinement=refinement))
@@ -962,6 +971,9 @@ class TestGraphDistance:
             for res in (plain, refined):
                 assert res.p.perm.tolist() == res.co_optimal[0].perm.tolist()
                 assert res.n_co_optimal >= len(res.co_optimal) >= 1
+                assert res.solver_trace == SolverTrace("brute", 0)
+                assert res.objective == objective_value(g1p.adjacency, g2p.adjacency, d, lam,
+                                                        res.p.perm)
             assert refined.p.perm.tolist() == plain.p.perm.tolist()
             assert refined.objective == plain.objective
             assert refined.solver_trace == plain.solver_trace
@@ -1022,8 +1034,8 @@ class TestFloorRule:
             d = node_distance_matrix(g1p, g2p) if lam else None
             a1, a2 = g1p.adjacency, g2p.adjacency
             best = None
-            for index, (perm, objectives, steps, converged) in enumerate(
-                    list(_faq_candidates(cfg, g1, g2, d, g1p.n))):
+            for index, [(perm, objectives, steps, converged)] in enumerate(
+                    list(_faq_rounds(cfg, g1.adjacency, g2.adjacency, d, g1p.n, directed))):
                 score = objective_value(a1, a2, d, lam, perm)
                 perm, trail, obj = greedy_two_exchange(a1, a2, d, lam, perm, score, directed)
                 if best is None or obj < best[0]:
