@@ -70,8 +70,10 @@ pair runs exactly as it would alone; it leaves the stack through the one
 drop step ``_drop``.  ``_best_candidates`` scores and refines a stack
 of pairs as it does one pair; ``pipelines`` groups a batch by shape.  A
 single pair is a stack of one: ``_faq_descent`` and ``greedy_two_exchange``
-are its 2-D entry points into the same loops, and it takes the per-pair
-``_vertex``, ``_lift`` and ``objective_value``.
+are its 2-D entry points into the same loops.  It keeps 2-D twins only
+where a stack of one measured slower: ``_vertex`` and the face test's
+byte compare per iteration, ``objective_value`` per candidate and
+two-exchange's 2-D blocks per sweep.
 """
 
 from __future__ import annotations
@@ -431,29 +433,13 @@ def _null_average(x: np.ndarray, size: int) -> np.ndarray:
     return w
 
 
-def _lift(rows: np.ndarray, cols: np.ndarray, n1: int, n2: int, size: int) -> np.ndarray:
-    """Padded permutation from real node->slot pairs.
-
-    Unmatched real nodes go to the first null slots; null nodes then fill
-    the remaining slots in increasing order.
-    """
-    if len(rows) == size:  # a full square assignment: rows is arange(size)
-        return cols
-    perm = np.full(size, -1)
-    perm[rows] = cols
-    taken = np.zeros(size, dtype=bool)
-    taken[cols] = True
-    parked = np.flatnonzero(perm[:n1] < 0)
-    perm[parked] = np.arange(n2, n2 + len(parked))
-    taken[n2:n2 + len(parked)] = True
-    perm[n1:] = np.flatnonzero(~taken)
-    return perm
-
-
 def _lifts(rows: np.ndarray, cols: np.ndarray, keep: np.ndarray | None,
            n1: int, n2: int, size: int) -> np.ndarray:
-    """``_lift`` of every entry's kept pairs, from ``_vertices``' output:
-    the (B, size) padded permutations."""
+    """The (B, size) padded permutations of a stack's vertices, from
+    ``_vertices``' output: an entry's kept pairs, its unmatched real nodes
+    on null slots n2, n2 + 1, ... in node order, and its null nodes on the
+    remaining slots in ascending order.  A single pair lifts as a stack of
+    one, once per Frank-Wolfe run."""
     if keep is None and rows.shape[1] == size:
         return cols
     lead = np.arange(len(rows))[:, None]
@@ -635,8 +621,8 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     A2 Q A1^T and (directed) ``n_prev`` = A2^T Q A1 of ``prev``.  These
     keep a vertex as the slot of every real node (-1 for none), so that
     one array comparison finds the entries whose vertex repeats ``older``
-    but not ``prev``; a 2-D pair compares the slots' bytes, takes
-    ``_vertex`` and ``_lift`` instead, and copies nothing.
+    but not ``prev``; a 2-D pair compares the slots' bytes and takes
+    ``_vertex`` instead, per iteration, and copies nothing.
 
     An entry steps by an exact line search toward its vertex Q, or, when
     Q repeats ``older`` but not ``prev``, to the minimizer over the
@@ -755,9 +741,8 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
             at = at[:len(ids)]
     # project each doubly stochastic iterate back to a permutation
     if at is None:
-        rows, cols, keep = _vertex(-_null_average(p, size).T, partial)
-        kept = slice(None) if keep is None else keep
-        perms = [_lift(rows[kept], cols[kept], n1, n2, size)]
+        vertex = _vertex(-_null_average(p, size).T, partial)
+        perms = _lifts(*(None if x is None else x[None] for x in vertex), n1, n2, size)
     else:
         final[ids] = p
         perms = _lifts(*_vertices(-_null_average(final, size).swapaxes(-1, -2), partial),

@@ -28,7 +28,6 @@ from graphspace.matching import (
     _faq_rounds,
     _face_weights,
     _faq_stack,
-    _lift,
     _lifts,
     _null_average,
     _rank_one_vertex,
@@ -44,6 +43,19 @@ from graphspace.pipelines import symmetric_match
 def _kept(rows, cols, keep):
     """The pairs ``(rows, cols)`` that a vertex ``(rows, cols, keep)`` keeps."""
     return (rows, cols) if keep is None else (rows[keep], cols[keep])
+
+
+def assert_lift_rule(perm, rows, cols, n1, n2):
+    """``perm`` is the padded permutation that takes real nodes ``rows`` to
+    slots ``cols``, parks the other real nodes on null slots n2, n2 + 1, ...
+    in node order, and fills the remaining slots with the null nodes in
+    ascending order."""
+    size = len(perm)
+    assert sorted(perm.tolist()) == list(range(size))
+    assert np.array_equal(perm[rows], cols)
+    unmatched = np.setdiff1d(np.arange(n1), rows)
+    assert np.array_equal(perm[unmatched], np.arange(n2, n2 + len(unmatched)))
+    assert np.array_equal(perm[n1:], np.sort(perm[n1:]))
 
 
 def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
@@ -122,7 +134,9 @@ def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
             converged = True
             break
         f = f_new
-    return _lift(*follow(-_null_average(p, size).T), n1, n2, size), objectives, steps, converged
+    rows, cols = follow(-_null_average(p, size).T)
+    perm = _lifts(rows[None], cols[None], None, n1, n2, size)[0]
+    return perm, objectives, steps, converged
 
 
 class TestMatchConfig:
@@ -420,11 +434,8 @@ class TestRealBlock:
     @given(_partial_matchings())
     def test_lift_is_bijection_parking_unmatched_on_null_slots(self, case):
         rows, cols, n1, n2 = case
-        perm = _lift(rows, cols, n1, n2, n1 + n2)
-        assert sorted(perm.tolist()) == list(range(n1 + n2))
-        assert np.array_equal(perm[rows], cols)
-        unmatched = np.setdiff1d(np.arange(n1), rows)
-        assert np.all(perm[unmatched] >= n2)
+        (perm,) = _lifts(rows[None], cols[None], None, n1, n2, n1 + n2)
+        assert_lift_rule(perm, rows, cols, n1, n2)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 5), st.integers(0, 5), st.booleans(),
@@ -816,8 +827,10 @@ class TestStackedHelpers:
         perms = _lifts(rows, cols, keep, n1, n2, size)
         assert perms.shape == (len(rows), size)
         for e in range(len(rows)):
-            kept = slice(None) if keep is None else keep[e]
-            alone = _lift(rows[e][kept], cols[e][kept], n1, n2, size)
+            assert_lift_rule(perms[e], *_kept(rows[e], cols[e], None if keep is None else keep[e]),
+                             n1, n2)
+            alone = _lifts(rows[e:e + 1], cols[e:e + 1], None if keep is None else keep[e:e + 1],
+                           n1, n2, size)[0]
             assert perms[e].dtype == alone.dtype == np.int64
             assert perms[e].tobytes() == alone.tobytes()
 
