@@ -77,8 +77,12 @@ def letter_like(rng, coord_noise: float = 0.15, edge_noise: float = 0.05,
     survive), every coordinate gets Gaussian jitter, and every surviving
     node pair flips its edge indicator with probability ``edge_noise``.
     """
-    if coord_noise < 0 or not 0 <= edge_noise <= 1 or not 0 <= node_drop < 1:
-        raise ValueError("invalid distortion parameters")
+    for name, value, ok, rule in (
+            ("coord_noise", coord_noise, 0 <= coord_noise < np.inf, "be finite and nonnegative"),
+            ("edge_noise", edge_noise, 0 <= edge_noise <= 1, "lie in [0, 1]"),
+            ("node_drop", node_drop, 0 <= node_drop < 1, "lie in [0, 1)")):
+        if not ok:
+            raise ValueError(f"invalid distortion parameters: {name} must {rule}, got {value}")
     rng = _as_rng(rng)
     n0 = LETTER_A_COORDS.shape[0]
     adj0 = np.zeros((n0, n0))

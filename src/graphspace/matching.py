@@ -80,6 +80,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -145,6 +146,14 @@ class MatchConfig:
     seed: int = 0
 
     def __post_init__(self):
+        real, integer = (numbers.Real, "a real number"), (numbers.Integral, "an integer")
+        kinds = {"lam": real, "tol": real, "max_iter": integer, "restarts": integer,
+                 "seed": integer, "refinement": ((bool, np.bool_), "a bool")}
+        for field, (kind, what) in kinds.items():
+            value = getattr(self, field)
+            if not isinstance(value, kind) or (isinstance(value, bool) and field != "refinement"):
+                raise ValueError(f"{'lambda' if field == 'lam' else field} must be {what}, "
+                                 f"got {value!r}")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
         if self.padding not in _PADDINGS:

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ import pytest
 
 import graphspace
 from graphspace import Graph, load_graph, save_graph
-from graphspace.cli import MAX_GEODESIC_STEPS, main
+from graphspace.cli import MAX_GEODESIC_STEPS, build_parser, main
 from conftest import random_symmetric_graph
 
 
@@ -678,6 +679,57 @@ class TestExitCodes:
         assert run.returncode == 2
         assert run.stderr == (f"error: edge weights of {big} are too large: their squares "
                               f"must sum to at most 4.494e+307\n")
+
+
+def _float_flags():
+    """Every (subcommand, option) pair of the parser that takes a float."""
+    parser = build_parser()
+    (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [(name, action.option_strings[0]) for name, sub in commands.items()
+            for action in sub._actions if action.type is float]
+
+
+class TestNonFiniteFloatFlags:
+    @pytest.fixture
+    def base_argv(self, corpus_dir, tmp_path, capsys):
+        """One valid argv per subcommand, without its float options."""
+        files = graphs_in(corpus_dir)
+        model = tmp_path / "model.json"
+        assert main(["pca", *files, "--out", str(model)]) == 0
+        (tmp_path / "train.csv").write_text("".join(f"{f},{i % 2}\n" for i, f in enumerate(files)))
+        (tmp_path / "test.csv").write_text(f"{files[0]}\n")
+        capsys.readouterr()
+        return {
+            "match": files[:2],
+            "dist": files[:2],
+            "geodesic": [*files[:2], "--out-dir", str(tmp_path / "path")],
+            "mean": [*files, "--out", str(tmp_path / "mean.json")],
+            "pca": [*files, "--out", str(tmp_path / "pca.json")],
+            "sample": ["--model", str(model), "--count", "2", "--out-dir", str(tmp_path / "s")],
+            "knn": ["--train", str(tmp_path / "train.csv"), "--test", str(tmp_path / "test.csv")],
+            "pairwise": files,
+            "bench-recovery": ["--family", "binomial", "--sizes", "4", "5", "--trials", "1"],
+            "generate": ["--count", "1", "--out-dir", str(tmp_path / "g")],
+        }
+
+    def test_base_argvs_run(self, base_argv, capsys):
+        for command, argv in base_argv.items():
+            family = ["--family", "letter_like"] if command == "generate" else []
+            assert main([command, *argv, *family]) == 0, command
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command, flag", _float_flags())
+    def test_non_finite_value_is_2(self, command, flag, value, base_argv, capsys):
+        argv = [command, *base_argv[command], f"{flag}={value}"]
+        if command == "generate":
+            argv += ["--family", "binomial" if flag == "--p" else "letter_like"]
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), err
+        assert f"got {value}" in lines[0] and "Traceback" not in err
 
 
 class TestOneProcess:

@@ -160,12 +160,27 @@ class TestMatchConfig:
             {"tol": math.nan},
             # rejected when the config is built, not when a restart first draws
             {"seed": -1},
+            # types, rejected when the config is built, not inside a solver
+            {"max_iter": 2.5},
+            {"restarts": 1.5},
+            {"seed": 1.0},
+            {"max_iter": True},
+            {"refinement": "no"},
+            {"refinement": 1},
+            {"lam": "1"},
+            {"tol": None},
         ],
     )
     def test_validation(self, kwargs):
         (field,) = kwargs
         with pytest.raises(ValueError, match="lambda" if field == "lam" else field):
             MatchConfig(**kwargs)
+
+    def test_numpy_numbers_accepted(self):
+        cfg = MatchConfig(lam=np.float64(0.5), tol=np.float32(1e-6), max_iter=np.int64(7),
+                          restarts=np.int32(1), seed=np.uint8(3))
+        g = Graph(np.ones((2, 2)) - np.eye(2), node_attrs=np.zeros((2, 1)))
+        assert graph_distance(g, g, cfg).objective == 0.0
 
 
 class TestUmeyama:

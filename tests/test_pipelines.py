@@ -1,4 +1,5 @@
 import csv
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -56,6 +57,14 @@ class TestGenerators:
     def test_letter_like_distortions_validated(self, kwargs):
         with pytest.raises(ValueError, match="invalid distortion parameters"):
             letter_like(trial_rng(0, 0), **kwargs)
+
+    @pytest.mark.parametrize("name, value", [("coord_noise", math.nan), ("coord_noise", math.inf),
+                                             ("coord_noise", -math.inf), ("edge_noise", math.nan),
+                                             ("edge_noise", math.inf), ("node_drop", math.nan)])
+    def test_letter_like_non_finite_distortions_named(self, name, value):
+        with pytest.raises(ValueError, match=rf"invalid distortion parameters: {name} .*, "
+                                             rf"got {value}$"):
+            letter_like(trial_rng(0, 0), **{name: value})
 
     def test_heavy_tailed_seeded_determinism(self):
         a = full_heavy_tailed(5, trial_rng(7, 3))
