@@ -26,15 +26,17 @@ its gradient and the line search depend only on the n2 x n1 block X of P
 that maps real nodes to real slots.  Frank-Wolfe therefore runs on the
 unpadded graphs: each vertex step is a rectangular assignment (a partial
 one under two-way padding, where a real node may park on a null slot at
-zero cost), and padding only shapes the returned permutation.
+zero cost), and padding only shapes the returned permutation.  f is
+unchanged when the pair is swapped and P transposed, so Frank-Wolfe runs
+the smaller graph first (``_faq_rounds``), and a vertex is its nodes' slots.
 
 Each Frank-Wolfe iteration costs one dense product on an undirected pair
 and two on a directed one.  The loop keeps M = A2 X A1^T (and, directed,
 N = A2^T X A1) current along its steps instead of recomputing them, by two
 identities.  The gradient is -(M + N) plus the node term, and N = M when
-both adjacencies are symmetric.  The vertex Q pairs real nodes ``rows``
-with slots ``cols``, so A2^T Q A1 = A2[cols]^T A1[rows] is a single
-product, and the step to X + eta (Q - X) moves M by eta (A2 Q A1^T - M).
+both adjacencies are symmetric.  The vertex Q sends node i to slot s_i,
+so A2^T Q A1 = A2[s]^T A1 is a single product, and the step to
+X + eta (Q - X) moves M by eta (A2 Q A1^T - M).
 
 On a flat start X = c 1 1^T, such as the barycenter, M = c r2 r1^T and
 N = c s2 s1^T are outer products of the row sums r and the column sums
@@ -58,9 +60,9 @@ The Frank-Wolfe loop (``_faq_stack``) and the two-exchange loop
 (``_two_exchange_stack``) run on a stack of same-shape pairs, the shape a
 batch of many tiny matches needs: each iteration or sweep takes the dense
 products of all unfinished pairs at once, one LAP per pair, and one
-gathered product and sum over the vertices of the whole stack.  A vertex
-is its LAP's pairs with the mask of the pairs it keeps, and a pair it
-does not keep adds a zero row or term, the same in a stack as alone.
+gathered product and sum over the vertices of the whole stack.  A node
+a vertex leaves unmatched (slot -1) adds a zero row or term, the same in
+a stack as alone.
 Around the LAPs, the vertex step (``_vertices``), the lift of the final
 projection to padded permutations (``_lifts``) and the exact scoring of a
 round of candidates (``assignment._objective_values``) are array work over
@@ -345,79 +347,67 @@ def greedy_two_exchange(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
     return _two_exchange_stack(a1, a2, d, lam, [perm], [obj], directed)[0]
 
 
-def _vertex(c: np.ndarray, partial: bool):
-    """Minimum-cost node->slot pairs for the cost ``c``: the LAP's pairs
-    ``(rows, cols)``, rows ascending, and the mask ``keep`` of the pairs
-    the vertex keeps, None for a complete vertex.
+def _vertex(c: np.ndarray, partial: bool) -> np.ndarray:
+    """Minimum-cost node->slot assignment for the n1 x n2 cost ``c``, n1 <= n2,
+    as the slot of every node, -1 for a node left unmatched.
 
     ``partial`` lets nodes stay unmatched at zero cost: solving on min(c, 0)
     and keeping the pairs whose cost is negative attains the optimum of the
-    zero-padded square assignment.  Otherwise every node of the smaller
-    side is matched.
+    zero-padded square assignment.  Otherwise every node is matched.
     """
     if not partial:
-        return (*_lap_raw(c), None)
-    rows, cols = _lap_raw(np.minimum(c, 0.0))
-    return rows, cols, c[rows, cols] < 0.0
+        return _lap_raw(c)[1]
+    slots = _lap_raw(np.minimum(c, 0.0))[1]
+    return np.where(c[np.arange(len(slots)), slots] < 0.0, slots, -1)
 
 
-def _vertices(c: np.ndarray, partial: bool):
+def _vertices(c: np.ndarray, partial: bool) -> np.ndarray:
     """``_vertex`` of every entry of a (B, n1, n2) cost stack, one LAP each:
-    (B, min(n1, n2)) ``rows``, ``cols`` and ``keep`` (None for complete
-    vertices)."""
-    laps = np.empty((len(c), 2, min(c.shape[1:])), dtype=int)
-    for j, x in enumerate(np.minimum(c, 0.0) if partial else c):
-        laps[j] = _lap_raw(x)
-    rows, cols = laps[:, 0], laps[:, 1]
-    keep = c[np.arange(len(c))[:, None], rows, cols] < 0.0 if partial else None
-    return rows, cols, keep
+    the (B, n1) slots."""
+    slots = np.array([_lap_raw(x)[1] for x in (np.minimum(c, 0.0) if partial else c)])
+    if partial:
+        slots[c[np.arange(len(c))[:, None], np.arange(c.shape[1]), slots] >= 0.0] = -1
+    return slots
 
 
 def _rank_one_vertex(r1: np.ndarray, r2: np.ndarray, t1: np.ndarray, t2: np.ndarray,
-                     partial: bool):
-    """``_vertex`` of the rank-one cost c_ij = -k r1_i r2_j, k > 0, in closed
-    form: the LAP of a flat start's first Frank-Wolfe step on an undirected
-    pair without node costs, where r1 and r2 are the row sums.
+                     partial: bool) -> np.ndarray:
+    """``_vertex`` of the rank-one cost c_ij = -k r1_i r2_j, k > 0, n1 <= n2,
+    in closed form: the LAP of a flat start's first Frank-Wolfe step on an
+    undirected pair without node costs, where r1 and r2 are the row sums.
 
     By the rearrangement inequality a node of positive sum pairs with the
     largest sums of the other side, and one of negative sum with the most
     negative.  Under ``partial`` only pairs of one sign are kept, the
     largest positive sums of both sides in order and likewise the most
-    negative; otherwise every node of the smaller side is matched, its
-    positive nodes to the other side's largest sums, the rest to its
-    smallest.  Of the co-optimal vertices this takes the one that orders
-    both sides by the key (r, t, node index), where t = A r sums the
-    neighbours' sums, one round of colour refinement.  ``r1`` and ``t1``
-    are (n1,) and ``r2`` and ``t2`` (n2,), giving ``(rows, cols, keep)``
-    as ``_vertex`` does, or (B, n) stacks, giving them as ``_vertices``
-    does; rows ascend.
+    negative; otherwise every node is matched, its positive nodes to the
+    other side's largest sums, the rest to its smallest.  Of the co-optimal
+    vertices this takes the one that orders both sides by the key (r, t,
+    node index), where t = A r sums the neighbours' sums, one round of
+    colour refinement.  ``r1`` and ``t1`` are (n1,) and ``r2`` and ``t2``
+    (n2,), giving the slots as ``_vertex`` does, or (B, n) stacks, giving
+    them as ``_vertices`` does.
     """
     single = r1.ndim == 1
-    if single:
-        r1, r2, t1, t2 = r1[None], r2[None], t1[None], t2[None]
-    swap = r1.shape[1] > r2.shape[1]
-    (rs, ts), (rl, tl) = ((r2, t2), (r1, t1)) if swap else ((r1, t1), (r2, t2))
-    # each side's nodes in ascending key order, the smaller side first;
-    # lexsort is stable, so the node index breaks the remaining ties
-    small, large = np.lexsort((ts, rs), axis=-1), np.lexsort((tl, rl), axis=-1)
-    (b, ns), nl = small.shape, large.shape[1]
-    top = (rs > 0.0).sum(axis=1)
+    r1, r2, t1, t2 = (np.atleast_2d(x) for x in (r1, r2, t1, t2))
+    # each side's nodes in ascending key order; lexsort is stable, so the
+    # node index breaks the remaining ties
+    small, large = np.lexsort((t1, r1), axis=-1), np.lexsort((t2, r2), axis=-1)
+    (b, n1), n2 = small.shape, large.shape[1]
+    top = (r1 > 0.0).sum(axis=1)
     if partial:
-        top = np.minimum(top, (rl > 0.0).sum(axis=1))
-    # the i-th smallest node of the smaller side pairs with the i-th smallest
-    # of the larger one, or, among its top nodes, with the same rank from the top
-    i, at = np.arange(ns), np.arange(b)[:, None]
-    upper = i >= (ns - top)[:, None]
-    picked = large[at, i + (nl - ns) * upper]
-    keep = None
+        top = np.minimum(top, (r2 > 0.0).sum(axis=1))
+    # the i-th smallest node of the first side pairs with the i-th smallest
+    # of the second, or, among its top nodes, with the same rank from the top
+    i, at = np.arange(n1), np.arange(b)[:, None]
+    upper = i >= (n1 - top)[:, None]
+    picked = large[at, i + (n2 - n1) * upper]
     if partial:
-        bottom = np.minimum((rs < 0.0).sum(axis=1), (rl < 0.0).sum(axis=1))
-        keep = upper | (i < bottom[:, None])
-    rows, cols = (picked, small) if swap else (small, picked)
-    order = np.argsort(rows, axis=1)
-    if single:
-        at, order = 0, order[0]
-    return rows[at, order], cols[at, order], None if keep is None else keep[at, order]
+        bottom = np.minimum((r1 < 0.0).sum(axis=1), (r2 < 0.0).sum(axis=1))
+        picked = np.where(upper | (i < bottom[:, None]), picked, -1)
+    slots = np.empty_like(picked)
+    slots[at, small] = picked
+    return slots[0] if single else slots
 
 
 def _null_average(x: np.ndarray, size: int) -> np.ndarray:
@@ -442,25 +432,21 @@ def _null_average(x: np.ndarray, size: int) -> np.ndarray:
     return w
 
 
-def _lifts(rows: np.ndarray, cols: np.ndarray, keep: np.ndarray | None,
-           n1: int, n2: int, size: int) -> np.ndarray:
-    """The (B, size) padded permutations of a stack's vertices, from
-    ``_vertices``' output: an entry's kept pairs, its unmatched real nodes
+def _lifts(slots: np.ndarray, n2: int, size: int) -> np.ndarray:
+    """The (B, size) padded permutations of a stack's (B, n1) vertices, from
+    ``_vertices``' output: an entry's kept slots, its unmatched real nodes
     on null slots n2, n2 + 1, ... in node order, and its null nodes on the
     remaining slots in ascending order.  A single pair lifts as a stack of
     one, once per Frank-Wolfe run."""
-    if keep is None and rows.shape[1] == size:
-        return cols
-    lead = np.arange(len(rows))[:, None]
-    perm = np.full((len(rows), size), -1)
-    perm[lead, rows] = cols if keep is None else np.where(keep, cols, -1)
+    b, n1 = slots.shape
+    if n1 == size:
+        return slots
     # the i-th unmatched real node of an entry parks on null slot n2 + i
-    unmatched = perm[:, :n1] < 0
-    perm[:, :n1] = np.where(unmatched, n2 - 1 + np.cumsum(unmatched, axis=1), perm[:, :n1])
-    taken = np.zeros((len(rows), size), dtype=bool)
-    taken[lead, perm[:, :n1]] = True
-    perm[:, n1:] = np.nonzero(~taken)[1].reshape(len(rows), size - n1)
-    return perm
+    unmatched = slots < 0
+    real = np.where(unmatched, n2 - 1 + np.cumsum(unmatched, axis=1), slots)
+    taken = np.zeros((b, size), dtype=bool)
+    taken[np.arange(b)[:, None], real] = True
+    return np.concatenate([real, np.nonzero(~taken)[1].reshape(b, size - n1)], axis=1)
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> list[float]:
@@ -479,23 +465,23 @@ def _dots(x: np.ndarray, y: np.ndarray) -> list[float]:
     return (x.reshape(b, 1, k) @ y.reshape(b, k, 1)).ravel().tolist()
 
 
-def _vertex_products(x2: np.ndarray, x1: np.ndarray, lead: tuple, rows: np.ndarray,
-                     cols: np.ndarray, keep: np.ndarray | None) -> np.ndarray:
-    """X2[cols]^T X1[rows] for the vertex of every entry, ``lead`` being the
-    stack's index column (empty for a 2-D pair); a pair the vertex does not
-    keep adds a zero row, the same in a stack as alone."""
-    y = x2[(*lead, cols)]
-    if keep is not None:
-        y[~keep] = 0.0
-    return y.swapaxes(-1, -2) @ x1[(*lead, rows)]
+def _vertex_products(x2: np.ndarray, x1: np.ndarray, lead: tuple, slots: np.ndarray,
+                     partial: bool) -> np.ndarray:
+    """X2[slots]^T X1 for the vertex of every entry, ``lead`` being the
+    stack's index column (empty for a 2-D pair); a node the vertex leaves
+    unmatched adds a zero row, the same in a stack as alone."""
+    y = x2[(*lead, slots)]
+    if partial:
+        y[slots < 0] = 0.0
+    return y.swapaxes(-1, -2) @ x1
 
 
-def _vertex_sums(x: np.ndarray, pairs: tuple, keep: np.ndarray | None) -> list[float]:
-    """sum(x[cols, rows]) over the vertex of every entry, ``pairs`` indexing
-    its pairs; a pair the vertex does not keep adds a zero term."""
+def _vertex_sums(x: np.ndarray, pairs: tuple, slots: np.ndarray, partial: bool) -> list[float]:
+    """sum(x[slots_i, i]) over the vertex of every entry, ``pairs`` indexing
+    its pairs; a node the vertex leaves unmatched adds a zero term."""
     y = x[pairs]
-    if keep is not None:
-        y[~keep] = 0.0
+    if partial:
+        y[slots < 0] = 0.0
     return np.atleast_1d(y.sum(axis=-1)).tolist()
 
 
@@ -602,11 +588,11 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     """Frank-Wolfe over the doubly stochastic polytope with exact line search,
     on a stack of same-shape pairs padded to ``size`` nodes.
 
-    ``a1`` (B, n1, n1) and ``a2`` (B, n2, n2) are the unpadded adjacencies,
-    ``d`` (B, n1, n2) the real blocks of the node costs (None without them),
-    which the relaxation weighs by ``lam``/2, and ``p0`` (n2, n1) the real
-    block of the padded start that every entry shares; ``directed`` says
-    whether the adjacencies may be asymmetric.  A single pair may come as
+    ``a1`` (B, n1, n1) and ``a2`` (B, n2, n2), n1 <= n2, are the unpadded
+    adjacencies, ``d`` (B, n1, n2) the real blocks of the node costs (None
+    without them), which the relaxation weighs by ``lam``/2, and ``p0``
+    (n2, n1) the real block of the padded start that every entry shares;
+    ``directed`` says whether the adjacencies may be asymmetric.  A single pair may come as
     2-D blocks without the stack axis, which spares it the stack's
     indexing.  Returns per entry the padded permutation with the relaxed
     objectives, step sizes and convergence.
@@ -617,21 +603,19 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     stack, which clips and filters the whole stack's costs at once) or a
     flat start's first vertex in closed form (below), and the vertices'
     gathered products and sums are taken once for the whole stack.  A
-    vertex is its LAP's pairs ``rows`` and ``cols`` with the mask ``keep``
-    of the pairs it keeps (None for a complete vertex), and a pair it
-    does not keep adds a zero row to the products and a zero term to the
-    sums and the step, the same in a stack as alone.  The final
-    projection is one LAP per entry too, lifted to padded permutations by
-    ``_lifts`` for the whole stack.  An entry's state is ``objectives[e]``
+    vertex is the slot of every real node, -1 for a node it leaves
+    unmatched under a ``partial`` assignment, which adds a zero row to the
+    products and a zero term to the sums and the step, the same in a stack
+    as alone.  The final projection is one LAP per entry too, lifted to
+    padded permutations by ``_lifts`` for the whole stack.  An entry's state is ``objectives[e]``
     (the last item is the current relaxed objective), ``steps[e]``,
     ``converged[e]``, once it stops row ``e`` of ``final``, and, as rows
     of arrays that ``_drop`` shrinks with the iterates, its last two
     vertices ``prev`` and ``older`` and the products ``m_prev`` =
-    A2 Q A1^T and (directed) ``n_prev`` = A2^T Q A1 of ``prev``.  These
-    keep a vertex as the slot of every real node (-1 for none), so that
-    one array comparison finds the entries whose vertex repeats ``older``
-    but not ``prev``; a 2-D pair compares the slots' bytes and takes
-    ``_vertex`` instead, per iteration, and copies nothing.
+    A2 Q A1^T and (directed) ``n_prev`` = A2^T Q A1 of ``prev``.  One
+    array comparison of the slots finds the entries whose vertex repeats
+    ``older`` but not ``prev``; a 2-D pair compares the slots' bytes and
+    takes ``_vertex`` instead, per iteration, and copies nothing.
 
     An entry steps by an exact line search toward its vertex Q, or, when
     Q repeats ``older`` but not ``prev``, to the minimizer over the
@@ -642,8 +626,8 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
 
     The loop keeps M = A2 P A1^T and N = A2^T P A1 current along its steps:
     the gradient is -(M + N) + (lam/2) D^T and the line search's slope is
-    <grad, Q - P>.  The vertex Q pairs nodes ``rows`` with slots ``cols``,
-    so A2^T Q A1 = A2[cols]^T A1[rows] is one product, as is A2 Q A1^T.
+    <grad, Q - P>.  The vertex Q sends node i to slot s_i, so
+    A2^T Q A1 = A2[s]^T A1 is one product, as is A2 Q A1^T.
     Undirected adjacencies are exactly symmetric, so there N = M and an
     iteration costs one dense product; a directed pair costs two.
 
@@ -656,7 +640,7 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
     n2, n1 = p0.shape
     nb = len(a1) if a1.ndim == 3 else 1
     at = np.arange(nb)[:, None] if a1.ndim == 3 else None
-    partial = size >= n1 + n2
+    partial, nodes = size >= n1 + n2, np.arange(n1)
     c_t = (np.ascontiguousarray(0.5 * lam * d.swapaxes(-1, -2))
            if (d is not None and lam != 0.0) else None)
     p = p0.copy() if at is None else np.repeat(p0[None], nb, axis=0)
@@ -681,20 +665,14 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
             grad += c_t
         # vertex minimizing <grad, Q> over (partial) permutation matrices
         if first is not None:
-            rows, cols, keep = first
+            vertex = first
         elif at is None:
-            rows, cols, keep = _vertex(grad.T, partial)
+            vertex = _vertex(grad.T, partial)
         else:
-            rows, cols, keep = _vertices(grad.swapaxes(-1, -2), partial)
+            vertex = _vertices(grad.swapaxes(-1, -2), partial)
         first = None
         lead = () if at is None else (at,)
-        pairs = (*lead, cols, rows)
-        # the slot of every real node; rows is arange(n1) unless n1 > n2
-        vertex = cols if keep is None else np.where(keep, cols, -1)
-        if n1 > n2:
-            slots = np.full((*vertex.shape[:-1], n1), -1)
-            slots[(*lead, rows)] = vertex
-            vertex = slots
+        pairs = (*lead, vertex, nodes)
         # the entries whose vertex is the one before last but not the last
         if older is None:
             faces = []
@@ -704,13 +682,14 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
         else:
             faces = np.flatnonzero(
                 (vertex == older).all(axis=1) & (vertex != prev).any(axis=1)).tolist()
-        n_q = _vertex_products(a2, a1, lead, rows, cols, keep)
-        m_q = (_vertex_products(a2.swapaxes(-1, -2), a1.swapaxes(-1, -2), lead, rows, cols, keep)
+        n_q = _vertex_products(a2, a1, lead, vertex, partial)
+        m_q = (_vertex_products(a2.swapaxes(-1, -2), a1.swapaxes(-1, -2), lead, vertex, partial)
                if directed else n_q)
         m_r = m_q - m_p
         # f(P + eta R) = f + eta b + eta^2 a with R = Q - P
         lines = [(mp - mq, gq - gp, gp) for mp, mq, gq, gp in zip(
-            _dots(m_r, p), _vertex_sums(m_r, pairs, keep), _vertex_sums(grad, pairs, keep),
+            _dots(m_r, p), _vertex_sums(m_r, pairs, vertex, partial),
+            _vertex_sums(grad, pairs, vertex, partial),
             _dots(grad, p))]
         eta = [_line_min(a_coef, b_coef) for a_coef, b_coef, _ in lines]
         # an entry on a face steps over it in place, and no further below
@@ -728,7 +707,7 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
         step = along[0] if len(along) == 1 else np.array(along)[:, None, None]
         p *= 1.0 - step
         add = step if len(along) == 1 else step[:, 0]
-        p[pairs] += add if keep is None else np.where(keep, add, 0.0)
+        p[pairs] += np.where(vertex >= 0, add, 0.0) if partial else add
         m_p = m_p + step * m_r
         n_p = n_p + step * (n_q - n_p) if directed else m_p
         older, prev, m_prev, n_prev = prev, vertex, m_q, n_q if directed else None
@@ -750,12 +729,11 @@ def _faq_stack(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None, lam: float,
             at = at[:len(ids)]
     # project each doubly stochastic iterate back to a permutation
     if at is None:
-        vertex = _vertex(-_null_average(p, size).T, partial)
-        perms = _lifts(*(None if x is None else x[None] for x in vertex), n1, n2, size)
+        perms = _lifts(_vertex(-_null_average(p, size).T, partial)[None], n2, size)
     else:
         final[ids] = p
-        perms = _lifts(*_vertices(-_null_average(final, size).swapaxes(-1, -2), partial),
-                       n1, n2, size)
+        perms = _lifts(_vertices(-_null_average(final, size).swapaxes(-1, -2), partial),
+                       n2, size)
     return [(perm, tuple(objectives[e]), tuple(steps[e]), converged[e])
             for e, perm in enumerate(perms)]
 
@@ -795,12 +773,19 @@ def _faq_rounds(cfg: MatchConfig, a1: np.ndarray, a2: np.ndarray, d: np.ndarray 
     """One Frank-Wolfe round per start: the candidates of a pair (2-D
     unpadded adjacencies ``a1`` and ``a2``, through ``_faq_descent``) or of
     a (B, n, n) stack of same-shape pairs, on the real block of ``d``, the
-    node cost padded to ``size``."""
+    node cost padded to ``size``.  A larger ``a1`` runs swapped, with ``d``
+    transposed and the starts of ``graph_distance(g2, g1)``, and its
+    permutations inverted: the two argument orders give inverse candidates."""
     n1, n2 = a1.shape[-1], a2.shape[-1]
     d_real = None if d is None else d[..., :n1, :n2]
+    swap = n1 > n2
+    if swap:
+        a1, a2, n1, n2 = a2, a1, n2, n1
+        d_real = None if d_real is None else d_real.swapaxes(-1, -2)
     for p0 in _faq_inits(cfg, size):
         args = (a1, a2, d_real, cfg.lam, p0[:n2, :n1], cfg.max_iter, cfg.tol, size, directed)
-        yield [_faq_descent(*args)] if a1.ndim == 2 else _faq_stack(*args)
+        cands = [_faq_descent(*args)] if a1.ndim == 2 else _faq_stack(*args)
+        yield [(np.argsort(perm), *rest) for perm, *rest in cands] if swap else cands
 
 
 def _umeyama_candidates(cfg: MatchConfig, g1p: Graph, g2p: Graph, d: np.ndarray | None):
@@ -909,8 +894,11 @@ def graph_distance(g1: Graph, g2: Graph, cfg: MatchConfig | None = None) -> Matc
 
     The returned ``d_g`` is sqrt of the minimized objective; with
     ``lam=0`` this is the quotient metric (exactly, for the brute solver;
-    an upper bound for the heuristics).  A heuristic may break ties apart
-    in the two argument orders; ``symmetric_match`` fixes one per pair.
+    an upper bound for the heuristics).  ``faq`` registers the smaller graph
+    into the larger, so an unequal-size pair without refinement gets inverse
+    permutations and one objective and trace in both argument orders; other
+    pairs may break ties apart in the two orders, and ``symmetric_match``
+    fixes one per pair.
     """
     cfg = cfg or MatchConfig()
     _check_weights(g1, "g1", cfg.lam)

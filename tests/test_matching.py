@@ -40,9 +40,19 @@ from graphspace.matching import (
 from graphspace.pipelines import symmetric_match
 
 
-def _kept(rows, cols, keep):
-    """The pairs ``(rows, cols)`` that a vertex ``(rows, cols, keep)`` keeps."""
-    return (rows, cols) if keep is None else (rows[keep], cols[keep])
+def _kept(slots):
+    """The pairs ``(rows, cols)`` that a vertex, the slot of every node (-1
+    for none), keeps."""
+    rows = np.flatnonzero(slots >= 0)
+    return rows, slots[rows]
+
+
+def _slots(rows, cols, n1):
+    """The vertex, the slot of every one of ``n1`` nodes (-1 for none), that
+    takes nodes ``rows`` to slots ``cols``."""
+    slots = np.full(n1, -1)
+    slots[rows] = cols
+    return slots
 
 
 def assert_lift_rule(perm, rows, cols, n1, n2):
@@ -64,7 +74,7 @@ def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
     two for the gradient and two for the search direction, and one more on
     a step over a face.
 
-    It steps toward the vertices ``(rows, cols)`` drawn from ``vertices``,
+    It steps toward the vertices (slots) drawn from ``vertices``,
     the ones the loop under test chose, after checking that each minimizes
     the linear cost of the recomputed gradient, and projects onto the last
     one drawn, after checking that it is a nearest permutation.  Following
@@ -83,9 +93,9 @@ def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
 
     def follow(c):
         """The next vertex drawn, checked to minimize the cost ``c``."""
-        rows, cols = _kept(*_vertex(c, partial))
+        rows, cols = _kept(_vertex(c, partial))
         best = c[rows, cols].sum()
-        rows, cols = _kept(*next(vertices))
+        rows, cols = _kept(next(vertices))
         assert math.isclose(c[rows, cols].sum(), best, rel_tol=1e-9, abs_tol=1e-12)
         return rows, cols
 
@@ -135,7 +145,7 @@ def four_product_faq_descent(a1, a2, d, lam, p0, max_iter, tol, size, vertices):
             break
         f = f_new
     rows, cols = follow(-_null_average(p, size).T)
-    perm = _lifts(rows[None], cols[None], None, n1, n2, size)[0]
+    perm = _lifts(_slots(rows, cols, n1)[None], n2, size)[0]
     return perm, objectives, steps, converged
 
 
@@ -430,13 +440,16 @@ class TestRealBlock:
     @given(_cost_blocks(), st.booleans())
     def test_vertex_matches_padded_lap(self, c, two_way):
         # two-way padding (n1 + n2 slots) allows a partial assignment,
-        # one-way padding (max(n1, n2) slots) forces a complete one
+        # one-way padding (max(n1, n2) slots) forces a complete one; the
+        # smaller side comes first, as Frank-Wolfe orients every pair
+        if c.shape[0] > c.shape[1]:
+            c = c.T
         n1, n2 = c.shape
         m = n1 + n2 if two_way else max(n1, n2)
         padded = np.zeros((m, m))
         padded[:n1, :n2] = c
         rows, cols = _lap_raw(padded)
-        vr, vc = _kept(*_vertex(c, partial=two_way))
+        vr, vc = _kept(_vertex(c, partial=two_way))
         assert len(set(vr.tolist())) == len(vr) and len(set(vc.tolist())) == len(vc)
         if two_way:
             assert np.all(c[vr, vc] < 0.0)
@@ -449,7 +462,9 @@ class TestRealBlock:
     @given(_partial_matchings())
     def test_lift_is_bijection_parking_unmatched_on_null_slots(self, case):
         rows, cols, n1, n2 = case
-        (perm,) = _lifts(rows[None], cols[None], None, n1, n2, n1 + n2)
+        if n1 > n2:  # the smaller side comes first
+            rows, cols, n1, n2 = cols, rows, n2, n1
+        (perm,) = _lifts(_slots(rows, cols, n1)[None], n2, n1 + n2)
         assert_lift_rule(perm, rows, cols, n1, n2)
 
     @settings(max_examples=100, deadline=None)
@@ -513,6 +528,8 @@ class TestTrackedProducts:
     @given(_seeded_pairs(), st.sampled_from(["barycenter", "identity"]))
     def test_faq_descent_matches_four_product_loop(self, pair, faq_init):
         g1, g2, lam, directed, padding, seed = pair
+        if g1.n > g2.n:  # the smaller graph comes first, as in graph_distance
+            g1, g2 = g2, g1
         cfg = MatchConfig(lam=lam, padding=padding, faq_init=faq_init, restarts=1,
                           seed=seed)
         g1p, g2p = pad_pair(g1, g2, padding)
@@ -608,6 +625,8 @@ class TestStacks:
         else:
             p0 = np.full((n2, n1), 1.0 / size)
         d = d[:, :n1, :n2]
+        if n1 > n2:  # the smaller side comes first
+            a1, a2, d, p0 = a2, a1, d.swapaxes(1, 2), p0.T
         got = _faq_stack(a1, a2, d, lam, p0, max_iter, 1e-8, size, directed)
         for e in range(b):
             perm, objectives, steps, converged = _faq_descent(
@@ -697,6 +716,9 @@ class TestFaceSteps:
         g1, g2, lam = _zigzag_pair(kind)
         rng = np.random.default_rng(12)
         pairs = [(g1, g2)] + [(_like(g1, rng), _like(g2, rng)) for _ in range(3)]
+        if g1.n > g2.n:  # the smaller graph comes first, as in graph_distance
+            g1, g2 = g2, g1
+            pairs = [(b, a) for a, b in pairs]
         size = g1.n + g2.n
         a1 = np.stack([a.adjacency for a, _ in pairs])
         a2 = np.stack([b.adjacency for _, b in pairs])
@@ -715,10 +737,10 @@ def _zigzag_pair(kind):
     """A pair whose barycenter Frank-Wolfe run, under the default config,
     alternates between two vertices until max_iter unless it steps over
     their face: graphs 0 and 25 of ``graphspace generate --family binomial
-    --sizes 10 16 --count 30 --seed 0``; graphs 0 and 6 with each edge
+    --sizes 10 16 --count 30 --seed 0``; graphs 0 and 27 with each edge
     given a seeded direction; graphs 0 and 18 with seeded normal
     attributes, at lambda 0.1."""
-    graphs = {i: generate("binomial", (10, 16), trial_rng(0, i)) for i in (0, 6, 18, 25)}
+    graphs = {i: generate("binomial", (10, 16), trial_rng(0, i)) for i in (0, 18, 25, 27)}
     if kind == "undirected":
         return graphs[0], graphs[25], 0.0
     if kind == "directed":
@@ -726,7 +748,7 @@ def _zigzag_pair(kind):
             a = np.triu(graphs[i].adjacency, 1)
             up = np.random.default_rng(i).random(a.shape) < 0.5
             return Graph(np.where(up, a, 0.0) + np.where(up, 0.0, a).T, directed=True)
-        return oriented(0), oriented(6), 0.0
+        return oriented(0), oriented(27), 0.0
     def attributed(i):
         g = graphs[i]
         return Graph(g.adjacency, node_attrs=trial_rng(100, i).normal(size=(g.n, 2)))
@@ -767,9 +789,11 @@ class TestFlatStart:
         # the cost -r1 r2^T against scipy on the same cost, zero-padded to a
         # square under partial assignment, as two-way padding does
         r1, r2, t1, t2 = sums
+        if len(r1) > len(r2):  # the smaller side comes first
+            r1, r2, t1, t2 = r2, r1, t2, t1
         n1, n2 = len(r1), len(r2)
         c = -np.outer(r1, r2)
-        rows, cols = _kept(*_rank_one_vertex(r1, r2, t1, t2, partial))
+        rows, cols = _kept(_rank_one_vertex(r1, r2, t1, t2, partial))
         assert np.all(np.diff(rows) > 0) and len(set(cols.tolist())) == len(cols)
         assert np.all((0 <= cols) & (cols < n2)) and np.all((0 <= rows) & (rows < n1))
         if partial:
@@ -807,8 +831,8 @@ def _cost_stacks(draw):
 
 @st.composite
 def _vertex_stacks(draw):
-    """(rows, cols, keep, n1, n2, size): B vertices as ``_vertices`` gives
-    them, with keep masks under two-way padding and none under one-way."""
+    """(rows, cols, keep, n1, n2, size): B vertices as LAP pairs, rows
+    ascending, with keep masks under two-way padding and none under one-way."""
     b = draw(st.integers(1, 5))
     n1, n2 = draw(st.integers(0, 6)), draw(st.integers(0, 6))
     two_way = draw(st.booleans())
@@ -827,25 +851,26 @@ class TestStackedHelpers:
     @settings(max_examples=200, deadline=None)
     @given(_cost_stacks(), st.booleans())
     def test_vertices_are_per_entry_vertices(self, c, partial):
-        rows, cols, keep = _vertices(c, partial)
-        assert (keep is None) == (not partial)
+        if c.shape[1] > c.shape[2]:  # the smaller side comes first
+            c = c.swapaxes(1, 2)
+        slots = _vertices(c, partial)
+        assert slots.shape == c.shape[:2] and (partial or np.all(slots >= 0))
         for e, x in enumerate(c):
-            want_rows, want_cols, want_keep = _vertex(x, partial)
-            assert np.array_equal(rows[e], want_rows)
-            assert np.array_equal(cols[e], want_cols)
-            assert want_keep is None if keep is None else np.array_equal(keep[e], want_keep)
+            assert np.array_equal(slots[e], _vertex(x, partial))
 
     @settings(max_examples=200, deadline=None)
     @given(_vertex_stacks())
     def test_lifts_are_per_entry_lifts(self, case):
         rows, cols, keep, n1, n2, size = case
-        perms = _lifts(rows, cols, keep, n1, n2, size)
+        if n1 > n2:  # the smaller side comes first
+            rows, cols, n1, n2 = cols, rows, n2, n1
+        kept = np.ones(rows.shape, dtype=bool) if keep is None else keep
+        slots = np.stack([_slots(r[k], c[k], n1) for r, c, k in zip(rows, cols, kept)])
+        perms = _lifts(slots, n2, size)
         assert perms.shape == (len(rows), size)
         for e in range(len(rows)):
-            assert_lift_rule(perms[e], *_kept(rows[e], cols[e], None if keep is None else keep[e]),
-                             n1, n2)
-            alone = _lifts(rows[e:e + 1], cols[e:e + 1], None if keep is None else keep[e:e + 1],
-                           n1, n2, size)[0]
+            assert_lift_rule(perms[e], *_kept(slots[e]), n1, n2)
+            alone = _lifts(slots[e:e + 1], n2, size)[0]
             assert perms[e].dtype == alone.dtype == np.int64
             assert perms[e].tobytes() == alone.tobytes()
 
