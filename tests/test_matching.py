@@ -1056,6 +1056,69 @@ def _floor_pair(kind, directed, rng):
     return Graph(w, node_attrs=attrs, directed=directed), permute(g2, rng.permutation(n))
 
 
+@st.composite
+def _unequal_pairs(draw):
+    """(g1, g2, cfg): a seeded pair of unequal sizes in either order, of
+    binomial, heavy-tailed or letter graphs, undirected or directed (each
+    edge given a seeded direction), with a Frank-Wolfe config without
+    refinement: lambda 0 or 0.7, two-way or one-way padding, and the
+    barycenter, the identity or two restarts."""
+    family = draw(st.sampled_from(["binomial", "full_heavy_tailed", "letter_like"]))
+    directed, lam = draw(st.booleans()), draw(st.sampled_from([0.0, 0.7]))
+    padding = draw(st.sampled_from(["two_way", "one_way"]))
+    start = draw(st.sampled_from([{}, {"faq_init": "identity"}, {"restarts": 2}]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if family == "letter_like":
+        # a full 5-node letter and one cut to 2-4 nodes
+        big, small = (generate(family, (0, 0), rng, node_drop=0.0) for _ in range(2))
+        k = draw(st.integers(2, 4))
+        sizes = [(big.adjacency, big.node_attrs),
+                 (small.adjacency[:k, :k], small.node_attrs[:k])]
+    else:
+        n1 = draw(st.integers(2, 9))
+        n2 = n1 + draw(st.integers(1, 5))
+        sizes = [(g.adjacency, rng.normal(size=(g.n, 2)))
+                 for g in (generate(family, (n, n), rng) for n in (n1, n2))]
+    if draw(st.booleans()):
+        sizes.reverse()
+
+    def graph(adjacency, attrs):
+        if directed:
+            upper = np.triu(adjacency, 1)
+            up = rng.random(upper.shape) < 0.5
+            adjacency = np.where(up, upper, 0.0) + np.where(up, 0.0, upper).T
+        return Graph(adjacency, node_attrs=attrs, directed=directed)
+
+    cfg = MatchConfig(lam=lam, padding=padding, seed=seed % 1000, **start)
+    return *(graph(*x) for x in sizes), cfg
+
+
+class TestArgumentOrder:
+    """Frank-Wolfe registers the smaller graph into the larger, so without
+    refinement the two argument orders of an unequal-size pair are one run."""
+
+    @staticmethod
+    def assert_one_run(g1, g2, cfg):
+        a, b = graph_distance(g1, g2, cfg), graph_distance(g2, g1, cfg)
+        assert np.array_equal(np.argsort(a.p.perm), b.p.perm)
+        assert a.objective.hex() == b.objective.hex()
+        assert a.solver_trace == b.solver_trace
+        return a
+
+    @settings(max_examples=150, deadline=None)
+    @given(_unequal_pairs())
+    def test_swapped_pair_gives_the_inverse_registration(self, case):
+        self.assert_one_run(*case)
+
+    def test_larger_first_pair_runs_smaller_first(self):
+        # graphs 46 and 47 of trial seed 77 (12 and 6 nodes), which the
+        # default config once registered at J = 52 and J = 56 in the two orders
+        g1, g2 = (generate("binomial", (4, 14), trial_rng(77, i)) for i in (46, 47))
+        assert (g1.n, g2.n) == (12, 6)
+        assert self.assert_one_run(g1, g2, MatchConfig()).objective == 56.0
+
+
 class TestFloorRule:
     """No permutation scores J < 0, so the Frank-Wolfe starts stop once a
     candidate scores J = 0, with the result of running them all."""
