@@ -148,14 +148,17 @@ class MatchConfig:
     seed: int = 0
 
     def __post_init__(self):
-        real, integer = (numbers.Real, "a real number"), (numbers.Integral, "an integer")
+        real = (numbers.Real, "a real number", float)
+        integer = (numbers.Integral, "an integer", int)
         kinds = {"lam": real, "tol": real, "max_iter": integer, "restarts": integer,
-                 "seed": integer, "refinement": ((bool, np.bool_), "a bool")}
-        for field, (kind, what) in kinds.items():
+                 "seed": integer, "refinement": ((bool, np.bool_), "a bool", bool)}
+        for field, (kind, what, cast) in kinds.items():
             value = getattr(self, field)
             if not isinstance(value, kind) or (isinstance(value, bool) and field != "refinement"):
                 raise ValueError(f"{'lambda' if field == 'lam' else field} must be {what}, "
                                  f"got {value!r}")
+            # a NumPy scalar would carry its own precision into every result
+            object.__setattr__(self, field, cast(value))
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lambda must be finite and nonnegative, got {self.lam}")
         if self.padding not in _PADDINGS:

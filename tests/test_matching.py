@@ -192,6 +192,17 @@ class TestMatchConfig:
         g = Graph(np.ones((2, 2)) - np.eye(2), node_attrs=np.zeros((2, 1)))
         assert graph_distance(g, g, cfg).objective == 0.0
 
+    def test_numpy_numbers_stored_as_python_numbers(self):
+        cfg = MatchConfig(lam=np.float16(0.7), tol=np.float32(1e-6), max_iter=np.int64(7),
+                          restarts=np.int32(1), seed=np.uint8(3), refinement=np.bool_(True))
+        assert [type(getattr(cfg, f)) for f in ("lam", "tol", "max_iter", "restarts", "seed",
+                                               "refinement")] == [float, float, int, int, int, bool]
+        # two letters of unequal size; a float16 lambda once made the objective a float16
+        a, b = (generate("letter_like", (0, 0), trial_rng(3, i), node_drop=0.2) for i in (0, 1))
+        got = graph_distance(a, b, MatchConfig(lam=np.float16(0.7))).objective
+        want = graph_distance(a, b, MatchConfig(lam=float(np.float16(0.7)))).objective
+        assert type(got) is float and got.hex() == want.hex()
+
 
 class TestUmeyama:
     def test_isomorphic_pairs_recovered(self):
