@@ -110,11 +110,11 @@ def document_to_graph(doc) -> Graph:
         unknown = node.keys() - _NODE_KEYS
         if unknown:
             _fail(f"node at position {pos}: unknown keys {sorted(unknown)}")
-        if node.get("id") != pos:
-            _fail(
-                f"node at position {pos}: ids must be 0..n-1 in ascending order, "
-                f"got {node.get('id')!r}"
-            )
+        nid = node.get("id")
+        if type(nid) is not int or nid != pos:
+            if isinstance(nid, bool) or not isinstance(nid, int):
+                _fail(f"node at position {pos}: 'id' must be an integer, got {nid!r}")
+            _fail(f"node at position {pos}: ids must be 0..n-1 in ascending order, got {nid!r}")
         has_attr = "attr" in node
         if has_attr and (not isinstance(node["attr"], list) or not node["attr"]):
             _fail(f"node {pos}: attr must be a non-empty list of numbers")
@@ -262,14 +262,25 @@ def pca_model_document(model) -> dict:
 
 
 def _float_array(doc: dict, key: str) -> np.ndarray:
+    """``doc[key]`` as a float array: nested lists of finite JSON numbers,
+    which, as in a graph's weights and attributes, excludes strings and
+    booleans.  A JSON null is a missing number, refused as NaN is."""
     try:
-        arr = np.array(doc[key], dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.array(doc[key], dtype=object)
+    except ValueError as exc:
         raise ValidationError(f"PCA model '{key}' must hold numbers ({exc})") from exc
-    # a JSON null converts to NaN, and NaN/Infinity literals parse as floats
-    if not np.isfinite(arr).all():
+    leaves = arr.ravel().tolist()
+    odd = [x for x in leaves if type(x) is not float and type(x) is not int and x is not None]
+    if odd:
+        _fail(f"PCA model '{key}' must hold numbers, got {type(odd[0]).__name__}")
+    try:
+        values = np.array(leaves, dtype=float).reshape(arr.shape)
+    except OverflowError:
+        _fail(f"PCA model '{key}': value is too large for a float")
+    # NaN/Infinity literals parse as floats, and a null converts to NaN
+    if not np.isfinite(values).all():
         _fail(f"PCA model '{key}' must hold finite numbers")
-    return arr
+    return values
 
 
 def pca_model_from_document(doc):

@@ -110,6 +110,17 @@ class TestDocumentToGraph:
         with pytest.raises(ValidationError, match="zero attributes"):
             document_to_graph(doc)
 
+    @pytest.mark.parametrize("pos", [0, 1])
+    @pytest.mark.parametrize("kind", [bool, float])
+    def test_node_ids_must_be_integers(self, pos, kind):
+        # an id equal to its position as a bool or a float, as edge ids are refused
+        doc = {"directed": False, "nodes": [{"id": 0}, {"id": 1}], "edges": []}
+        doc["nodes"][pos]["id"] = kind(pos)
+        with pytest.raises(ValidationError) as exc:
+            document_to_graph(json.loads(json.dumps(doc)))
+        assert str(exc.value) == (f"node at position {pos}: 'id' must be an integer, "
+                                  f"got {kind(pos)!r}")
+
     @pytest.mark.parametrize("nodes, edges, fault", [
         (None, None, "document must be a JSON object, got list"),
         ([{"id": 0}, 1], [], "node at position 1: expected an object"),
@@ -272,6 +283,21 @@ class TestPcaModelDocument:
         with pytest.raises(ValidationError) as exc:
             pca_model_from_document(change(doc))
         assert str(exc.value) == fault
+
+    @pytest.mark.parametrize("key", ["center", "basis", "singular_values",
+                                     "explained_variance_ratio", "scores"])
+    @pytest.mark.parametrize("leaf", ["string", "true"])
+    def test_numbers_must_be_json_numbers(self, key, leaf):
+        # a numeric string of the same value, or true, in the first entry
+        rng = np.random.default_rng(5)
+        corpus = perturbed_corpus(random_symmetric_graph(3, rng), 3, rng)
+        doc = json.loads(json.dumps(pca_model_document(graph_pca(karcher_mean(corpus)))))
+        row = doc[key][0] if isinstance(doc[key][0], list) else doc[key]
+        row[0] = repr(row[0]) if leaf == "string" else True
+        with pytest.raises(ValidationError) as exc:
+            pca_model_from_document(doc)
+        assert str(exc.value) == (f"PCA model '{key}' must hold numbers, "
+                                  f"got {'str' if leaf == 'string' else 'bool'}")
 
     def test_derived_keys_are_not_written(self):
         rng = np.random.default_rng(6)
