@@ -32,7 +32,7 @@ from .documents import (
     pca_model_from_document,
     save_graph,
 )
-from .generators import FAMILIES, generate, trial_rng
+from .generators import FAMILIES, _check_generate, _check_seed, generate, trial_rng
 from .graphs import _PADDINGS, _check_corpus
 from .matching import _SOLVERS, MatchConfig, geodesic, graph_distance
 from .pipelines import (
@@ -303,6 +303,10 @@ def _cmd_bench_recovery(args) -> int:
 def _cmd_generate(args) -> int:
     if args.count < 0:
         raise ValidationError("--count must be nonnegative")
+    # what a draw refuses is refused before any, so --count 0 checks every flag
+    _check_seed(args.seed)
+    _check_generate(args.family, args.sizes, args.p, args.coord_noise, args.edge_noise,
+                    args.node_drop)
     graphs = [generate(args.family, (args.sizes[0], args.sizes[1]), trial_rng(args.seed, i),
                        p=args.p, coord_noise=args.coord_noise, edge_noise=args.edge_noise,
                        node_drop=args.node_drop)

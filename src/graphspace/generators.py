@@ -35,10 +35,14 @@ LETTER_A_COORDS = np.array(
 LETTER_A_EDGES = ((0, 1), (1, 2), (2, 3), (3, 4), (1, 3))
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+
+
 def trial_rng(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator for trial ``index`` of a seeded batch."""
-    if master_seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {master_seed}")
+    _check_seed(master_seed)
     return np.random.default_rng(np.random.SeedSequence([master_seed, index]))
 
 
@@ -50,8 +54,7 @@ def _as_rng(rng) -> np.random.Generator:
 
 def binomial(n: int, rng, p: float = 0.5) -> Graph:
     """Undirected Erdos-Renyi graph: each edge present with probability p."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+    _check_p(p)
     if n < 1:
         raise ValueError("n must be positive")
     rng = _as_rng(rng)
@@ -77,12 +80,7 @@ def letter_like(rng, coord_noise: float = 0.15, edge_noise: float = 0.05,
     survive), every coordinate gets Gaussian jitter, and every surviving
     node pair flips its edge indicator with probability ``edge_noise``.
     """
-    for name, value, ok, rule in (
-            ("coord_noise", coord_noise, 0 <= coord_noise < np.inf, "be finite and nonnegative"),
-            ("edge_noise", edge_noise, 0 <= edge_noise <= 1, "lie in [0, 1]"),
-            ("node_drop", node_drop, 0 <= node_drop < 1, "lie in [0, 1)")):
-        if not ok:
-            raise ValueError(f"invalid distortion parameters: {name} must {rule}, got {value}")
+    _check_distortion(coord_noise, edge_noise, node_drop)
     rng = _as_rng(rng)
     n0 = LETTER_A_COORDS.shape[0]
     adj0 = np.zeros((n0, n0))
@@ -105,6 +103,36 @@ def letter_like(rng, coord_noise: float = 0.15, edge_noise: float = 0.05,
     return Graph(adj + adj.T, node_attrs=pos)
 
 
+def _check_p(p: float) -> None:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"edge probability must lie in [0, 1], got {p}")
+
+
+def _check_distortion(coord_noise: float, edge_noise: float, node_drop: float) -> None:
+    for name, value, ok, rule in (
+            ("coord_noise", coord_noise, 0 <= coord_noise < np.inf, "be finite and nonnegative"),
+            ("edge_noise", edge_noise, 0 <= edge_noise <= 1, "lie in [0, 1]"),
+            ("node_drop", node_drop, 0 <= node_drop < 1, "lie in [0, 1)")):
+        if not ok:
+            raise ValueError(f"invalid distortion parameters: {name} must {rule}, got {value}")
+
+
+def _check_generate(family: str, n_range, p: float, coord_noise: float, edge_noise: float,
+                    node_drop: float) -> None:
+    """Refuse, before any draw, what ``generate`` refuses for these arguments,
+    with the same ``ValueError``."""
+    if family not in FAMILIES:
+        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    if family == "letter_like":
+        _check_distortion(coord_noise, edge_noise, node_drop)
+        return
+    lo, hi = int(n_range[0]), int(n_range[1])
+    if lo < 1 or hi < lo:
+        raise ValueError(f"invalid size range [{lo}, {hi}]")
+    if family == "binomial":
+        _check_p(p)
+
+
 def generate(family: str, n_range, rng, *, p: float = 0.5,
              coord_noise: float = 0.15, edge_noise: float = 0.05,
              node_drop: float = 0.0) -> Graph:
@@ -113,15 +141,12 @@ def generate(family: str, n_range, rng, *, p: float = 0.5,
     ``letter_like`` takes its size from the prototype (modulated by
     ``node_drop``), so ``n_range`` is ignored for that family.
     """
-    if family not in FAMILIES:
-        raise ValueError(f"unknown family {family!r}, expected one of {FAMILIES}")
+    _check_generate(family, n_range, p, coord_noise, edge_noise, node_drop)
     rng = _as_rng(rng)
     if family == "letter_like":
         return letter_like(rng, coord_noise=coord_noise, edge_noise=edge_noise,
                            node_drop=node_drop)
     lo, hi = int(n_range[0]), int(n_range[1])
-    if lo < 1 or hi < lo:
-        raise ValueError(f"invalid size range [{lo}, {hi}]")
     n = int(rng.integers(lo, hi + 1))
     if family == "binomial":
         return binomial(n, rng, p=p)

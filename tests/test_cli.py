@@ -318,6 +318,20 @@ class TestExitCodes:
                             f"{model}: PCA model 'scores' must hold at least two rows, got 1")
         assert not (tmp_path / "s").exists()
 
+    def test_model_string_center_names_the_file_2(self, corpus_dir, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        assert main(["pca", *graphs_in(corpus_dir), "--out", str(model)]) == 0
+        capsys.readouterr()
+        doc = json.loads(model.read_text())
+        doc["center"][0] = "0.0"
+        model.write_text(json.dumps(doc))
+        rc = main(["sample", "--model", str(model), "--count", "1",
+                   "--out-dir", str(tmp_path / "s")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"error: {model}: PCA model 'center' must hold numbers, got str\n")
+        assert not (tmp_path / "s").exists()
+
     def test_model_ratios_not_from_singular_values_2(self, tmp_path, capsys):
         # sample's default component count reads the ratios: [1, 0, ...] on a
         # 6-letter model would pick 1 component in place of 2
@@ -429,6 +443,25 @@ class TestExitCodes:
                              "--count", "2", "--out-dir", str(tmp_path / "bad")], capsys,
                             "invalid size range [0, 3]")
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("flags, fault", [
+        (["--family", "binomial", "--seed", "-1"], "seed must be nonnegative, got -1"),
+        (["--family", "binomial", "--sizes", "0", "3"], "invalid size range [0, 3]"),
+        (["--family", "binomial", "--p", "2"], "edge probability must lie in [0, 1], got 2.0"),
+        (["--family", "letter_like", "--coord-noise", "nan"],
+         "coord_noise must be finite and nonnegative, got nan"),
+    ], ids=["seed", "sizes", "p", "coord-noise"])
+    def test_generate_checks_flags_before_any_draw_2(self, flags, fault, tmp_path, capsys):
+        # --count 0 draws nothing, and refuses what --count 1 refuses
+        errors = []
+        for count in ("0", "1"):
+            out = tmp_path / f"out{count}"
+            rc = main(["generate", *flags, "--count", count, "--out-dir", str(out)])
+            errors.append(capsys.readouterr().err)
+            assert rc == 2 and not out.exists()
+        assert errors[0] == errors[1]
+        assert len(errors[0].splitlines()) == 1
+        assert errors[0].startswith("error: ") and fault in errors[0]
 
     def test_zero_max_outer_is_2(self, corpus_dir, tmp_path, capsys):
         self._assert_exit_2(["mean", *graphs_in(corpus_dir), "--out", str(tmp_path / "m.json"),
