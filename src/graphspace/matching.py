@@ -746,10 +746,10 @@ def _faq_descent(a1: np.ndarray, a2: np.ndarray, d: np.ndarray | None,
                  size: int, directed: bool):
     """Frank-Wolfe on one pair: ``_faq_stack`` on its 2-D blocks.
 
-    ``a1`` and ``a2`` are the unpadded adjacencies, ``d`` the n1 x n2 node
-    cost and ``p0`` the n2 x n1 real block of the padded start.  Returns
-    the padded permutation with the relaxed objectives, step sizes and
-    convergence.
+    ``a1`` and ``a2`` are the unpadded adjacencies, n1 <= n2, ``d`` the
+    n1 x n2 node cost and ``p0`` the n2 x n1 real block of the padded
+    start.  Returns the padded permutation with the relaxed objectives,
+    step sizes and convergence.
     """
     return _faq_stack(a1, a2, d, lam, p0, max_iter, tol, size, directed)[0]
 
